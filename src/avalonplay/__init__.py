@@ -26,7 +26,6 @@ from .deduction import (
     ContradictionError,
     belief,
     brute_force_oracle,
-    enumerate_worlds,
     select_team,
 )
 from .game import (
@@ -99,7 +98,6 @@ __all__ = [
     "brute_force_oracle",
     "compute_metrics",
     "deal_roles",
-    "enumerate_worlds",
     "knowledge_for",
     "load_record",
     "make_agent",

@@ -19,7 +19,6 @@ so games built from them replay bit-identically.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +37,7 @@ from .deduction import (
 )
 from .game import ALL_SEATS, Phase, Side
 from .knowledge import KnowledgeView
-from .llm import ChatMessage, LLMClient
+from .llm import ChatMessage, LLMClient, logged_complete
 from .memory import LeaderMemory, PublicFact
 from .parsing import ParseError, parse_team_selection, parse_vote
 from .prompts import PromptBundle
@@ -227,6 +226,18 @@ class ScriptedEvilAgent(Agent):
         raise ValueError(f"no action for phase {phase}")
 
 
+def deduction_team(
+    constraints: ConstraintSet, team_size: int, seat: int, rng: random.Random
+) -> tuple[frozenset[int], bool]:
+    """The deduction policy's team: (`select_team` over the beliefs, True), or
+    (a random legal team drawn from `rng`, False) when the beliefs are
+    contradictory."""
+    try:
+        return select_team(belief(constraints), team_size, seat), True
+    except ContradictionError:
+        return frozenset(rng.sample(ALL_SEATS, team_size)), False
+
+
 class DeductionAgent(Agent):
     @cached_property
     def _private_constraints(self) -> list[Constraint]:
@@ -244,19 +255,16 @@ class DeductionAgent(Agent):
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase
         if phase is Phase.TEAM_SELECTION:
-            beliefs = belief(self._constraints(obs))
-            try:
-                team = select_team(beliefs, obs.team_size, self.seat)
+            team, deduced = deduction_team(self._constraints(obs), obs.team_size, self.seat, self.rng)
+            if deduced:
                 return AgentReply(SelectTeam(team))
-            except ContradictionError:
-                team = frozenset(self.rng.sample(ALL_SEATS, obs.team_size))
-                self.on_error(
-                    self.seat,
-                    "contradiction_fallback",
-                    "belief state had no consistent world; selected a random legal team",
-                    {"team": sorted(team)},
-                )
-                return AgentReply(SelectTeam(team), trace={"fallback": True})
+            self.on_error(
+                self.seat,
+                "contradiction_fallback",
+                "belief state had no consistent world; selected a random legal team",
+                {"team": sorted(team)},
+            )
+            return AgentReply(SelectTeam(team), trace={"fallback": True})
         if phase is Phase.DISCUSSION:
             p = self._success_probability_for_discussion(obs)
             if p is None or p >= Fraction(1, 2):
@@ -328,18 +336,8 @@ class LLMAgent(Agent):
     # -- plumbing ---------------------------------------------------------
 
     def _call(self, messages: Sequence[ChatMessage], tag: str, trace: dict[str, Any]) -> str:
-        t0 = time.monotonic()
-        response = self.client.complete(messages, temperature=self.spec.temperature_text, tag=tag)
-        trace.setdefault("exchanges", []).append(
-            {
-                "request": [m.to_dict() for m in messages],
-                "response": response,
-                "tag": tag,
-                "temperature": self.spec.temperature_text,
-                "latency": round(time.monotonic() - t0, 6),
-            }
-        )
-        return response
+        exchanges = trace.setdefault("exchanges", [])
+        return logged_complete(self.client, messages, self.spec.temperature_text, tag, exchanges)
 
     def _bundle(self, obs: Observation) -> PromptBundle:
         if obs.bundle is None:
@@ -440,10 +438,7 @@ class LLMAgent(Agent):
                     + facts_from_history(obs.public_facts, reveal_counts=obs.reveal_sabotage_count)
                 )
             )
-            try:
-                return select_team(belief(constraints), obs.team_size, self.seat)
-            except ContradictionError:
-                return frozenset(self.rng.sample(ALL_SEATS, obs.team_size))
+            return deduction_team(constraints, obs.team_size, self.seat, self.rng)[0]
 
         outcome = self_debug_loop(
             self.client,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Sequence
 
-from .llm import ChatMessage, LLMClient
+from .llm import ChatMessage, LLMClient, logged_complete
 from .memory import LeaderMemory
 from .parsing import ParseError, extract_program, parse_team_selection
 from .templates import render
@@ -374,17 +374,7 @@ def self_debug_loop(
     attempts: list[DebugAttempt] = []
     exchanges: list[dict[str, Any]] = []
     for attempt_no in range(1, limits.max_attempts + 1):
-        t0 = time.monotonic()
-        response = llm.complete(conversation, temperature=temperature, tag="code_generation")
-        exchanges.append(
-            {
-                "request": [m.to_dict() for m in conversation],
-                "response": response,
-                "tag": "code_generation",
-                "temperature": temperature,
-                "latency": round(time.monotonic() - t0, 6),
-            }
-        )
+        response = logged_complete(llm, conversation, temperature, "code_generation", exchanges)
         program = extract_program(response)
         result = execute_sandboxed(program, limits)
         attempt = DebugAttempt(response=response, program=program, result=result, issue=None)

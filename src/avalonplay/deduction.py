@@ -2,9 +2,8 @@
 
 A world is one way of splitting the seven seats into 4 good and 3 evil.
 Constraints prune worlds; beliefs are exact fractions of surviving worlds
-in which each seat is good. Side-level enumeration works over the 35 evil
-sets; role-level enumeration works over the 2520 distinct role
-assignments and is only needed when roles themselves matter.
+in which each seat is good. Beliefs are computed over the 35 evil sets;
+only the oracle below looks at the 2520 distinct role assignments.
 
 The fast path indexes the 35 evil sets, in lexicographic order, as the
 bits of one int. Each constraint's satisfying worlds form a 35-bit mask,
@@ -18,7 +17,7 @@ tables are built lazily, never at import time.
 `brute_force_oracle` recomputes beliefs by filtering all 2520 role
 assignments with its own satisfaction logic. It shares no enumeration or
 bit-twiddling code with `belief`, so the two can cross-check each other.
-The 2520 assignments and the evil frozenset of each are computed once, on
+The evil frozenset of each of the 2520 assignments is computed once, on
 first use, and reused by later calls.
 """
 
@@ -26,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .game import ALL_SEATS, ROLE_DECK, SABOTAGE_THRESHOLDS, Role, Side
+from .game import ALL_SEATS, ROLE_DECK, SABOTAGE_THRESHOLDS, Side
 from .knowledge import FactKind, KnowledgeView
 from .memory import PublicFact
 
@@ -55,11 +54,6 @@ class ConstraintKind(str, Enum):
     AT_LEAST = "at_least"
     AT_MOST = "at_most"
     EXACTLY = "exactly"
-
-
-class EnumerationLevel(str, Enum):
-    SIDE = "side"
-    ROLE = "role"
 
 
 # Where a constraint came from, kept for auditing.
@@ -117,9 +111,6 @@ class Constraint:
         for p in self.players:
             m |= 1 << p
         return m
-
-    def satisfied_by(self, evil_set: frozenset[int]) -> bool:
-        return _count_ok(self.kind, len(self.players & evil_set), self.count)
 
     @property
     def worlds(self) -> int:
@@ -202,16 +193,6 @@ class ConstraintSet:
 
 
 @dataclass(frozen=True)
-class World:
-    evil_set: frozenset[int]
-    role_map: tuple[Role, ...] | None = None  # roles for seats 1..7 when role-level
-
-    @property
-    def good_set(self) -> frozenset[int]:
-        return ALL_PLAYERS - self.evil_set
-
-
-@dataclass(frozen=True)
 class BeliefState:
     p_good: dict[int, Fraction]
     n_worlds: int
@@ -252,35 +233,19 @@ def live_worlds(cs: ConstraintSet) -> int:
     return live
 
 
-_ROLE_WORLDS: list[tuple[tuple[Role, ...], frozenset[int]]] | None = None
+_ROLE_WORLDS: list[frozenset[int]] | None = None
 
 
-def _role_worlds() -> list[tuple[tuple[Role, ...], frozenset[int]]]:
-    """All 2520 distinct orderings of the deck, lexicographic by role name,
-    each with its evil seats; built on first use."""
+def _role_worlds() -> list[frozenset[int]]:
+    """The evil seats of each of the 2520 distinct orderings of the deck
+    (72 orderings per evil set); built on first use, for the oracle only."""
     global _ROLE_WORLDS
     if _ROLE_WORLDS is None:
-        distinct = set(itertools.permutations(ROLE_DECK))
-        assignments = sorted(distinct, key=lambda t: tuple(r.value for r in t))
         _ROLE_WORLDS = [
-            (a, frozenset(seat for seat, role in zip(ALL_SEATS, a) if role.side is Side.EVIL))
-            for a in assignments
+            frozenset(seat for seat, role in zip(ALL_SEATS, a) if role.side is Side.EVIL)
+            for a in sorted(set(itertools.permutations(ROLE_DECK)))
         ]
     return _ROLE_WORLDS
-
-
-def enumerate_worlds(
-    cs: ConstraintSet, level: EnumerationLevel = EnumerationLevel.SIDE
-) -> list[World]:
-    """Consistent worlds in a deterministic (lexicographic) order."""
-    if level is EnumerationLevel.SIDE:
-        live = live_worlds(cs)
-        return [World(evil_set=s) for i, s in enumerate(_EVIL_SETS) if live >> i & 1]
-    return [
-        World(evil_set=evil, role_map=assignment)
-        for assignment, evil in _role_worlds()
-        if all(c.satisfied_by(evil) for c in cs.constraints)
-    ]
 
 
 def belief(cs: ConstraintSet) -> BeliefState:
@@ -339,7 +304,7 @@ def brute_force_oracle(cs: ConstraintSet) -> BeliefState:
     72-fold role multiplicity per evil set cancels in the fraction, so the
     result must equal `belief(cs)` exactly.
     """
-    consistent = [evil for _, evil in _role_worlds()]
+    consistent = _role_worlds()
     for c in cs.constraints:
         consistent = [evil for evil in consistent if _oracle_satisfied(c, evil)]
     if not consistent:

@@ -8,7 +8,8 @@ assassination phase when the just side wins three quests.
 
 The engine is deterministic given its seed and the submitted actions; every
 transition appends to an event log that downstream memories, records, and
-the analyzer consume.
+the analyzer consume. `drive` is the one phase loop over the engine: live
+play and record replay differ only in where each decision comes from.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .events import AUDIT, PUBLIC, EventKind, EventLogEntry, private_to
 
@@ -324,6 +325,11 @@ def team_literal(members: Iterable[int]) -> str:
     return "[" + ", ".join(f"'player {p}'" for p in sorted(members)) + "]"
 
 
+def sabotage_clause(n: int) -> str:
+    """The sentence disclosing a quest's sabotage count, with a leading space."""
+    return f" {n} sabotage vote{'s were' if n != 1 else ' was'} cast."
+
+
 class GameEngine:
     """Drives one game: validates actions, mutates state, appends events."""
 
@@ -334,7 +340,7 @@ class GameEngine:
         seed: int,
         game_id: str | None = None,
     ) -> None:
-        _validate_roles(roles)
+        validate_roles(roles)
         self.state = new_game(config, seed)
         self.roles = dict(roles)
         self.game_id = game_id if game_id is not None else f"game-{seed & 0xFFFFFFFFFFFFFFFF:016x}"
@@ -575,10 +581,7 @@ class GameEngine:
                         {"attempted": quest_votes[seat], "enforced": expected},
                     )
         st.quest_history.append(outcome)
-        clause = ""
-        if st.config.reveal_sabotage_count:
-            n = outcome.sabotage_count
-            clause = f" {n} sabotage vote{'s were' if n != 1 else ' was'} cast."
+        clause = sabotage_clause(outcome.sabotage_count) if st.config.reveal_sabotage_count else ""
         self._emit(
             EventKind.QUEST_RESULT,
             QUEST_RESULT_NOTE.format(
@@ -656,9 +659,45 @@ def _spoken_team(members: list[int]) -> str:
     return ", ".join(parts[:-1]) + f", and {parts[-1]}"
 
 
-def _validate_roles(roles: dict[int, Role]) -> None:
+def validate_roles(roles: dict[int, Role]) -> None:
+    """Raise ValidationError unless `roles` deals the standard deck to seats 1..7."""
     if sorted(roles) != list(ALL_SEATS):
         raise ValidationError(f"roles must cover seats 1..7, got {sorted(roles)}")
     deck = sorted(r.value for r in roles.values())
     if deck != sorted(r.value for r in ROLE_DECK):
         raise ValidationError(f"role multiset must match the standard deck, got {deck}")
+
+
+# The engine transition that each decision phase's arguments are passed to.
+# Names, not bound methods: the transition is looked up on the engine at
+# call time, so a wrapper installed on the class is always the one called.
+_TRANSITIONS = {
+    Phase.TEAM_SELECTION: "propose_team",
+    Phase.DISCUSSION: "add_discussion",
+    Phase.TEAM_VOTE: "submit_ballots",
+    Phase.QUEST_EXECUTION: "resolve_current_quest",
+    Phase.ASSASSINATION: "run_assassination",
+}
+
+
+def drive(engine: GameEngine, decide: Callable[[GameEngine], tuple | None]) -> None:
+    """Run the phase loop until the game ends or `decide` has no action.
+
+    Leader assignment runs by itself. In every other phase `decide(engine)`
+    returns the positional arguments of that phase's transition
+    (`propose_team`, `add_discussion`, `submit_ballots`,
+    `resolve_current_quest`, `run_assassination`), or None to stop there.
+    Live play and replay are the same loop with different `decide`s.
+    """
+    while not engine.finished:
+        phase = engine.state.phase
+        if phase is Phase.LEADER_ASSIGNMENT:
+            if engine.state.round == 1:
+                engine.assign_first_leader()
+            else:
+                engine.assign_next_leader()
+            continue
+        args = decide(engine)
+        if args is None:
+            return
+        getattr(engine, _TRANSITIONS[phase])(*args)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .game import ALL_SEATS, ROLE_DECK, Role, Side, ValidationError
+from .game import ALL_SEATS, ROLE_DECK, Role, Side, ValidationError, validate_roles
 from .templates import join_players, render
 
 
@@ -49,11 +49,7 @@ class RoleAssignment:
     """Mapping of the seven seats to the fixed role deck."""
 
     def __init__(self, seat_roles: dict[int, Role]) -> None:
-        if sorted(seat_roles) != list(ALL_SEATS):
-            raise ValidationError(f"assignment must cover seats 1..7, got {sorted(seat_roles)}")
-        deck = sorted(r.value for r in seat_roles.values())
-        if deck != sorted(r.value for r in ROLE_DECK):
-            raise ValidationError("assignment must use the standard role deck")
+        validate_roles(seat_roles)
         self._roles = dict(seat_roles)
 
     def __getitem__(self, seat: int) -> Role:

@@ -49,24 +49,27 @@ class ChatMessage:
         return {"role": self.role, "content": self.content}
 
 
-@dataclass(frozen=True)
-class LLMExchange:
-    request: tuple[ChatMessage, ...]
-    response: str
-    model: str
-    temperature: float
-    tag: str
-    latency: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "request": [m.to_dict() for m in self.request],
-            "response": self.response,
-            "model": self.model,
-            "temperature": self.temperature,
-            "tag": self.tag,
-            "latency": round(self.latency, 6),
+def logged_complete(
+    client: "LLMClient",
+    messages: Sequence[ChatMessage],
+    temperature: float,
+    tag: str,
+    exchanges: list[dict[str, Any]],
+) -> str:
+    """`client.complete`, appending the exchange to `exchanges` in the form
+    records embed under ``--log-exchanges``."""
+    t0 = time.monotonic()
+    response = client.complete(messages, temperature=temperature, tag=tag)
+    exchanges.append(
+        {
+            "request": [m.to_dict() for m in messages],
+            "response": response,
+            "tag": tag,
+            "temperature": temperature,
+            "latency": round(time.monotonic() - t0, 6),
         }
+    )
+    return response
 
 
 class LLMClient:

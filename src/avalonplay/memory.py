@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .events import EventKind, EventLogEntry
-from .game import GameState, QuestOutcome
+from .game import GameState, QuestOutcome, sabotage_clause
 from .knowledge import KnowledgeView, PrivateFact
 from .templates import join_players, load_template, render
 
@@ -97,10 +97,7 @@ class PublicFact:
 
     def render(self) -> str:
         round_phrase = "the initial round" if self.round == 1 else f"round {self.round}"
-        clause = ""
-        if self.sabotage_count is not None:
-            n = self.sabotage_count
-            clause = f" {n} sabotage vote{'s were' if n != 1 else ' was'} cast."
+        clause = sabotage_clause(self.sabotage_count) if self.sabotage_count is not None else ""
         return render(
             "fact_public_quest",
             round_phrase=round_phrase,

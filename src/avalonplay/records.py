@@ -7,18 +7,30 @@ recorded actions and verifies that every public and private event —
 moderator announcements, ballots, quest results — reproduces exactly.
 Audit-channel events (agent diagnostics) are record-only and excluded
 from replay comparison, since no agents run during a replay.
+
+Replay runs `game.drive`, the same phase loop as live play, with each
+decision read from the record instead of asked of an agent. It stops
+where the recorded actions run out, so an aborted game's record replays
+up to the point where the game stopped.
+
+Three errors cover every bad record: `RecordFormatError` for a file that
+is not a well-formed record (naming the line), `RecordSchemaError` for a
+record from another schema or configuration, and `ReplayMismatch` for a
+record whose actions are malformed (naming the seq), rejected by the
+rules, or do not reproduce the recorded events.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Callable, TextIO
 
 from .agents import AgentSpec
-from .events import AUDIT, EventKind, EventLogEntry
-from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError
+from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
+from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, drive
 from .knowledge import RoleAssignment
 
 SCHEMA_VERSION = 1
@@ -89,13 +101,36 @@ def _parse_lines(raw: str, source: str) -> list[dict[str, Any]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise RecordFormatError(f"{source}: line {lineno} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "type" not in obj:
             raise RecordFormatError(f"{source}: line {lineno} has no record type")
         obj["_lineno"] = lineno
         rows.append(obj)
     return rows
+
+
+# The JSON types each event field may hold; a missing payload or visibility
+# takes its default.
+_EVENT_FIELD_TYPES = {
+    "seq": (int,),
+    "game_id": (str,),
+    "round": (int,),
+    "attempt": (int,),
+    "phase": (str,),
+    "actor": (int, type(None)),
+    "kind": (str,),
+    "text": (str,),
+    "payload": (dict,),
+    "visibility": (str,),
+}
+
+
+def _checked(value: Any, kinds: tuple[type, ...], what: str) -> Any:
+    """`value`, if its exact type is one of `kinds` (so a bool is no int)."""
+    if type(value) not in kinds:
+        raise TypeError(f"{what} should be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
 
 
 def load_record(source: str | Path | TextIO) -> GameRecord:
@@ -115,12 +150,18 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     version = header.get("schema_version")
     if version != SCHEMA_VERSION:
         raise RecordSchemaError(f"{name}: schema version {version!r}, expected {SCHEMA_VERSION}")
-    config = GameConfig.from_dict(header["config"])
-    config.validate()
-    if config.config_hash() != header.get("config_hash"):
+    try:
+        config = GameConfig.from_dict(header["config"])
+        config.validate()
+        config_hash = config.config_hash()
+        roles = RoleAssignment.from_json(header["roles"])
+        agents = {int(s): AgentSpec.from_dict(spec) for s, spec in header.get("agents", {}).items()}
+        game_id = _checked(header["game_id"], (str,), "game_id")
+        seed_info = _checked(header.get("seed", {}), (dict,), "seed")
+    except (KeyError, TypeError, ValueError, AttributeError, RuleError) as exc:
+        raise RecordFormatError(f"{name}: line {header['_lineno']}: bad header: {exc!r}") from exc
+    if config_hash != header.get("config_hash"):
         raise RecordSchemaError(f"{name}: config hash does not match the stored configuration")
-    roles = RoleAssignment.from_json(header["roles"])
-    agents = {int(s): AgentSpec.from_dict(spec) for s, spec in header.get("agents", {}).items()}
 
     events: list[EventLogEntry] = []
     outcome_row: dict[str, Any] | None = None
@@ -130,9 +171,12 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
                 raise RecordFormatError(f"{name}: line {row['_lineno']}: event after the outcome line")
             data = {k: v for k, v in row.items() if k not in ("type", "_lineno")}
             try:
+                for key, kinds in _EVENT_FIELD_TYPES.items():
+                    if key in data:
+                        _checked(data[key], kinds, key)
                 event = EventLogEntry.from_dict(data)
-            except (KeyError, ValueError) as exc:
-                raise RecordFormatError(f"{name}: line {row['_lineno']}: bad event: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RecordFormatError(f"{name}: line {row['_lineno']}: bad event: {exc!r}") from exc
             if events and event.seq <= events[-1].seq:
                 raise RecordFormatError(
                     f"{name}: line {row['_lineno']}: event seq {event.seq} out of order"
@@ -147,13 +191,16 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     if outcome_row is None:
         raise RecordFormatError(f"{name}: missing outcome line")
 
-    outcome = GameOutcome.from_dict(outcome_row["outcome"]) if outcome_row.get("outcome") else None
+    try:
+        outcome = GameOutcome.from_dict(outcome_row["outcome"]) if outcome_row.get("outcome") else None
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise RecordFormatError(f"{name}: line {outcome_row['_lineno']}: bad outcome: {exc!r}") from exc
     return GameRecord(
-        game_id=header["game_id"],
+        game_id=game_id,
         config=config,
         roles=roles,
         agents=agents,
-        seed_info=dict(header.get("seed", {})),
+        seed_info=dict(seed_info),
         events=events,
         outcome=outcome,
         aborted=bool(outcome_row.get("aborted", False)),
@@ -197,57 +244,76 @@ def _projection(event: EventLogEntry) -> dict[str, Any]:
     }
 
 
-@dataclass
-class _RecordedActions:
-    proposals: list[tuple[list[int], str]]
-    discussion: list[tuple[int, str]]
-    ballot_rounds: list[dict[int, bool]]
-    assassination: tuple[int, int] | None
+# The decision phase whose transition each recorded action kind replays.
+_ACTION_PHASES = {
+    EventKind.TEAM_PROPOSED: Phase.TEAM_SELECTION,
+    EventKind.DISCUSSION: Phase.DISCUSSION,
+    EventKind.BALLOT_RESULT: Phase.TEAM_VOTE,
+    EventKind.QUEST_RESULT: Phase.QUEST_EXECUTION,
+    EventKind.ASSASSINATION_RESULT: Phase.ASSASSINATION,
+}
 
 
-def _extract_actions(events: Iterable[EventLogEntry]) -> _RecordedActions:
-    proposals: list[tuple[list[int], str]] = []
-    discussion: list[tuple[int, str]] = []
-    ballot_rounds: list[dict[int, bool]] = []
-    pending: dict[int, bool] = {}
-    assassination: tuple[int, int] | None = None
-    for event in sorted(events, key=lambda e: e.seq):
-        if event.kind is EventKind.TEAM_PROPOSED:
-            proposals.append((list(event.payload["members"]), event.text))
-        elif event.kind is EventKind.DISCUSSION:
-            discussion.append((event.actor, event.text))
-        elif event.kind is EventKind.BALLOT_RESULT and event.visibility.startswith("private:"):
-            pending[event.actor] = bool(event.payload["approve"])
-            if len(pending) == 7:
-                ballot_rounds.append(pending)
-                pending = {}
-        elif event.kind is EventKind.ASSASSINATION_RESULT:
-            assassination = (event.actor, event.payload["target"])
-    return _RecordedActions(proposals, discussion, ballot_rounds, assassination)
+def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | None]:
+    """A `drive` callback that plays back the record's actions in order.
+
+    Each decision phase takes the next recorded action of that phase, and
+    None once they run out, so a replay stops where the recorded game
+    stopped, aborted or not. A team vote's seven private ballots are
+    gathered until the public result that closes the vote.
+    """
+    queues: dict[Phase, deque[tuple]] = {phase: deque() for phase in _ACTION_PHASES.values()}
+    ballots: dict[int, bool] = {}
+    for event in sorted(record.events, key=lambda e: e.seq):
+        phase = _ACTION_PHASES.get(event.kind)
+        if phase is None or event.visibility == AUDIT:
+            continue
+        payload = event.payload
+        try:
+            if event.kind is EventKind.TEAM_PROPOSED:
+                members = _checked(payload["members"], (list,), "members")
+                args: tuple = ([_checked(p, (int,), "a member") for p in members], event.text)
+            elif event.kind is EventKind.DISCUSSION:
+                args = (_checked(event.actor, (int,), "the speaker"), event.text)
+            elif event.kind is EventKind.BALLOT_RESULT and event.visibility != PUBLIC:
+                voter = _checked(event.actor, (int,), "the voter")
+                ballots[voter] = _checked(payload["approve"], (bool,), "approve")
+                continue
+            elif event.kind is EventKind.BALLOT_RESULT:
+                args, ballots = (ballots,), {}
+            elif event.kind is EventKind.QUEST_RESULT:
+                args = ()
+            else:
+                assassin = _checked(event.actor, (int,), "the assassin")
+                args = (assassin, _checked(payload["target"], (int,), "target"))
+        except (KeyError, TypeError) as exc:
+            raise ReplayMismatch(
+                f"{record.game_id}: recorded seq {event.seq} holds a malformed "
+                f"{event.kind.value} action: {exc!r}"
+            ) from exc
+        queues[phase].append(args)
+
+    def decide(engine: GameEngine) -> tuple | None:
+        queue = queues[engine.state.phase]
+        return queue.popleft() if queue else None
+
+    return decide
 
 
 def replay(record: GameRecord) -> GameEngine:
     """Re-drive the rules engine from recorded actions and verify the log.
 
-    Returns the rebuilt engine on success; raises ReplayMismatch at the
-    first diverging event, naming the recorded sequence number.
+    Runs the same `game.drive` loop as live play, with the recorded actions
+    in place of agents. Returns the rebuilt engine on success; raises
+    ReplayMismatch at the first diverging event, naming the recorded
+    sequence number.
     """
     seed = record.seed_info.get("engine_seed")
-    if seed is None:
+    if type(seed) is not int:
         raise RecordSchemaError(f"{record.game_id}: record carries no engine seed")
-    engine = GameEngine(record.config, record.roles.as_dict(), int(seed), game_id=record.game_id)
-    actions = _extract_actions(record.events)
-    proposals = iter(actions.proposals)
-    discussion = iter(actions.discussion)
-    ballots = iter(actions.ballot_rounds)
-
-    # An aborted record stops at an engine-call boundary: each branch
-    # below breaks when its recorded actions run dry, and the count
-    # bound stops the drive before action-free steps (quest resolution,
-    # leader rotation) the original game never reached.
-    target = sum(1 for e in record.events if e.visibility != AUDIT)
+    engine = GameEngine(record.config, record.roles.as_dict(), seed, game_id=record.game_id)
     try:
-        _drive(engine, actions, proposals, discussion, ballots, target)
+        drive(engine, _recorded_decisions(record))
     except RuleError as exc:
         # A recorded action the rules engine rejects means the log cannot
         # be an honest transcript of a real game.
@@ -273,39 +339,3 @@ def replay(record: GameRecord) -> GameEngine:
             f"{record.game_id}: outcome diverged: recorded {want_outcome}, replayed {got_outcome}"
         )
     return engine
-
-
-def _drive(engine, actions, proposals, discussion, ballots, n_comparable) -> None:
-    while not engine.finished and sum(1 for e in engine.events if e.visibility != AUDIT) < n_comparable:
-        phase = engine.state.phase
-        if phase is Phase.LEADER_ASSIGNMENT:
-            if engine.state.round == 1:
-                engine.assign_first_leader()
-            else:
-                engine.assign_next_leader()
-        elif phase is Phase.TEAM_SELECTION:
-            entry = next(proposals, None)
-            if entry is None:
-                break
-            members, text = entry
-            engine.propose_team(members, text=text)
-        elif phase is Phase.DISCUSSION:
-            entry = next(discussion, None)
-            if entry is None:
-                break
-            speaker, text = entry
-            engine.add_discussion(speaker, text)
-        elif phase is Phase.TEAM_VOTE:
-            entry = next(ballots, None)
-            if entry is None:
-                break
-            engine.submit_ballots(entry)
-        elif phase is Phase.QUEST_EXECUTION:
-            engine.resolve_current_quest()
-        elif phase is Phase.ASSASSINATION:
-            if actions.assassination is None:
-                break
-            actor, victim = actions.assassination
-            engine.run_assassination(actor, victim)
-        else:  # pragma: no cover - loop guard
-            raise ReplayMismatch(f"{engine.game_id}: replay stuck in phase {phase}")

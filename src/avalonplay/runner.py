@@ -18,15 +18,15 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable
 
-from .agents import MEMORY_POLICIES, AgentSpec, make_agent, Observation
+from .agents import MEMORY_POLICIES, AgentReply, AgentSpec, make_agent, Observation
 from .codeact import DebugLoopConfig
 from .events import EventKind
-from .game import ALL_SEATS, GameConfig, GameEngine, Phase, Side
+from .game import ALL_SEATS, GameConfig, GameEngine, Phase, Side, drive
 from .knowledge import deal_roles, knowledge_for
 from .llm import LLMClient, MockScriptExhausted, TransportError
 from .memory import GlobalMemory, build_leader_memory, public_facts_from_history
@@ -128,78 +128,46 @@ def run_game(
             **kw,
         )
 
+    def traces(reply: AgentReply) -> dict[str, Any]:
+        return _trace_payload(reply.trace, log_exchanges)
+
+    def decide(engine: GameEngine) -> tuple:
+        pump()
+        st = engine.state
+        if st.phase is Phase.TEAM_SELECTION:
+            leader = st.leader
+            obs = observe(
+                leader,
+                team_size=st.team_size(),
+                leader_memory=build_leader_memory(st, views[leader]),
+            )
+            reply = agents[leader].act(obs)
+            return reply.action.members, reply.trace.get("final_text"), traces(reply)
+        if st.phase is Phase.ASSASSINATION:
+            seat = engine.assassin_seat
+            reply = agents[seat].act(observe(seat))
+            return seat, reply.action.target, traces(reply)
+        team = engine.current_proposal.members
+
+        def ask(seat: int) -> AgentReply:
+            return agents[seat].act(observe(seat, proposed_team=team, threshold=st.threshold()))
+
+        if st.phase is Phase.DISCUSSION:
+            speaker = engine.next_speaker()
+            reply = ask(speaker)
+            return speaker, reply.action.text, traces(reply)
+        if st.phase is Phase.TEAM_VOTE:
+            replies = {seat: ask(seat) for seat in ALL_SEATS}
+            ballots = {seat: r.action.approve for seat, r in replies.items()}
+            payloads = {seat: {"reasoning": r.action.reasoning} | traces(r) for seat, r in replies.items()}
+            return ballots, payloads
+        # Quest execution: the team members' quest votes.
+        return ({seat: ask(seat).action.approve for seat in sorted(team)},)
+
     aborted = False
     error: str | None = None
     try:
-        while not engine.finished:
-            phase = engine.state.phase
-            if phase is Phase.LEADER_ASSIGNMENT:
-                if engine.state.round == 1:
-                    engine.assign_first_leader()
-                else:
-                    engine.assign_next_leader()
-            elif phase is Phase.TEAM_SELECTION:
-                pump()
-                leader = engine.state.leader
-                obs = observe(
-                    leader,
-                    team_size=engine.state.team_size(),
-                    leader_memory=build_leader_memory(engine.state, views[leader]),
-                )
-                reply = agents[leader].act(obs)
-                engine.propose_team(
-                    reply.action.members,
-                    text=reply.trace.get("final_text"),
-                    payload=_trace_payload(reply.trace, log_exchanges),
-                )
-            elif phase is Phase.DISCUSSION:
-                pump()
-                speaker = engine.next_speaker()
-                obs = observe(
-                    speaker,
-                    proposed_team=engine.current_proposal.members,
-                    threshold=engine.state.threshold(),
-                )
-                reply = agents[speaker].act(obs)
-                engine.add_discussion(
-                    speaker,
-                    reply.action.text,
-                    payload=_trace_payload(reply.trace, log_exchanges),
-                )
-            elif phase is Phase.TEAM_VOTE:
-                pump()
-                team = engine.current_proposal.members
-                threshold = engine.state.threshold()
-                ballots: dict[int, bool] = {}
-                payloads: dict[int, dict[str, Any]] = {}
-                for seat in ALL_SEATS:
-                    obs = observe(seat, proposed_team=team, threshold=threshold)
-                    reply = agents[seat].act(obs)
-                    ballots[seat] = reply.action.approve
-                    payloads[seat] = {"reasoning": reply.action.reasoning} | _trace_payload(
-                        reply.trace, log_exchanges
-                    )
-                engine.submit_ballots(ballots, payloads)
-            elif phase is Phase.QUEST_EXECUTION:
-                pump()
-                team = engine.current_proposal.members
-                threshold = engine.state.threshold()
-                votes: dict[int, bool] = {}
-                for seat in sorted(team):
-                    obs = observe(seat, proposed_team=team, threshold=threshold)
-                    reply = agents[seat].act(obs)
-                    votes[seat] = reply.action.approve
-                engine.resolve_current_quest(votes)
-            elif phase is Phase.ASSASSINATION:
-                pump()
-                seat = engine.assassin_seat
-                obs = observe(seat)
-                reply = agents[seat].act(obs)
-                engine.run_assassination(
-                    seat, reply.action.target, payload=_trace_payload(reply.trace, log_exchanges)
-                )
-            else:  # pragma: no cover - FINISHED exits the loop
-                break
+        drive(engine, decide)
     except (TransportError, MockScriptExhausted) as exc:
         aborted = True
         error = f"{type(exc).__name__}: {exc}"
@@ -251,26 +219,12 @@ class MetricsCounts:
     discussion_utterances: int = 0
 
     def add(self, other: "MetricsCounts") -> None:
-        for name in (
-            "n_games",
-            "n_aborted",
-            "just_overall_wins",
-            "just_quest_wins",
-            "quests_run",
-            "quests_succeeded",
-            "just_led_quests",
-            "just_led_successes",
-            "rejected_ballots",
-            "forced_approvals",
-            "assassination_attempts",
-            "assassination_hits",
-            "discussion_utterances",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.round_quests = [a + b for a, b in zip(self.round_quests, other.round_quests)]
-        self.round_successes = [
-            a + b for a, b in zip(self.round_successes, other.round_successes)
-        ]
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, list):
+                setattr(self, f.name, [a + b for a, b in zip(mine, theirs)])
+            else:
+                setattr(self, f.name, mine + theirs)
 
 
 def counts_from_record(record: GameRecord) -> MetricsCounts:

@@ -190,3 +190,51 @@ def run_strategy_smoke(strategy: str):
         game_id=f"smoke-{strategy}",
     )
     return record, client
+
+
+# --- mock LLM games with a request budget -------------------------------------
+
+VOTE_APPROVE = '{"reasoning": "I support this team.", "vote": "approve"}'
+VOTE_REJECT = '{"reasoning": "I doubt this team.", "vote": "reject"}'
+
+
+def budgeted_mock(budgets: dict[str, int] | None = None):
+    """A MockLLM that answers every request kind of a full game, unless
+    `budgets` caps a request tag: the request past the cap finds no rule,
+    so the game aborts there.
+
+    Team selections pick the lowest seats; seats 1-4 reject the first six
+    ballots they cast, so early proposals fail; every first quest vote is
+    unparseable, so it is reprompted.
+    """
+    from avalonplay.llm import MockLLM, MockRule, MockScriptExhausted
+
+    rules = [
+        MockRule(
+            phase="team_selection",
+            pattern=f"select {n} team members",
+            response=f"I pick players {list(range(1, n + 1))} for this quest.",
+            max_uses=None,
+        )
+        for n in (2, 3, 4)
+    ]
+    rules += [
+        MockRule(phase="discussion", response="Player 2 is Merlin, I think.", max_uses=2),
+        MockRule(phase="discussion", response="I have nothing to add.", max_uses=None),
+        MockRule(phase="team_vote", pattern=r"your turn, player [1-4]\.", response=VOTE_REJECT, max_uses=6),
+        MockRule(phase="team_vote", response=VOTE_APPROVE, max_uses=None),
+        MockRule(phase="quest_vote", response="Let me think about it.", max_uses=1),
+        MockRule(phase="quest_vote", response=VOTE_APPROVE, max_uses=None),
+        MockRule(phase="assassination", response="Final answer: player 4.", max_uses=None),
+    ]
+    left = dict(budgets or {})
+
+    class Budgeted(MockLLM):
+        def complete(self, messages, temperature, tag):
+            if tag in left:
+                if left[tag] == 0:
+                    raise MockScriptExhausted(f"the {tag!r} budget is spent")
+                left[tag] -= 1
+            return super().complete(messages, temperature, tag)
+
+    return Budgeted(rules)

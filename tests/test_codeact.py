@@ -181,6 +181,7 @@ class TestSelfDebugLoop:
         assert outcome.attempts[0].issue is None
         assert len(outcome.exchanges) == 1
         assert outcome.exchanges[0]["tag"] == "code_generation"
+        assert list(outcome.exchanges[0]) == ["request", "response", "tag", "temperature", "latency"]
 
     def test_revision_after_bad_output(self):
         llm = MockLLM(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avalonplay import deduction
 from avalonplay.deduction import (
     GLOBAL_CONSTRAINT,
     BeliefState,
@@ -14,12 +16,11 @@ from avalonplay.deduction import (
     ConstraintSet,
     ContradictionError,
     DeductionError,
-    EnumerationLevel,
     belief,
     brute_force_oracle,
-    enumerate_worlds,
     facts_from_history,
     facts_from_private,
+    live_worlds,
     select_team,
     success_probability,
 )
@@ -92,8 +93,9 @@ class TestFrozenScenario:
     )
 
     def test_unique_world(self):
-        worlds = enumerate_worlds(self.CS)
-        assert [w.evil_set for w in worlds] == [frozenset({1, 5, 6})]
+        state = belief(self.CS)
+        assert state.n_worlds == 1
+        assert frozenset(p for p in ALL if state.p_good[p] == 0) == frozenset({1, 5, 6})
 
     def test_beliefs_are_certain(self):
         state = belief(self.CS)
@@ -110,24 +112,43 @@ class TestFrozenScenario:
 
 class TestWorldEnumeration:
     def test_side_level_order_and_count(self):
-        worlds = enumerate_worlds(ConstraintSet())
-        assert len(worlds) == 35
-        assert [w.evil_set for w in worlds] == all_evil_sets()
-        assert worlds[0].role_map is None
-        assert worlds[0].good_set == ALL - worlds[0].evil_set
+        assert belief(ConstraintSet()).n_worlds == 35
+        # Bit i of the live-world mask is the i-th evil set in lexicographic order.
+        for i, evil in enumerate(all_evil_sets()):
+            pinned = ConstraintSet(tuple(Constraint.is_evil(p) for p in evil))
+            assert live_worlds(pinned) == 1 << i
+            state = belief(pinned)
+            assert state.n_worlds == 1
+            assert {p for p in ALL if state.p_good[p] == 1} == ALL - evil
 
     def test_role_level_multiplicity(self):
-        worlds = enumerate_worlds(ConstraintSet(), EnumerationLevel.ROLE)
-        assert len(worlds) == 2520
-        per_split = {}
-        for w in worlds:
-            per_split[w.evil_set] = per_split.get(w.evil_set, 0) + 1
+        # The oracle's table: one evil set per distinct role ordering.
+        table = deduction._role_worlds()
+        assert len(table) == 2520
+        per_split = collections.Counter(table)
+        assert set(per_split) == set(all_evil_sets())
         assert set(per_split.values()) == {72}
-        assert all(w.role_map is not None for w in worlds)
+        assert brute_force_oracle(ConstraintSet()).n_worlds == 2520
+
+
+def _plain_count_ok(c: Constraint, evil: frozenset[int]) -> bool:
+    """Whether `c` holds when `evil` are the evil seats, by plain set logic."""
+    inside = len(c.players & evil)
+    return {
+        ConstraintKind.IS_GOOD: inside == 0,
+        ConstraintKind.IS_EVIL: inside == 1,
+        ConstraintKind.AT_LEAST: inside >= c.count,
+        ConstraintKind.AT_MOST: inside <= c.count,
+        ConstraintKind.EXACTLY: inside == c.count,
+    }[c.kind]
+
+
+def _consistent_evil_sets(cs: ConstraintSet) -> list[frozenset[int]]:
+    return [e for e in all_evil_sets() if all(_plain_count_ok(c, e) for c in cs.constraints)]
 
 
 class TestSuccessProbability:
-    """The mask-based success probability against a count over enumerate_worlds."""
+    """The mask-based success probability against a plain count over the 35 evil sets."""
 
     TEAMS = [
         frozenset(team)
@@ -140,7 +161,7 @@ class TestSuccessProbability:
         n_contradictory = n_consistent = 0
         for _ in range(40):
             cs = random_constraint_set(rng)
-            worlds = enumerate_worlds(cs)
+            worlds = _consistent_evil_sets(cs)
             if not worlds:
                 n_contradictory += 1
             else:
@@ -151,14 +172,14 @@ class TestSuccessProbability:
                     if not worlds:
                         assert fast is None
                         continue
-                    ok = sum(1 for w in worlds if len(team & w.evil_set) < threshold)
+                    ok = sum(1 for evil in worlds if len(team & evil) < threshold)
                     assert fast == Fraction(ok, len(worlds)), (cs.to_lines(), sorted(team), threshold)
         assert n_contradictory > 3
         assert n_consistent > 3
 
     def test_contradictory_set_agrees_with_enumeration(self):
         cs = ConstraintSet((Constraint.is_good(3), Constraint.is_evil(3)))
-        assert enumerate_worlds(cs) == []
+        assert _consistent_evil_sets(cs) == []
         assert belief(cs).contradictory
         assert success_probability(cs, frozenset({1, 2}), 1) is None
 

@@ -8,11 +8,11 @@ from avalonplay.llm import (
     API_KEY_ENV,
     ChatMessage,
     HttpLLMClient,
-    LLMExchange,
     MockLLM,
     MockRule,
     MockScriptExhausted,
     TransportError,
+    logged_complete,
 )
 
 MESSAGES = (ChatMessage("system", "sys"), ChatMessage("user", "hello"))
@@ -235,16 +235,16 @@ class TestMockLLM:
 
 
 class TestExchange:
-    def test_to_dict(self):
-        ex = LLMExchange(
-            request=MESSAGES,
-            response="ok",
-            model="m",
-            temperature=0.7,
-            tag="discussion",
-            latency=0.1234567,
-        )
-        d = ex.to_dict()
+    def test_to_dict(self, monkeypatch):
+        clock = iter([10.0, 10.1234567])
+        monkeypatch.setattr("avalonplay.llm.time.monotonic", lambda: next(clock))
+        client = MockLLM([MockRule(response="ok", max_uses=None)])
+        exchanges = []
+        assert logged_complete(client, MESSAGES, 0.7, "discussion", exchanges) == "ok"
+        (d,) = exchanges
+        # The keys, in this order, are what records embed under --log-exchanges.
+        assert list(d) == ["request", "response", "tag", "temperature", "latency"]
         assert d["latency"] == 0.123457
         assert d["request"][1] == {"role": "user", "content": "hello"}
         assert d["tag"] == "discussion"
+        assert d["temperature"] == 0.7

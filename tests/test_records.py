@@ -1,9 +1,14 @@
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalonplay.agents import AgentSpec
-from avalonplay.game import GameConfig
+from avalonplay.events import AUDIT
+from avalonplay.game import GameConfig, Phase
 from avalonplay.records import (
     GameRecord,
     RecordFormatError,
@@ -15,6 +20,7 @@ from avalonplay.records import (
     write_record,
 )
 from avalonplay.runner import run_game, seed_for_game
+from helpers import budgeted_mock
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +232,165 @@ class TestIterRecordPaths:
             ).write_text("x")
         paths = iter_record_paths(tmp_path)
         assert [p.name for p in paths] == ["a.jsonl", "b.jsonl"]
+
+
+def _text(record: GameRecord) -> str:
+    out = io.StringIO()
+    write_record(record, out)
+    return out.getvalue()
+
+
+def _replay_text(text: str):
+    return replay(load_record(io.StringIO(text)))
+
+
+LLM_COT = AgentSpec("llm", strategy="cot", model="mock")
+LLM_REACT = AgentSpec("llm", strategy="react", model="mock")
+
+# Each config flips one of the four rule toggles away from its default.
+PIN_CONFIGS = (
+    GameConfig(communication_enabled=False),
+    GameConfig(reveal_sabotage_count=True),
+    GameConfig(assassination_enabled=False),
+    GameConfig(play_all_rounds=True),
+)
+# Mock games as (game index, request budgets): no abort, then an abort in
+# each decision kind. Game 29 deals the evil roles to seats 5-7, so the
+# mock's lowest-seat teams win every quest and the assassin gets to act.
+PIN_MOCK_GAMES = (
+    (0, {}),
+    (1, {"team_selection": 2}),
+    (2, {"discussion": 9}),
+    (3, {"team_vote": 10}),
+    (4, {"quest_vote": 3}),
+    (29, {}),
+    (29, {"assassination": 0}),
+)
+
+
+def _pin_records():
+    for config in PIN_CONFIGS:
+        for i in range(3):
+            yield run_game(config, AgentSpec("deduction"), AgentSpec("scripted_evil"), seed_for_game(23, i))
+            yield run_game(config, AgentSpec("random"), AgentSpec("random"), seed_for_game(29, i))
+        for i, budgets in PIN_MOCK_GAMES:
+            yield run_game(config, LLM_COT, LLM_REACT, seed_for_game(31, i), client=budgeted_mock(budgets))
+
+
+class TestRecordAndReplayPin:
+    def test_record_bytes_and_replayed_events_are_pinned(self):
+        """Written records and replayed event logs of deduction/scripted_evil,
+        random/random and cot/react mock games (aborted ones included) under
+        each rule toggle hash to the value the previous replay loop gave."""
+        digest = hashlib.sha256()
+        n_aborted = 0
+        for record in _pin_records():
+            text = _text(record)
+            replayed = _replay_text(text)
+            digest.update(text.encode("utf-8"))
+            digest.update(json.dumps([e.to_dict() for e in replayed.events]).encode("utf-8"))
+            n_aborted += record.aborted
+        assert n_aborted >= 12
+        assert digest.hexdigest() == PINNED_RECORDS_DIGEST
+
+
+# Computed with the replay loop that preceded `game.drive`.
+PINNED_RECORDS_DIGEST = "5fec6bd0cfa3442444a6af20a04e3a67d9e7821c4af71b2e4373553c154285e0"
+
+
+class TestAbortedReplay:
+    @pytest.mark.parametrize(
+        "tag, budget, phase, game_seed",
+        [
+            ("team_selection", 2, Phase.TEAM_SELECTION, seed_for_game(37, 0)),
+            ("discussion", 9, Phase.DISCUSSION, seed_for_game(37, 0)),
+            ("team_vote", 10, Phase.TEAM_VOTE, seed_for_game(37, 0)),
+            ("quest_vote", 3, Phase.QUEST_EXECUTION, seed_for_game(37, 0)),
+            ("assassination", 0, Phase.ASSASSINATION, seed_for_game(31, 29)),
+        ],
+    )
+    def test_aborted_records_replay(self, tag, budget, phase, game_seed):
+        record = run_game(GameConfig(), LLM_COT, LLM_REACT, game_seed, client=budgeted_mock({tag: budget}))
+        assert record.aborted and record.outcome is None
+        abort = record.events[-1]
+        assert abort.payload["reason"] == "abort" and abort.phase == phase.value
+        engine = _replay_text(_text(record))
+        assert not engine.finished
+        assert engine.state.phase is phase
+        # Agent traces and audit events (so also seq numbers) are not replayed.
+        def game_facts(events):
+            return [(e.kind, e.round, e.attempt, e.phase, e.actor, e.text, e.visibility) for e in events]
+
+        assert game_facts(engine.events) == game_facts(e for e in record.events if e.visibility != AUDIT)
+
+
+RECORD_ERRORS = (RecordFormatError, RecordSchemaError, ReplayMismatch)
+# JSON values of every type, to put where a record holds something else.
+RETYPED = st.sampled_from([None, True, False, 0, -1, 8, 2.5, "", "x", [], [1, 2], {}, {"a": 1}])
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(record):
+    aborted = run_game(GameConfig(), LLM_COT, LLM_REACT, seed_for_game(37, 1), client=budgeted_mock({"team_vote": 17}))
+    assert aborted.aborted
+    return [_text(record).splitlines(), _text(aborted).splitlines()]
+
+
+def _dicts(obj):
+    """Every JSON object nested in `obj`, `obj` included."""
+    if isinstance(obj, dict):
+        yield obj
+        for value in obj.values():
+            yield from _dicts(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _dicts(value)
+
+
+@st.composite
+def tampered(draw, lines):
+    rows = list(lines)
+    i = draw(st.integers(0, len(rows) - 1))
+    change = draw(st.sampled_from(["delete", "duplicate", "retype row", "retype value"]))
+    if change == "delete":
+        del rows[i]
+    elif change == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), rows[i])
+    elif change == "retype row":
+        rows[i] = json.dumps(draw(RETYPED))
+    else:
+        row = json.loads(rows[i])
+        target = draw(st.sampled_from([d for d in _dicts(row) if d]))
+        target[draw(st.sampled_from(sorted(target)))] = draw(RETYPED)
+        rows[i] = json.dumps(row)
+    return "\n".join(rows) + "\n"
+
+
+class TestTamperedRecords:
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_only_record_errors_escape(self, fuzz_sources, data):
+        text = data.draw(tampered(data.draw(st.sampled_from(fuzz_sources))))
+        try:
+            _replay_text(text)
+        except RECORD_ERRORS:
+            pass
+
+    def test_retyped_event_field_names_the_line(self, record):
+        rows = _text(record).splitlines()
+        event = json.loads(rows[5])
+        event["seq"] = "5"
+        rows[5] = json.dumps(event)
+        with pytest.raises(RecordFormatError, match="line 6"):
+            load_record(io.StringIO("\n".join(rows)))
+
+    def test_malformed_action_names_the_seq(self, record):
+        rows = _text(record).splitlines()
+        for i, row in enumerate(rows):
+            data = json.loads(row)
+            if data.get("kind") == "team_proposed":
+                data["payload"]["members"] = "1, 2"
+                rows[i] = json.dumps(data)
+                break
+        with pytest.raises(ReplayMismatch, match=f"seq {data['seq']} "):
+            _replay_text("\n".join(rows))

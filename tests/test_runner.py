@@ -24,7 +24,7 @@ from avalonplay.runner import (
     subseed,
 )
 
-from helpers import run_codeact_e2e, run_strategy_smoke
+from helpers import STRATEGY_SMOKE_FIXTURE, STRATEGY_SMOKE_SEED, run_codeact_e2e, run_strategy_smoke
 
 DEDUCTION = AgentSpec("deduction")
 SCRIPTED = AgentSpec("scripted_evil")
@@ -99,6 +99,21 @@ class TestRunGame:
         assert "no fixture rule" in record.error
         audit = [e for e in record.events if e.visibility == AUDIT]
         assert audit and audit[-1].payload.get("reason") == "abort"
+
+    def test_logged_exchanges_keep_their_keys(self):
+        client = MockLLM.from_file(STRATEGY_SMOKE_FIXTURE)
+        record = run_game(
+            GameConfig(communication_enabled=False),
+            AgentSpec("llm", model="mock"),
+            SCRIPTED,
+            game_seed=STRATEGY_SMOKE_SEED,
+            client=client,
+            log_exchanges=True,
+        )
+        exchanges = [x for e in record.events for x in e.payload.get("exchanges", [])]
+        assert exchanges
+        for exchange in exchanges:
+            assert list(exchange) == ["request", "response", "tag", "temperature", "latency"]
 
     def test_llm_policy_requires_a_client(self):
         with pytest.raises(ValueError, match="client"):
