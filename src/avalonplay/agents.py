@@ -105,7 +105,6 @@ class Observation:
     proposed_team: frozenset[int] | None = None
     public_facts: tuple[PublicFact, ...] = ()
     reveal_sabotage_count: bool = False
-    leader_memory: LeaderMemory | None = None
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,18 @@ class Agent:
 
     def _forced_quest_vote(self) -> QuestVote:
         return QuestVote(approve=self.view.side is Side.JUST)
+
+    @cached_property
+    def _private_constraints(self) -> list[Constraint]:
+        return facts_from_private(self.view)
+
+    # The deduction policy's constraints: this seat's private facts, then
+    # the observed quest history.
+    def _constraints(self, obs: Observation) -> ConstraintSet:
+        history = facts_from_history(
+            obs.public_facts, reveal_counts=obs.reveal_sabotage_count
+        )
+        return ConstraintSet(tuple(self._private_constraints + history))
 
 
 class RandomAgent(Agent):
@@ -239,16 +250,6 @@ def deduction_team(
 
 
 class DeductionAgent(Agent):
-    @cached_property
-    def _private_constraints(self) -> list[Constraint]:
-        return facts_from_private(self.view)
-
-    def _constraints(self, obs: Observation) -> ConstraintSet:
-        history = facts_from_history(
-            obs.public_facts, reveal_counts=obs.reveal_sabotage_count
-        )
-        return ConstraintSet(tuple(self._private_constraints + history))
-
     def _success_probability(self, obs: Observation) -> Fraction | None:
         return success_probability(self._constraints(obs), obs.proposed_team, obs.threshold)
 
@@ -426,19 +427,10 @@ class LLMAgent(Agent):
         return AgentReply(SelectTeam(team), trace)
 
     def _select_team_codeact(self, obs: Observation) -> AgentReply:
-        leader_memory = obs.leader_memory
-        if leader_memory is None:
-            raise ValueError("code-action team selection requires a leader memory")
-        prompt = build_code_prompt(leader_memory, obs.team_size)
+        prompt = build_code_prompt(LeaderMemory(self.view.private_facts, obs.public_facts), obs.team_size)
 
         def deduction_fallback() -> frozenset[int]:
-            constraints = ConstraintSet(
-                tuple(
-                    facts_from_private(self.view)
-                    + facts_from_history(obs.public_facts, reveal_counts=obs.reveal_sabotage_count)
-                )
-            )
-            return deduction_team(constraints, obs.team_size, self.seat, self.rng)[0]
+            return deduction_team(self._constraints(obs), obs.team_size, self.seat, self.rng)[0]
 
         outcome = self_debug_loop(
             self.client,

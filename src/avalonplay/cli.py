@@ -13,12 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .agents import POLICIES, STRATEGIES, AgentSpec
 from .game import GameConfig
 from .llm import HttpLLMClient, LLMClient, MockLLM
-from .records import ReplayMismatch, iter_record_paths, load_record, replay
+from .records import (
+    RecordFormatError,
+    RecordSchemaError,
+    ReplayMismatch,
+    iter_record_paths,
+    load_record,
+    replay,
+)
 from .runner import TournamentConfig, compute_metrics, run_tournament
 from .analyzer import analyze_records
 
@@ -112,18 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = {
         "digest": result.digest(),
         "report": result.report.to_json(),
-        "games": [
-            {
-                "index": s.index,
-                "game_id": s.game_id,
-                "aborted": s.aborted,
-                "quest_winner": s.quest_winner,
-                "overall_winner": s.overall_winner,
-                "rounds_played": s.rounds_played,
-                "record_path": s.record_path,
-            }
-            for s in result.summaries
-        ],
+        "games": [asdict(s) for s in result.summaries],
     }
     json.dump(out, sys.stdout, indent=2)
     print()
@@ -132,11 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     record = load_record(args.file)
-    try:
-        engine = replay(record)
-    except ReplayMismatch as exc:
-        print(f"replay mismatch: {exc}", file=sys.stderr)
-        return 1
+    engine = replay(record)
     comparable = sum(1 for e in record.events if e.visibility != "audit")
     status = "aborted" if record.aborted else "complete"
     print(f"{record.game_id}: verified {comparable} events ({status} game)")
@@ -181,7 +174,14 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": _cmd_metrics,
         "analyze": _cmd_analyze,
     }
-    return handlers[args.command](args)
+    # A bad record ends the command with one error line, not a traceback.
+    try:
+        return handlers[args.command](args)
+    except ReplayMismatch as exc:
+        print(f"replay mismatch: {exc}", file=sys.stderr)
+    except (RecordFormatError, RecordSchemaError) as exc:
+        print(f"bad record: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -358,9 +358,7 @@ def facts_from_private(view: KnowledgeView) -> list[Constraint]:
 
 
 def facts_from_history(
-    public_facts: Sequence[PublicFact],
-    thresholds: tuple[int, ...] = SABOTAGE_THRESHOLDS,
-    reveal_counts: bool = False,
+    public_facts: Sequence[PublicFact], reveal_counts: bool = False
 ) -> list[Constraint]:
     """Constraints implied by executed quests under mandatory sabotage.
 
@@ -370,7 +368,7 @@ def facts_from_history(
     """
     out: list[Constraint] = []
     for fact in public_facts:
-        t = thresholds[fact.round - 1]
+        t = SABOTAGE_THRESHOLDS[fact.round - 1]
         if reveal_counts:
             if fact.sabotage_count is None:
                 raise DeductionError(

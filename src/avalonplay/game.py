@@ -4,7 +4,8 @@ Implements the fixed rule set: five quest rounds with team sizes 2/3/3/4/4,
 sabotage thresholds 1/1/1/2/2, secret approval ballots needing a majority of
 4, at most five proposal attempts per round (the fifth proceeds without
 approval), mandatory sabotage by evil team members, and an optional
-assassination phase when the just side wins three quests.
+assassination phase when the just side wins three quests. These rules are
+module constants; `GameConfig` holds only the toggles a game may vary.
 
 The engine is deterministic given its seed and the submitted actions; every
 transition appends to an event log that downstream memories, records, and
@@ -98,13 +99,20 @@ class Phase(str, Enum):
     FINISHED = "finished"
 
 
+# The rule values every record header's config holds, in header order.
+RULES = {
+    "num_players": NUM_PLAYERS,
+    "team_sizes": TEAM_SIZES,
+    "sabotage_thresholds": SABOTAGE_THRESHOLDS,
+    "majority": MAJORITY,
+    "max_proposal_attempts": MAX_PROPOSAL_ATTEMPTS,
+}
+
+
 @dataclass(frozen=True)
 class GameConfig:
-    num_players: int = NUM_PLAYERS
-    team_sizes: tuple[int, ...] = TEAM_SIZES
-    sabotage_thresholds: tuple[int, ...] = SABOTAGE_THRESHOLDS
-    majority: int = MAJORITY
-    max_proposal_attempts: int = MAX_PROPOSAL_ATTEMPTS
+    """The game's toggles; the rules themselves are the constants above."""
+
     communication_enabled: bool = True
     reveal_sabotage_count: bool = False
     assassination_enabled: bool = True
@@ -112,34 +120,23 @@ class GameConfig:
     memory_window: int = 15
 
     def validate(self) -> None:
-        if self.num_players != NUM_PLAYERS:
-            raise ValidationError(f"this rule set requires 7 players, got {self.num_players}")
-        if tuple(self.team_sizes) != TEAM_SIZES:
-            raise ValidationError(f"team sizes must be {TEAM_SIZES}, got {tuple(self.team_sizes)}")
-        if tuple(self.sabotage_thresholds) != SABOTAGE_THRESHOLDS:
-            raise ValidationError(
-                f"sabotage thresholds must be {SABOTAGE_THRESHOLDS}, got {tuple(self.sabotage_thresholds)}"
-            )
-        if self.majority != MAJORITY:
-            raise ValidationError(f"approval majority must be {MAJORITY}, got {self.majority}")
-        if self.max_proposal_attempts != MAX_PROPOSAL_ATTEMPTS:
-            raise ValidationError(
-                f"proposal attempts per round must be {MAX_PROPOSAL_ATTEMPTS}, got {self.max_proposal_attempts}"
-            )
         if self.memory_window < 1:
             raise ValidationError("memory window must be at least 1")
 
     def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["team_sizes"] = list(self.team_sizes)
-        data["sabotage_thresholds"] = list(self.sabotage_thresholds)
-        return data
+        """The five `RULES` values, then the toggles (the record header's config)."""
+        rules = {k: list(v) if isinstance(v, tuple) else v for k, v in RULES.items()}
+        return rules | asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "GameConfig":
+        """Inverse of `to_dict`. Rule values are compared with `RULES` as JSON,
+        so any other value, 7.0 or true included, raises ValidationError."""
         kwargs = dict(data)
-        kwargs["team_sizes"] = tuple(kwargs.get("team_sizes", TEAM_SIZES))
-        kwargs["sabotage_thresholds"] = tuple(kwargs.get("sabotage_thresholds", SABOTAGE_THRESHOLDS))
+        for key, rule in RULES.items():
+            value = kwargs.pop(key, rule)
+            if json.dumps(value) != json.dumps(rule):
+                raise ValidationError(f"{key} must be {json.dumps(rule)}, got {json.dumps(value)}")
         return cls(**kwargs)
 
     def config_hash(self) -> str:
@@ -227,11 +224,11 @@ class GameState:
 
     def team_size(self, round_no: int | None = None) -> int:
         r = self.round if round_no is None else round_no
-        return self.config.team_sizes[r - 1]
+        return TEAM_SIZES[r - 1]
 
     def threshold(self, round_no: int | None = None) -> int:
         r = self.round if round_no is None else round_no
-        return self.config.sabotage_thresholds[r - 1]
+        return SABOTAGE_THRESHOLDS[r - 1]
 
 
 def new_game(config: GameConfig, rng_seed: int) -> GameState:
@@ -254,12 +251,7 @@ def tally_approval(ballots: dict[int, bool]) -> bool:
     return sum(1 for v in ballots.values() if v) >= MAJORITY
 
 
-def resolve_quest(
-    round_no: int,
-    team: Iterable[int],
-    roles: dict[int, Role],
-    thresholds: tuple[int, ...] = SABOTAGE_THRESHOLDS,
-) -> QuestOutcome:
+def resolve_quest(round_no: int, team: Iterable[int], roles: dict[int, Role]) -> QuestOutcome:
     """Deterministic quest resolution under mandatory sabotage.
 
     Every evil member always sabotages, so the sabotage count equals the
@@ -270,14 +262,14 @@ def resolve_quest(
     for p in members:
         if p not in roles:
             raise InvalidPlayer(f"no such seat: {p}")
-    if round_no < 1 or round_no > len(thresholds):
+    if round_no < 1 or round_no > len(SABOTAGE_THRESHOLDS):
         raise ValidationError(f"round out of range: {round_no}")
     sabotage = sum(1 for p in members if roles[p].side is Side.EVIL)
     return QuestOutcome(
         round=round_no,
         team=members,
         sabotage_count=sabotage,
-        success=sabotage < thresholds[round_no - 1],
+        success=sabotage < SABOTAGE_THRESHOLDS[round_no - 1],
     )
 
 
@@ -289,7 +281,7 @@ def check_game_end(state: GameState) -> GameOutcome | None:
     the end of round 5; the winner is the side that reached three first,
     which is also the side holding the majority of the five quests.
     """
-    if state.config.play_all_rounds and len(state.quest_history) < len(state.config.team_sizes):
+    if state.config.play_all_rounds and len(state.quest_history) < len(TEAM_SIZES):
         return None
     if state.successes >= 3:
         return GameOutcome(quest_winner=Side.JUST)
@@ -526,7 +518,7 @@ class GameEngine:
             )
         n_approve = sum(1 for v in ballots.values() if v)
         forced = False
-        if not approved and st.attempt == st.config.max_proposal_attempts:
+        if not approved and st.attempt == MAX_PROPOSAL_ATTEMPTS:
             forced = True
         self._emit(
             EventKind.BALLOT_RESULT,
@@ -565,7 +557,7 @@ class GameEngine:
         if st.phase is not Phase.QUEST_EXECUTION:
             raise ProtocolError(f"cannot run a quest during {st.phase.value}")
         proposal = self._current_proposal
-        outcome = resolve_quest(st.round, proposal.members, self.roles, st.config.sabotage_thresholds)
+        outcome = resolve_quest(st.round, proposal.members, self.roles)
         if quest_votes:
             # Quest ballots are forced by side; a contrary attempt is
             # overridden and kept in the audit trail.

@@ -6,10 +6,10 @@ default). Whether a discussion line counts as key information is decided
 by a fixed, auditable pattern list; moderator notes, proposals, ballot
 results, and quest results always do.
 
-Leaders additionally get a per-decision memory rebuilt from the
-authoritative game log: their own private facts plus the public quest
-history. It is never carried over between decisions, so it cannot drift
-from the engine's records.
+A code-writing leader additionally gets a per-decision `LeaderMemory`:
+its own private facts plus the public quest history of the observation
+it acts on. It is never carried over between decisions, so it cannot
+drift from the engine's records.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .events import EventKind, EventLogEntry
-from .game import GameState, QuestOutcome, sabotage_clause
-from .knowledge import KnowledgeView, PrivateFact
+from .game import QuestOutcome, sabotage_clause
+from .knowledge import PrivateFact
 from .templates import join_players, load_template, render
 
 DEFAULT_WINDOW = 15
@@ -124,14 +124,4 @@ def public_facts_from_history(
             sabotage_count=q.sabotage_count if reveal_sabotage_count else None,
         )
         for q in sorted(quest_history, key=lambda q: q.round)
-    )
-
-
-def build_leader_memory(state: GameState, leader_view: KnowledgeView) -> LeaderMemory:
-    """Fresh leader memory straight from the engine's quest history."""
-    return LeaderMemory(
-        private_facts=leader_view.private_facts,
-        public_facts=public_facts_from_history(
-            state.quest_history, state.config.reveal_sabotage_count
-        ),
     )

@@ -29,9 +29,9 @@ from .events import EventKind
 from .game import ALL_SEATS, GameConfig, GameEngine, Phase, Side, drive
 from .knowledge import deal_roles, knowledge_for
 from .llm import LLMClient, MockScriptExhausted, TransportError
-from .memory import GlobalMemory, build_leader_memory, public_facts_from_history
+from .memory import GlobalMemory, public_facts_from_history
 from .prompts import build_bundle
-from .records import GameRecord, write_record
+from .records import GameRecord, RecordFormatError, write_record
 
 SEED_STREAM = "sha256-stream-v1"
 
@@ -136,12 +136,7 @@ def run_game(
         st = engine.state
         if st.phase is Phase.TEAM_SELECTION:
             leader = st.leader
-            obs = observe(
-                leader,
-                team_size=st.team_size(),
-                leader_memory=build_leader_memory(st, views[leader]),
-            )
-            reply = agents[leader].act(obs)
+            reply = agents[leader].act(observe(leader, team_size=st.team_size()))
             return reply.action.members, reply.trace.get("final_text"), traces(reply)
         if st.phase is Phase.ASSASSINATION:
             seat = engine.assassin_seat
@@ -250,7 +245,11 @@ def counts_from_record(record: GameRecord) -> MetricsCounts:
             if event.payload.get("forced"):
                 c.forced_approvals += 1
         elif event.kind is EventKind.QUEST_RESULT:
-            rnd = event.payload["round"]
+            rnd = event.payload.get("round")
+            if type(rnd) is not int or not 1 <= rnd <= len(c.round_quests):
+                raise RecordFormatError(
+                    f"{record.game_id}: seq {event.seq}: quest round {rnd!r} is not 1..5"
+                )
             success = bool(event.payload["success"])
             c.quests_run += 1
             c.quests_succeeded += int(success)
@@ -374,10 +373,10 @@ class TournamentResult:
     counts: MetricsCounts
 
     def digest(self) -> str:
-        blob = json.dumps(
-            {"report": self.report.to_json(), "games": [asdict(s) for s in self.summaries]},
-            sort_keys=True,
-        )
+        # Where the records were written is no part of the games, so every
+        # record path hashes as null.
+        games = [asdict(s) | {"record_path": None} for s in self.summaries]
+        blob = json.dumps({"report": self.report.to_json(), "games": games}, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

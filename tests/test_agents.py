@@ -19,12 +19,12 @@ from avalonplay.agents import (
     make_agent,
 )
 from avalonplay.codeact import DebugLoopConfig
-from avalonplay.game import Phase
+from avalonplay.game import GameConfig, GameEngine, Phase
 from avalonplay.knowledge import RoleAssignment, knowledge_for
 from avalonplay.llm import MockLLM, MockRule
-from avalonplay.memory import LeaderMemory, PublicFact
+from avalonplay.memory import PublicFact, public_facts_from_history
 from avalonplay.prompts import PromptBundle
-from helpers import canonical_roles
+from helpers import canonical_roles, run_round
 
 RA = RoleAssignment(canonical_roles({5, 6, 7}))
 
@@ -291,23 +291,33 @@ class TestLLMAgent:
             strategy="codeact",
             debug_config=DebugLoopConfig(max_attempts=2, per_run_timeout=5.0),
         )
-        reply = agent.act(
-            obs(
-                Phase.TEAM_SELECTION,
-                bundle=bundle(),
-                team_size=2,
-                leader_memory=LeaderMemory((), ()),
-            )
-        )
+        reply = agent.act(obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=2))
         assert reply.action.members == frozenset({2, 3})
         assert reply.trace["codeact"]["attempts_used"] == 1
         assert reply.trace["codeact"]["fell_back"] is False
         assert reply.trace["required_n"] == 2
 
-    def test_codeact_requires_leader_memory(self):
-        agent = self.agent([], strategy="codeact")
-        with pytest.raises(ValueError, match="leader memory"):
-            agent.act(obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=2))
+    def test_codeact_prompt_holds_private_facts_and_quest_history(self):
+        engine = GameEngine(GameConfig(), RA.as_dict(), seed=1)
+        run_round(engine, {1, 2})
+        run_round(engine, {5, 6, 1})
+        facts = public_facts_from_history(engine.state.quest_history, False)
+        assert [f.round for f in facts] == [1, 2]
+        for seat in (1, 3):  # Merlin, then a Servant with no private facts
+            agent = self.agent(
+                [MockRule("I cannot write code.", phase="code_generation", max_uses=None)],
+                seat=seat,
+                strategy="codeact",
+                debug_config=DebugLoopConfig(max_attempts=1),
+            )
+            reply = agent.act(
+                obs(Phase.TEAM_SELECTION, seat=seat, round=3, bundle=bundle(), team_size=3, public_facts=facts)
+            )
+            prompt = reply.trace["exchanges"][0]["request"][-1]["content"]
+            private = view(seat).private_facts
+            assert all(f.text in prompt for f in private)
+            assert ("(no private information)" in prompt) == (not private)
+            assert all(f.render() in prompt for f in facts)
 
     def test_codeact_exhaustion_uses_deduction_and_reports(self):
         errors = []
@@ -317,14 +327,7 @@ class TestLLMAgent:
             debug_config=DebugLoopConfig(max_attempts=2, per_run_timeout=5.0),
         )
         agent.on_error = lambda *a: errors.append(a)
-        reply = agent.act(
-            obs(
-                Phase.TEAM_SELECTION,
-                bundle=bundle(),
-                team_size=4,
-                leader_memory=LeaderMemory((), ()),
-            )
-        )
+        reply = agent.act(obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=4))
         # Merlin's deduction fallback picks the four seats it knows are just.
         assert reply.action.members == frozenset({1, 2, 3, 4})
         assert reply.trace["codeact"]["fell_back"] is True

@@ -62,6 +62,16 @@ class TestRun:
         assert [g["record_path"] for g in data["games"]] == [str(p) for p in paths]
         load_record(paths[0])
 
+    def test_digest_does_not_depend_on_the_record_dir(self, capsys, tmp_path):
+        def digest(*extra):
+            code, out, _ = run_cli(capsys, "run", "--games", "3", "--seed", "5", *extra)
+            assert code == 0
+            return json.loads(out)["digest"]
+
+        plain = digest()
+        assert digest("--record-dir", str(tmp_path / "a")) == plain
+        assert digest("--record-dir", str(tmp_path / "b")) == plain
+
     def test_engine_flags_change_play(self, capsys):
         _, out, _ = run_cli(
             capsys,
@@ -164,3 +174,38 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(capsys, "analyze", str(tmp_path))
         assert code == 0
         assert json.loads(out)["summary"]["n_games"] == 2
+
+
+class TestBadRecords:
+    @pytest.fixture()
+    def record_path(self, capsys, tmp_path):
+        run_cli(capsys, "run", "--games", "1", "--seed", "5", "--record-dir", str(tmp_path))
+        return next(tmp_path.glob("*.jsonl"))
+
+    @pytest.mark.parametrize("command", ["replay", "metrics", "analyze"])
+    def test_malformed_line_is_one_error_line(self, capsys, record_path, command):
+        rows = record_path.read_text().splitlines()
+        rows.insert(3, "{not json")
+        record_path.write_text("\n".join(rows) + "\n")
+        target = record_path if command == "replay" else record_path.parent
+        code, out, err = run_cli(capsys, command, str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bad record: ") and err.count("\n") == 1
+        assert "line 4 is not valid JSON" in err
+
+    def test_metrics_rejects_a_quest_round_out_of_range(self, capsys, record_path):
+        rows = record_path.read_text().splitlines()
+        for i, row in enumerate(rows):
+            data = json.loads(row)
+            if data.get("kind") == "quest_result":
+                data["payload"]["round"] = 9
+                rows[i] = json.dumps(data)
+                break
+        record_path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "metrics", str(record_path.parent))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"seq {data['seq']}: quest round 9 is not 1..5" in err
+        assert data["game_id"] in err

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
 import random
 from itertools import combinations, product
 
@@ -13,6 +15,7 @@ from avalonplay.game import (
     MAJORITY,
     MAX_PROPOSAL_ATTEMPTS,
     NUM_PLAYERS,
+    RULES,
     SABOTAGE_THRESHOLDS,
     TEAM_SIZES,
     GameConfig,
@@ -31,6 +34,8 @@ from avalonplay.game import (
     rotate_leader,
     tally_approval,
 )
+from avalonplay.knowledge import RoleAssignment
+from avalonplay.records import GameRecord, RecordFormatError, load_record, write_record
 from helpers import (
     all_evil_sets,
     approve_all,
@@ -46,12 +51,26 @@ class TestConfig:
     def test_defaults_are_canonical(self):
         cfg = GameConfig()
         cfg.validate()
-        assert cfg.num_players == 7
-        assert cfg.team_sizes == (2, 3, 3, 4, 4)
-        assert cfg.sabotage_thresholds == (1, 1, 1, 2, 2)
-        assert cfg.majority == 4
-        assert cfg.max_proposal_attempts == 5
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "communication_enabled",
+            "reveal_sabotage_count",
+            "assassination_enabled",
+            "play_all_rounds",
+            "memory_window",
+        ]
         assert cfg.memory_window == 15
+        # A header's config holds the five rule values first, then the toggles.
+        assert list(cfg.to_dict().items())[:5] == [
+            ("num_players", 7),
+            ("team_sizes", [2, 3, 3, 4, 4]),
+            ("sabotage_thresholds", [1, 1, 1, 2, 2]),
+            ("majority", 4),
+            ("max_proposal_attempts", 5),
+        ]
+
+    def test_memory_window_validated(self):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(GameConfig(), memory_window=0).validate()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -63,12 +82,24 @@ class TestConfig:
             ("majority", 3),
             ("max_proposal_attempts", 4),
             ("memory_window", 0),
-        ],
+            ("sabotage_thresholds", (True, True, True, 2, 2)),
+            ("majority", 4.0),
+        ]
+        + [(key, 7.0) for key in RULES]
+        + [(key, True) for key in RULES],
     )
     def test_noncanonical_values_rejected(self, field, value):
-        cfg = dataclasses.replace(GameConfig(), **{field: value})
-        with pytest.raises(ValidationError):
-            cfg.validate()
+        # The rules are constants, so a header naming other rule values (or
+        # the right ones as floats or bools) is not a record of this game.
+        record = GameRecord("g", GameConfig(), RoleAssignment(canonical_roles({5, 6, 7})), {}, {})
+        out = io.StringIO()
+        write_record(record, out)
+        rows = out.getvalue().splitlines()
+        header = json.loads(rows[0])
+        header["config"][field] = value
+        rows[0] = json.dumps(header)
+        with pytest.raises(RecordFormatError, match="bad header"):
+            load_record(io.StringIO("\n".join(rows) + "\n"))
 
     def test_round_trip_and_hash(self):
         cfg = GameConfig(reveal_sabotage_count=True, play_all_rounds=True)
@@ -105,7 +136,7 @@ class TestPureRules:
                 size = TEAM_SIZES[rnd - 1]
                 threshold = SABOTAGE_THRESHOLDS[rnd - 1]
                 for team in combinations(ALL_SEATS, size):
-                    outcome = resolve_quest(rnd, frozenset(team), roles, SABOTAGE_THRESHOLDS)
+                    outcome = resolve_quest(rnd, frozenset(team), roles)
                     n_evil = len(evil & set(team))
                     assert outcome.sabotage_count == n_evil
                     assert outcome.success == (n_evil < threshold)
@@ -116,7 +147,7 @@ class TestPureRules:
         assert check_game_end(state) is None
         for success in (True, True, True):
             state.quest_history.append(
-                resolve_quest(1, frozenset({2, 3}), canonical_roles({5, 6, 7}), SABOTAGE_THRESHOLDS)
+                resolve_quest(1, frozenset({2, 3}), canonical_roles({5, 6, 7}))
             )
         decided = check_game_end(state)
         assert decided is not None and decided.quest_winner is Side.JUST
@@ -125,10 +156,10 @@ class TestPureRules:
         state = new_game(GameConfig(play_all_rounds=True), 0)
         roles = canonical_roles({5, 6, 7})
         for _ in range(3):
-            state.quest_history.append(resolve_quest(1, frozenset({2, 3}), roles, SABOTAGE_THRESHOLDS))
+            state.quest_history.append(resolve_quest(1, frozenset({2, 3}), roles))
         assert check_game_end(state) is None  # deferred to the fifth quest
         for _ in range(2):
-            state.quest_history.append(resolve_quest(4, frozenset({5, 6, 7, 1}), roles, SABOTAGE_THRESHOLDS))
+            state.quest_history.append(resolve_quest(4, frozenset({5, 6, 7, 1}), roles))
         decided = check_game_end(state)
         assert decided is not None and decided.quest_winner is Side.JUST
 

@@ -4,11 +4,9 @@ import pytest
 
 from avalonplay.events import AUDIT, EventKind, EventLogEntry, private_to
 from avalonplay.game import GameConfig, GameEngine
-from avalonplay.knowledge import RoleAssignment, knowledge_for
 from avalonplay.memory import (
     GlobalMemory,
     PublicFact,
-    build_leader_memory,
     is_key_info,
     public_facts_from_history,
 )
@@ -115,20 +113,3 @@ class TestPublicFacts:
         assert hidden[0].team == frozenset({1, 5})
         assert hidden[0].success is False
 
-
-class TestLeaderMemory:
-    def test_built_fresh_from_engine_history(self):
-        ra = RoleAssignment(canonical_roles({5, 6, 7}))
-        engine = GameEngine(GameConfig(), ra.as_dict(), seed=1)
-        run_round(engine, {1, 2})
-        run_round(engine, {5, 6, 1})
-        merlin_view = knowledge_for(ra, 1)
-        lm = build_leader_memory(engine.state, merlin_view)
-        assert [f.round for f in lm.public_facts] == [1, 2]
-        assert lm.public_facts[0].success is True
-        assert lm.public_facts[1].success is False
-        assert lm.private_facts == merlin_view.private_facts
-        # Servant leader: no private facts, same public facts.
-        lm2 = build_leader_memory(engine.state, knowledge_for(ra, 3))
-        assert lm2.private_facts == ()
-        assert lm2.public_facts == lm.public_facts
