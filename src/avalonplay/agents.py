@@ -513,7 +513,6 @@ def make_agent(
     rng: random.Random,
     on_error: ErrorSink = _no_error_sink,
     client: LLMClient | None = None,
-    debug_config: DebugLoopConfig | None = None,
 ) -> Agent:
     if spec.policy == "random":
         return RandomAgent(seat, view, rng, on_error)
@@ -524,5 +523,5 @@ def make_agent(
     if spec.policy == "llm":
         if client is None:
             raise ValueError("llm policy requires a client")
-        return LLMAgent(seat, view, rng, client, spec, on_error, debug_config)
+        return LLMAgent(seat, view, rng, client, spec, on_error)
     raise ValueError(f"unknown policy {spec.policy!r}")

@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from .events import EventKind, EventLogEntry
 from .game import ALL_SEATS
-from .records import GameRecord
+from .records import GameRecord, quest_result_fields
 from .templates import load_template
 
 FINDING_KINDS = (
@@ -78,10 +78,6 @@ def _claim_rules() -> dict[str, re.Pattern[str]]:
     return rules
 
 
-def _ordered(events: Iterable[EventLogEntry]) -> list[EventLogEntry]:
-    return sorted(events, key=lambda e: e.seq)
-
-
 def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
     findings: list[ConsistencyFinding] = []
 
@@ -96,7 +92,7 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
             )
         )
 
-    for event in _ordered(record.events):
+    for event in record.events:
         payload = event.payload
         if event.kind is EventKind.TEAM_PROPOSED:
             required = payload.get("required_n") or len(payload.get("members", ()))
@@ -157,16 +153,9 @@ def check_claims(record: GameRecord) -> list[ConsistencyFinding]:
             )
         )
 
-    for event in _ordered(record.events):
+    for event in record.events:
         if event.kind is EventKind.QUEST_RESULT:
-            quests.append(
-                (
-                    event.seq,
-                    event.payload["round"],
-                    frozenset(event.payload["team"]),
-                    bool(event.payload["success"]),
-                )
-            )
+            quests.append((event.seq, *quest_result_fields(record, event)))
             continue
         if event.kind is not EventKind.DISCUSSION:
             continue

@@ -10,11 +10,15 @@ that the caller's fallback supplies the team.
 Sandboxing is process-level: the child runs in its own process group in a
 scratch directory with no inherited file descriptors beyond the standard
 three. When the kernel allows unprivileged user namespaces (probed once),
-the child is also detached into an empty network namespace. A Python
-audit hook installed via ``sitecustomize`` additionally blocks socket
-use, process creation, and filesystem writes outside the scratch
-directory. Wall-clock timeouts kill the whole process group, and captured
-output is truncated at a byte cap.
+the child is also detached into an empty network namespace. The child
+starts from a small bootstrap (``python -B -c``) that installs a Python
+audit hook blocking socket use, process creation, and filesystem writes
+outside the scratch directory, then compiles and runs ``program.py``
+under that relative name, so tracebacks read ``File "program.py"`` with
+no scratch path and no bootstrap frame. The caller reads both output
+pipes in its own thread until they close or the wall-clock timeout
+passes; a timeout kills the whole process group, and output past a byte
+cap is read and dropped.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import os
 import re
+import selectors
 import shutil
 import signal
 import subprocess
@@ -44,8 +49,6 @@ _CLONE_NEWNET = 0x40000000
 # Bound on simultaneously running sandboxed children, shared process-wide.
 _EXECUTION_SLOTS = threading.BoundedSemaphore(8)
 
-_KILL_GRACE = 0.5
-
 _BRACKETED_INTS = re.compile(r"\[\s*\d+(?:\s*,\s*\d+)*\s*\]")
 
 
@@ -65,7 +68,6 @@ class DebugLoopConfig:
     max_attempts: int = 3
     per_run_timeout: float = 10.0
     output_cap: int = 65536
-    interpreter_path: str = sys.executable
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -74,8 +76,6 @@ class DebugLoopConfig:
             raise CodeActError("per_run_timeout must be positive")
         if self.output_cap < 1:
             raise CodeActError("output_cap must be at least 1 byte")
-        if not (os.path.isfile(self.interpreter_path) and os.access(self.interpreter_path, os.X_OK)):
-            raise CodeActError(f"interpreter not executable: {self.interpreter_path}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ class ExecutionResult:
     stdout: str
     stderr: str
     exit_code: int | None
-    wall_time: float
     stdout_truncated: bool = False
     stderr_truncated: bool = False
 
@@ -100,7 +99,6 @@ class ExecutionResult:
             "stdout": self.stdout,
             "stderr": self.stderr,
             "exit_code": self.exit_code,
-            "wall_time": round(self.wall_time, 4),
             "stdout_truncated": self.stdout_truncated,
             "stderr_truncated": self.stderr_truncated,
         }
@@ -123,13 +121,15 @@ def build_code_prompt(leader_memory: LeaderMemory, team_n: int) -> CodePrompt:
     return CodePrompt(team_n=team_n, text=text)
 
 
-# The guard imported automatically by the child interpreter (sitecustomize
-# on PYTHONPATH). Second containment layer behind the network namespace.
-_SITECUSTOMIZE = r'''
+# The child's whole entry point, run as `python -B -c` in the scratch
+# directory: install the guard (the second containment layer behind the
+# network namespace), then run program.py as __main__. The excepthook drops
+# the bootstrap's own frame, so a traceback starts at program.py.
+_BOOTSTRAP = r'''
 import os
 import sys
 
-_SCRATCH = os.path.realpath(os.environ.get("SCRATCH_DIR", os.getcwd()))
+_SCRATCH = os.path.realpath(os.getcwd())
 _WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
 
 
@@ -141,13 +141,9 @@ def _inside(path):
     return real == _SCRATCH or real.startswith(_SCRATCH + os.sep) or real == os.devnull
 
 
-def _deny(message):
-    raise PermissionError(message)
-
-
 def _hook(event, args):
     if event.startswith("socket.") and event != "socket.__new__":
-        _deny("network access is disabled in the code sandbox")
+        raise PermissionError("network access is disabled in the code sandbox")
     elif event in (
         "subprocess.Popen",
         "os.system",
@@ -157,7 +153,7 @@ def _hook(event, args):
         "os.fork",
         "os.forkpty",
     ):
-        _deny("process creation is disabled in the code sandbox")
+        raise PermissionError("process creation is disabled in the code sandbox")
     elif event == "open":
         path, mode, flags = args
         if isinstance(path, int):
@@ -165,14 +161,23 @@ def _hook(event, args):
         mode = mode or ""
         wants_write = any(c in mode for c in "wax+") or (not mode and flags & _WRITE_FLAGS)
         if wants_write and not _inside(path):
-            _deny("writes outside the sandbox scratch directory are disabled")
+            raise PermissionError("writes outside the sandbox scratch directory are disabled")
     elif event in ("os.remove", "os.rename", "os.rmdir", "os.mkdir", "os.link", "os.symlink", "os.truncate"):
         for candidate in args:
             if isinstance(candidate, (str, bytes, os.PathLike)) and not _inside(candidate):
-                _deny("filesystem changes outside the sandbox scratch directory are disabled")
+                raise PermissionError("filesystem changes outside the sandbox scratch directory are disabled")
+
+
+def _excepthook(kind, value, tb):
+    sys.__excepthook__(kind, value.with_traceback(tb.tb_next), tb.tb_next)
 
 
 sys.addaudithook(_hook)
+sys.excepthook = _excepthook
+sys.argv[0] = "program.py"
+with open("program.py", encoding="utf-8") as _source:
+    _code = compile(_source.read(), "program.py", "exec")
+exec(_code, {"__name__": "__main__", "__file__": "program.py"})
 '''.lstrip()
 
 _libc = ctypes.CDLL(None, use_errno=True)
@@ -215,96 +220,69 @@ def _child_limits(timeout: float, use_namespaces: bool) -> Callable[[], None]:
     return prepare
 
 
-def _drain(stream, cap: int, chunks: list[bytes], flag: dict[str, bool], key: str) -> None:
-    """Collect up to `cap` bytes, then keep reading so the child never
-    blocks on a full pipe; anything past the cap sets the truncation flag."""
-    collected = 0
-    while True:
-        chunk = stream.read(65536)
-        if not chunk:
-            return
-        if collected < cap:
-            take = chunk[: cap - collected]
-            chunks.append(take)
-            collected += len(take)
-            if len(take) < len(chunk):
-                flag[key] = True
-        else:
-            flag[key] = True
-
-
 def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
     """Run one program in a fresh scratch sandbox and capture its output."""
     scratch = tempfile.mkdtemp(prefix="codeact-")
     try:
-        program_path = os.path.join(scratch, "program.py")
-        with open(program_path, "w", encoding="utf-8") as fh:
+        with open(os.path.join(scratch, "program.py"), "w", encoding="utf-8") as fh:
             fh.write(program)
-        with open(os.path.join(scratch, "sitecustomize.py"), "w", encoding="utf-8") as fh:
-            fh.write(_SITECUSTOMIZE)
-        env = {
-            "PATH": "/usr/bin:/bin",
-            "HOME": scratch,
-            "TMPDIR": scratch,
-            "SCRATCH_DIR": scratch,
-            "PYTHONPATH": scratch,
-            "PYTHONDONTWRITEBYTECODE": "1",
-        }
         use_ns = _probe_namespace_support()
-        start = time.monotonic()
         with _EXECUTION_SLOTS:
             proc = subprocess.Popen(
-                [limits.interpreter_path, program_path],
+                [sys.executable, "-B", "-c", _BOOTSTRAP],
                 cwd=scratch,
-                env=env,
+                env={"PATH": "/usr/bin:/bin", "HOME": scratch, "TMPDIR": scratch},
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 start_new_session=True,
                 preexec_fn=_child_limits(limits.per_run_timeout, use_ns),
                 close_fds=True,
             )
-            out_chunks: list[bytes] = []
-            err_chunks: list[bytes] = []
-            truncated = {"stdout": False, "stderr": False}
-            readers = [
-                threading.Thread(
-                    target=_drain, args=(proc.stdout, limits.output_cap, out_chunks, truncated, "stdout")
-                ),
-                threading.Thread(
-                    target=_drain, args=(proc.stderr, limits.output_cap, err_chunks, truncated, "stderr")
-                ),
-            ]
-            for t in readers:
-                t.start()
+            deadline = time.monotonic() + limits.per_run_timeout
+            # Keep up to the cap from each pipe, and keep reading past it so
+            # the child never blocks on a full pipe.
+            kept = {proc.stdout: bytearray(), proc.stderr: bytearray()}
+            truncated = {proc.stdout: False, proc.stderr: False}
             timed_out = False
             try:
-                proc.wait(timeout=limits.per_run_timeout)
+                with selectors.DefaultSelector() as selector:
+                    for stream in kept:
+                        selector.register(stream, selectors.EVENT_READ)
+                    while selector.get_map() and (left := deadline - time.monotonic()) > 0:
+                        for key, _ in selector.select(left):
+                            chunk = os.read(key.fd, 65536)
+                            if not chunk:
+                                selector.unregister(key.fileobj)
+                                continue
+                            buf = kept[key.fileobj]
+                            room = limits.output_cap - len(buf)
+                            buf += chunk[:room]
+                            truncated[key.fileobj] |= len(chunk) > room
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 timed_out = True
-                _kill_group(proc)
-                proc.wait(timeout=_KILL_GRACE * 4)
-            for t in readers:
-                t.join(timeout=5)
-        wall = time.monotonic() - start
-        stdout = b"".join(out_chunks).decode("utf-8", errors="replace")
-        stderr = b"".join(err_chunks).decode("utf-8", errors="replace")
+            finally:
+                if proc.returncode is None:
+                    _kill_group(proc)
+                    proc.wait()
+                proc.stdout.close()
+                proc.stderr.close()
         exit_code = proc.returncode
         if timed_out:
             status = ExecStatus.TIMEOUT
         elif exit_code != 0:
             status = ExecStatus.ERROR
-        elif truncated["stdout"] or truncated["stderr"]:
+        elif truncated[proc.stdout] or truncated[proc.stderr]:
             status = ExecStatus.OUTPUT_TRUNCATED
         else:
             status = ExecStatus.OK
         return ExecutionResult(
             status=status,
-            stdout=stdout,
-            stderr=stderr,
+            stdout=kept[proc.stdout].decode("utf-8", errors="replace"),
+            stderr=kept[proc.stderr].decode("utf-8", errors="replace"),
             exit_code=exit_code,
-            wall_time=wall,
-            stdout_truncated=truncated["stdout"],
-            stderr_truncated=truncated["stderr"],
+            stdout_truncated=truncated[proc.stdout],
+            stderr_truncated=truncated[proc.stderr],
         )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

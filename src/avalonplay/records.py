@@ -30,7 +30,7 @@ from typing import Any, Callable, TextIO
 
 from .agents import AgentSpec
 from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
-from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, drive
+from .game import TEAM_SIZES, GameConfig, GameEngine, GameOutcome, Phase, RuleError, drive
 from .knowledge import RoleAssignment
 
 SCHEMA_VERSION = 1
@@ -50,6 +50,10 @@ class ReplayMismatch(AssertionError):
 
 @dataclass
 class GameRecord:
+    """One game. `events` are in seq order: `run_game` appends them in
+    engine order and `load_record` rejects a file whose seqs do not rise,
+    so readers walk them as they are."""
+
     game_id: str
     config: GameConfig
     roles: RoleAssignment
@@ -85,7 +89,7 @@ class GameRecord:
 def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
     """Write one game as JSON lines: header, events by seq, outcome."""
     lines = [record.header_dict()]
-    lines.extend(e.to_dict() | {"type": "event"} for e in sorted(record.events, key=lambda e: e.seq))
+    lines.extend(e.to_dict() | {"type": "event"} for e in record.events)
     lines.append(record.outcome_dict())
     text = "\n".join(json.dumps(obj, ensure_ascii=False) for obj in lines) + "\n"
     if isinstance(destination, (str, Path)):
@@ -213,6 +217,24 @@ def iter_record_paths(directory: str | Path) -> list[Path]:
     return sorted(Path(directory).glob("*.jsonl"))
 
 
+def quest_result_fields(record: GameRecord, event: EventLogEntry) -> tuple[int, frozenset[int], bool]:
+    """The round, team and success of a quest_result event, type-checked.
+
+    For readers of records that were loaded but not replayed; a bad value
+    raises RecordFormatError naming the game and the seq.
+    """
+    payload = event.payload
+    rnd, team, success = payload.get("round"), payload.get("team"), payload.get("success")
+    where = f"{record.game_id}: seq {event.seq}"
+    if type(rnd) is not int or not 1 <= rnd <= len(TEAM_SIZES):
+        raise RecordFormatError(f"{where}: quest round {rnd!r} is not 1..{len(TEAM_SIZES)}")
+    if type(team) is not list or any(type(p) is not int for p in team):
+        raise RecordFormatError(f"{where}: quest team {team!r} is not a list of seats")
+    if type(success) is not bool:
+        raise RecordFormatError(f"{where}: quest success {success!r} is not true or false")
+    return rnd, frozenset(team), success
+
+
 # ----- replay verification ----------------------------------------------------
 
 # Payload keys that carry game facts (as opposed to agent traces), per kind.
@@ -264,7 +286,7 @@ def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | No
     """
     queues: dict[Phase, deque[tuple]] = {phase: deque() for phase in _ACTION_PHASES.values()}
     ballots: dict[int, bool] = {}
-    for event in sorted(record.events, key=lambda e: e.seq):
+    for event in record.events:
         phase = _ACTION_PHASES.get(event.kind)
         if phase is None or event.visibility == AUDIT:
             continue
@@ -319,7 +341,7 @@ def replay(record: GameRecord) -> GameEngine:
         # be an honest transcript of a real game.
         raise ReplayMismatch(f"{record.game_id}: recorded action rejected on replay: {exc}") from exc
 
-    recorded = [e for e in sorted(record.events, key=lambda e: e.seq) if e.visibility != AUDIT]
+    recorded = [e for e in record.events if e.visibility != AUDIT]
     replayed = [e for e in engine.events if e.visibility != AUDIT]
     for i, (want, got) in enumerate(zip(recorded, replayed)):
         if _projection(want) != _projection(got):

@@ -24,14 +24,13 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .agents import MEMORY_POLICIES, AgentReply, AgentSpec, make_agent, Observation
-from .codeact import DebugLoopConfig
 from .events import EventKind
 from .game import ALL_SEATS, GameConfig, GameEngine, Phase, Side, drive
 from .knowledge import deal_roles, knowledge_for
 from .llm import LLMClient, MockScriptExhausted, TransportError
 from .memory import GlobalMemory, public_facts_from_history
 from .prompts import build_bundle
-from .records import GameRecord, RecordFormatError, write_record
+from .records import GameRecord, quest_result_fields, write_record
 
 SEED_STREAM = "sha256-stream-v1"
 
@@ -67,7 +66,6 @@ def run_game(
     game_seed: int,
     client: LLMClient | None = None,
     game_id: str | None = None,
-    debug_config: DebugLoopConfig | None = None,
     seed_info: dict[str, Any] | None = None,
     log_exchanges: bool = False,
 ) -> GameRecord:
@@ -93,7 +91,6 @@ def run_game(
             random.Random(subseed(game_seed, f"agent/{p}")),
             on_error=engine.log_agent_error,
             client=client,
-            debug_config=debug_config,
         )
         for p in ALL_SEATS
     }
@@ -234,7 +231,7 @@ def counts_from_record(record: GameRecord) -> MetricsCounts:
             c.assassination_attempts = 1
             c.assassination_hits = int(bool(outcome.assassination_hit))
     leader: int | None = None
-    for event in sorted(record.events, key=lambda e: e.seq):
+    for event in record.events:
         if event.kind is EventKind.TEAM_PROPOSED:
             leader = event.payload.get("leader")
         elif event.kind is EventKind.DISCUSSION:
@@ -245,12 +242,7 @@ def counts_from_record(record: GameRecord) -> MetricsCounts:
             if event.payload.get("forced"):
                 c.forced_approvals += 1
         elif event.kind is EventKind.QUEST_RESULT:
-            rnd = event.payload.get("round")
-            if type(rnd) is not int or not 1 <= rnd <= len(c.round_quests):
-                raise RecordFormatError(
-                    f"{record.game_id}: seq {event.seq}: quest round {rnd!r} is not 1..5"
-                )
-            success = bool(event.payload["success"])
+            rnd, _, success = quest_result_fields(record, event)
             c.quests_run += 1
             c.quests_succeeded += int(success)
             c.round_quests[rnd - 1] += 1
@@ -384,7 +376,6 @@ def _run_one(
     tc: TournamentConfig,
     index: int,
     client: LLMClient | None,
-    debug_config: DebugLoopConfig | None,
 ) -> tuple[GameSummary, MetricsCounts]:
     game_seed = seed_for_game(tc.base_seed, index)
     record = run_game(
@@ -394,7 +385,6 @@ def _run_one(
         game_seed,
         client=client,
         game_id=f"g{tc.base_seed}-{index:05d}",
-        debug_config=debug_config,
         seed_info={"base_seed": tc.base_seed, "game_index": index},
         log_exchanges=tc.log_exchanges,
     )
@@ -417,13 +407,12 @@ def _run_one(
 
 def _run_one_task(args: tuple[TournamentConfig, int]) -> tuple[GameSummary, MetricsCounts]:
     tc, index = args
-    return _run_one(tc, index, None, None)
+    return _run_one(tc, index, None)
 
 
 def run_tournament(
     tc: TournamentConfig,
     client: LLMClient | None = None,
-    debug_config: DebugLoopConfig | None = None,
 ) -> TournamentResult:
     """Run `n_games` seeded games and fold their metrics in index order.
 
@@ -448,9 +437,9 @@ def run_tournament(
             )
     elif tc.parallelism > 1:
         with ThreadPoolExecutor(max_workers=tc.parallelism) as pool:
-            results = list(pool.map(lambda i: _run_one(tc, i, client, debug_config), indices))
+            results = list(pool.map(lambda i: _run_one(tc, i, client), indices))
     else:
-        results = [_run_one(tc, i, client, debug_config) for i in indices]
+        results = [_run_one(tc, i, client) for i in indices]
     counts = MetricsCounts()
     summaries: list[GameSummary] = []
     for summary, game_counts in results:

@@ -20,7 +20,7 @@ from avalonplay import agents, game, records, runner  # noqa: E402
 from avalonplay.agents import AgentSpec  # noqa: E402
 from avalonplay.game import GameConfig  # noqa: E402
 from avalonplay.llm import MockLLM  # noqa: E402
-from helpers import STRATEGY_SMOKE_FIXTURE, STRATEGY_SMOKE_SEED  # noqa: E402
+from helpers import STRATEGY_SMOKE_FIXTURE, STRATEGY_SMOKE_SEED, run_codeact_e2e  # noqa: E402
 
 PLAY_SPANS = {
     "runner.run_game",
@@ -119,3 +119,26 @@ def test_traced_llm_game_reaches_the_prompt_and_parsing_hooks():
     finally:
         tracer.remove()
     assert LLM_SPANS <= {span[3] for span in tracer.spans}
+
+
+def test_traced_codeact_game_notes_every_sandbox_run():
+    tracer = tracing.Tracer()
+    tracer.install(None)
+    try:
+        record, _ = run_codeact_e2e()
+    finally:
+        tracer.remove()
+    assert not record.aborted
+    runs = [s for s in tracer.spans if s[3] == "codeact.execute_sandboxed"]
+    loops = [s for s in tracer.spans if s[3] == "codeact.self_debug_loop"]
+    assert len(runs) == 5 and len(loops) == 4
+    assert all(s[6] and s[7] == "ok" for s in runs)
+    assert sorted(s[7] for s in loops) == [(1, False)] * 3 + [(2, False)]
+    # Every sandbox run happens inside a self-debug loop.
+    loop_ids = {s[0] for s in loops}
+    assert all(s[1] in loop_ids for s in runs)
+    metrics, _ = tracing.layer_metrics(tracer, 1, False)
+    assert metrics["codeact.runs_per_game"] == 5
+    assert metrics["codeact.ok_ratio"] == 1
+    assert metrics["codeact.attempts_per_selection"] == 1.25
+    assert metrics["codeact.run_ms_p50"] > 0 and metrics["codeact.run_ms_tail"] > 0

@@ -209,3 +209,31 @@ class TestBadRecords:
         assert err.count("\n") == 1
         assert f"seq {data['seq']}: quest round 9 is not 1..5" in err
         assert data["game_id"] in err
+
+    @pytest.mark.parametrize("command", ["metrics", "analyze"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("success", None, "quest success None is not true or false"),  # key deleted
+            ("round", 9, "quest round 9 is not 1..5"),
+            ("team", "1, 2", "quest team '1, 2' is not a list of seats"),
+            ("team", [1, "2"], "quest team [1, '2'] is not a list of seats"),
+        ],
+    )
+    def test_bad_quest_result_is_one_error_line(self, capsys, record_path, command, key, value, message):
+        rows = record_path.read_text().splitlines()
+        for i, row in enumerate(rows):
+            data = json.loads(row)
+            if data.get("kind") == "quest_result":
+                if value is None:
+                    del data["payload"][key]
+                else:
+                    data["payload"][key] = value
+                rows[i] = json.dumps(data)
+                break
+        record_path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, command, str(record_path.parent))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bad record: ") and err.count("\n") == 1
+        assert f"{data['game_id']}: seq {data['seq']}: {message}" in err

@@ -1,3 +1,5 @@
+import tempfile
+import threading
 import time
 
 import pytest
@@ -21,9 +23,7 @@ FAST = DebugLoopConfig(max_attempts=3, per_run_timeout=10.0, output_cap=4096)
 
 
 def result_with(stdout, status=ExecStatus.OK):
-    return ExecutionResult(
-        status=status, stdout=stdout, stderr="", exit_code=0, wall_time=0.0
-    )
+    return ExecutionResult(status=status, stdout=stdout, stderr="", exit_code=0)
 
 
 class TestBuildCodePrompt:
@@ -56,8 +56,6 @@ class TestConfigValidation:
             DebugLoopConfig(per_run_timeout=0)
         with pytest.raises(CodeActError):
             DebugLoopConfig(output_cap=0)
-        with pytest.raises(CodeActError):
-            DebugLoopConfig(interpreter_path="/no/such/python")
 
 
 class TestSandbox:
@@ -137,6 +135,79 @@ class TestSandbox:
         import os
 
         assert not os.path.exists(scratch)
+
+
+class TestSandboxOutputIsDeterministic:
+    """What a program prints depends on the program alone: no scratch path,
+    no harness frame and no timing reach the record or the revise prompt."""
+
+    def test_crash_traceback_repeats_and_starts_at_the_program(self):
+        program = "def f():\n    return 1 / 0\n\nf()\n"
+        first, second = (execute_sandboxed(program, FAST) for _ in range(2))
+        assert first.status is ExecStatus.ERROR
+        assert first.stderr == second.stderr
+        assert first.stderr.startswith(
+            'Traceback (most recent call last):\n  File "program.py", line 4, in <module>\n'
+        )
+        assert 'File "program.py", line 2, in f' in first.stderr
+        assert first.stderr.count('File "') == 2  # no bootstrap frame
+        assert "codeact-" not in first.stderr and tempfile.gettempdir() not in first.stderr
+
+    def test_syntax_error_names_the_program(self):
+        result = execute_sandboxed("x = (\n", FAST)
+        assert result.status is ExecStatus.ERROR
+        assert result.stderr.startswith('  File "program.py", line 1\n')
+        assert result.stderr.endswith("SyntaxError: '(' was never closed\n")
+
+    def test_guard_denial_traceback_repeats(self):
+        program = "open('/outside.txt', 'w')\n"
+        first, second = (execute_sandboxed(program, FAST) for _ in range(2))
+        assert first.status is ExecStatus.ERROR
+        assert first.stderr == second.stderr
+        assert 'File "program.py", line 1, in <module>' in first.stderr
+        assert first.stderr.endswith(
+            "PermissionError: writes outside the sandbox scratch directory are disabled\n"
+        )
+        assert "codeact-" not in first.stderr
+
+    def test_revise_prompt_after_a_crash_repeats(self):
+        def revise_request():
+            llm = MockLLM(
+                [
+                    MockRule("```python\nraise RuntimeError('no')\n```", phase="code_generation", pattern="selects 2"),
+                    MockRule("```python\nprint([4, 5])\n```", phase="code_generation", pattern="execution error"),
+                ]
+            )
+            prompt = build_code_prompt(LeaderMemory((), ()), 2)
+            outcome = self_debug_loop(llm, prompt, FAST, lambda: frozenset({6, 7}))
+            return outcome.exchanges[1]["request"]
+
+        first = revise_request()
+        assert 'File "program.py", line 1, in <module>' in first[2]["content"]
+        assert first == revise_request()
+
+    def test_program_runs_as_main_under_a_fixed_name(self):
+        result = execute_sandboxed("import sys\nprint(__name__, __file__, sys.argv[0])", FAST)
+        assert result.stdout == "__main__ program.py program.py\n"
+
+    def test_scratch_holds_only_the_program_and_env_only_three_names(self):
+        result = execute_sandboxed("import os\nprint(os.listdir('.'))\nprint(sorted(os.environ))", FAST)
+        listing, names = result.stdout.splitlines()
+        assert listing == "['program.py']"
+        # The interpreter itself may add LC_CTYPE when it coerces a C locale.
+        assert set(eval(names)) - {"LC_CTYPE"} == {"HOME", "PATH", "TMPDIR"}
+
+    def test_runs_without_starting_a_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("execute_sandboxed started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert execute_sandboxed("print('x' * 100000)", FAST).status is ExecStatus.OUTPUT_TRUNCATED
+        assert execute_sandboxed("print([1, 2])", FAST).stdout == "[1, 2]\n"
+
+    def test_result_carries_no_wall_time(self):
+        d = execute_sandboxed("print([1, 2])", FAST).to_dict()
+        assert list(d) == ["status", "stdout", "stderr", "exit_code", "stdout_truncated", "stderr_truncated"]
 
 
 class TestParseFinalTeam:

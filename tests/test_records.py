@@ -20,7 +20,7 @@ from avalonplay.records import (
     write_record,
 )
 from avalonplay.runner import run_game, seed_for_game
-from helpers import budgeted_mock
+from helpers import budgeted_mock, run_codeact_e2e
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +296,30 @@ class TestRecordAndReplayPin:
 
 # Computed with the replay loop that preceded `game.drive`.
 PINNED_RECORDS_DIGEST = "5fec6bd0cfa3442444a6af20a04e3a67d9e7821c4af71b2e4373553c154285e0"
+
+
+class TestCodeactRecords:
+    @pytest.fixture(scope="class")
+    def e2e_text(self):
+        return _text(run_codeact_e2e()[0])
+
+    def test_two_runs_write_identical_bytes(self, e2e_text):
+        assert '"codeact": {' in e2e_text
+        assert _text(run_codeact_e2e()[0]) == e2e_text
+
+    def test_records_with_wall_times_still_load_and_replay(self, e2e_text):
+        """Older records carry each sandbox run's `wall_time`."""
+        rows = []
+        for row in e2e_text.splitlines():
+            data = json.loads(row)
+            for attempt in (data.get("payload", {}).get("codeact") or {}).get("attempts", ()):
+                attempt["result"]["wall_time"] = 0.0731
+            rows.append(json.dumps(data, ensure_ascii=False))
+        older = "\n".join(rows) + "\n"
+        assert older.count('"wall_time"') == 5
+        record = load_record(io.StringIO(older))
+        replay(record)
+        assert _text(record) == older
 
 
 class TestAbortedReplay:
