@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .codeact import DebugLoopConfig, build_code_prompt, self_debug_loop
 from .deduction import (
@@ -160,12 +160,28 @@ class Agent:
     def act(self, obs: Observation) -> AgentReply:
         raise NotImplementedError
 
-    # Seats an evil-side agent knows to be just; used for assassination.
-    def _known_just_seats(self) -> list[int]:
+    def _act_shared(self, obs: Observation) -> AgentReply:
+        """The quest ballot and assassination every rule-based policy casts alike."""
+        if obs.phase is Phase.QUEST_EXECUTION:
+            return AgentReply(self._forced_quest_vote())
+        if obs.phase is Phase.ASSASSINATION:
+            return AgentReply(self._random_assassination())
+        raise ValueError(f"no action for phase {obs.phase}")
+
+    @staticmethod
+    def _ballot(approve: bool) -> TeamVote:
+        reasoning = "I agree with this team." if approve else "I disagree with this team."
+        return TeamVote(reasoning=reasoning, approve=approve)
+
+    def _random_team(self, size: int) -> frozenset[int]:
+        return frozenset(self.rng.sample(ALL_SEATS, size))
+
+    # An evil-side agent shoots a random seat not among those it knows are evil.
+    def _random_assassination(self) -> Assassinate:
         known_evil: set[int] = set()
         for fact in self.view.private_facts:
             known_evil |= fact.players
-        return sorted(set(ALL_SEATS) - known_evil)
+        return Assassinate(self.rng.choice(sorted(set(ALL_SEATS) - known_evil)))
 
     def _forced_quest_vote(self) -> QuestVote:
         return QuestVote(approve=self.view.side is Side.JUST)
@@ -182,24 +198,25 @@ class Agent:
         )
         return ConstraintSet(tuple(self._private_constraints + history))
 
+    def _deduction_team(self, obs: Observation) -> tuple[frozenset[int], bool]:
+        """The deduction policy's team: (`select_team` over the beliefs, True),
+        or (a random legal team, False) when the beliefs are contradictory."""
+        try:
+            return select_team(belief(self._constraints(obs)), obs.team_size, self.seat), True
+        except ContradictionError:
+            return self._random_team(obs.team_size), False
+
 
 class RandomAgent(Agent):
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase
         if phase is Phase.TEAM_SELECTION:
-            team = frozenset(self.rng.sample(ALL_SEATS, obs.team_size))
-            return AgentReply(SelectTeam(team))
+            return AgentReply(SelectTeam(self._random_team(obs.team_size)))
         if phase is Phase.DISCUSSION:
             return AgentReply(Discuss("I have nothing to add."))
         if phase is Phase.TEAM_VOTE:
-            approve = self.rng.random() < 0.5
-            reasoning = "I agree with this team." if approve else "I disagree with this team."
-            return AgentReply(TeamVote(reasoning=reasoning, approve=approve))
-        if phase is Phase.QUEST_EXECUTION:
-            return AgentReply(self._forced_quest_vote())
-        if phase is Phase.ASSASSINATION:
-            return AgentReply(Assassinate(self.rng.choice(self._known_just_seats())))
-        raise ValueError(f"no action for phase {phase}")
+            return AgentReply(self._ballot(self.rng.random() < 0.5))
+        return self._act_shared(obs)
 
 
 class ScriptedEvilAgent(Agent):
@@ -228,35 +245,20 @@ class ScriptedEvilAgent(Agent):
             )
         if phase is Phase.TEAM_VOTE:
             approve = bool(obs.proposed_team and set(obs.proposed_team) & set(evil))
-            reasoning = "I agree with this team." if approve else "I disagree with this team."
-            return AgentReply(TeamVote(reasoning=reasoning, approve=approve))
-        if phase is Phase.QUEST_EXECUTION:
-            return AgentReply(self._forced_quest_vote())
-        if phase is Phase.ASSASSINATION:
-            return AgentReply(Assassinate(self.rng.choice(self._known_just_seats())))
-        raise ValueError(f"no action for phase {phase}")
-
-
-def deduction_team(
-    constraints: ConstraintSet, team_size: int, seat: int, rng: random.Random
-) -> tuple[frozenset[int], bool]:
-    """The deduction policy's team: (`select_team` over the beliefs, True), or
-    (a random legal team drawn from `rng`, False) when the beliefs are
-    contradictory."""
-    try:
-        return select_team(belief(constraints), team_size, seat), True
-    except ContradictionError:
-        return frozenset(rng.sample(ALL_SEATS, team_size)), False
+            return AgentReply(self._ballot(approve))
+        return self._act_shared(obs)
 
 
 class DeductionAgent(Agent):
     def _success_probability(self, obs: Observation) -> Fraction | None:
+        if obs.proposed_team is None or obs.threshold is None:
+            return None
         return success_probability(self._constraints(obs), obs.proposed_team, obs.threshold)
 
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase
         if phase is Phase.TEAM_SELECTION:
-            team, deduced = deduction_team(self._constraints(obs), obs.team_size, self.seat, self.rng)
+            team, deduced = self._deduction_team(obs)
             if deduced:
                 return AgentReply(SelectTeam(team))
             self.on_error(
@@ -267,7 +269,7 @@ class DeductionAgent(Agent):
             )
             return AgentReply(SelectTeam(team), trace={"fallback": True})
         if phase is Phase.DISCUSSION:
-            p = self._success_probability_for_discussion(obs)
+            p = self._success_probability(obs)
             if p is None or p >= Fraction(1, 2):
                 return AgentReply(Discuss("I have no objection to this team."))
             return AgentReply(Discuss("I am not convinced by this team."))
@@ -285,18 +287,8 @@ class DeductionAgent(Agent):
                 approve = p >= Fraction(1, 2)
             else:
                 approve = p <= Fraction(1, 2)
-            reasoning = "I agree with this team." if approve else "I disagree with this team."
-            return AgentReply(TeamVote(reasoning=reasoning, approve=approve))
-        if phase is Phase.QUEST_EXECUTION:
-            return AgentReply(self._forced_quest_vote())
-        if phase is Phase.ASSASSINATION:
-            return AgentReply(Assassinate(self.rng.choice(self._known_just_seats())))
-        raise ValueError(f"no action for phase {phase}")
-
-    def _success_probability_for_discussion(self, obs: Observation) -> Fraction | None:
-        if obs.proposed_team is None or obs.threshold is None:
-            return None
-        return self._success_probability(obs)
+            return AgentReply(self._ballot(approve))
+        return self._act_shared(obs)
 
 
 # ----- LLM-backed agent -------------------------------------------------------
@@ -334,109 +326,103 @@ class LLMAgent(Agent):
         self.spec = spec
         self.debug_config = debug_config or DebugLoopConfig()
 
-    # -- plumbing ---------------------------------------------------------
-
-    def _call(self, messages: Sequence[ChatMessage], tag: str, trace: dict[str, Any]) -> str:
-        exchanges = trace.setdefault("exchanges", [])
-        return logged_complete(self.client, messages, self.spec.temperature_text, tag, exchanges)
-
-    def _bundle(self, obs: Observation) -> PromptBundle:
-        if obs.bundle is None:
-            raise ValueError("a model-backed agent needs the observation's prompt bundle")
-        return obs.bundle
-
-    def _ask_and_parse(
-        self,
-        obs: Observation,
-        tag: str,
-        parse: Callable[[str], Any],
-        trace: dict[str, Any],
-    ) -> tuple[Any, bool]:
-        """One ask, one reprompt on parse failure; (value, ok)."""
-        messages = build_strategy_prompt(self.spec.strategy, self._bundle(obs))
-        text = self._call(messages, tag, trace)
-        attempts = trace.setdefault("raw_attempts", [])
-        try:
-            value = parse(text)
-        except ParseError as exc:
-            first_error = str(exc)
-            attempts.append(
-                {"text": text, "error": first_error, "error_kind": type(exc).__name__, "ids": exc.ids}
-            )
-        else:
-            trace["final_text"] = text
-            return value, True
-        retry = list(messages) + [
-            ChatMessage("assistant", text),
-            ChatMessage("user", render("reprompt", error=first_error)),
-        ]
-        text2 = self._call(retry, tag, trace)
-        try:
-            value = parse(text2)
-        except ParseError as exc2:
-            attempts.append(
-                {"text": text2, "error": str(exc2), "error_kind": type(exc2).__name__, "ids": exc2.ids}
-            )
-            return None, False
-        trace["final_text"] = text2
-        return value, True
-
-    def _fallback(self, reason: str, detail: str, payload: dict[str, Any], trace: dict[str, Any]) -> None:
-        trace["fallback"] = True
-        self.on_error(self.seat, reason, detail, payload)
-
-    # -- decisions ----------------------------------------------------------
-
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase
-        if phase is Phase.TEAM_SELECTION:
-            return self._select_team(obs)
+        if phase is Phase.TEAM_SELECTION and self.spec.strategy == "codeact" and self.view.side is Side.JUST:
+            return self._select_team_codeact(obs)
+        if obs.bundle is None:
+            raise ValueError("a model-backed agent needs the observation's prompt bundle")
+        messages = build_strategy_prompt(self.spec.strategy, obs.bundle)
         if phase is Phase.DISCUSSION:
-            trace: dict[str, Any] = {}
-            text = self._call(
-                build_strategy_prompt(self.spec.strategy, self._bundle(obs)), "discussion", trace
+            trace: dict[str, Any] = {"exchanges": []}
+            text = logged_complete(
+                self.client, messages, self.spec.temperature_text, "discussion", trace["exchanges"]
             )
             return AgentReply(Discuss(text.strip()), trace)
+        if phase is Phase.TEAM_SELECTION:
+            n = obs.team_size
+            return self._ask(
+                messages,
+                "team_selection",
+                lambda text: SelectTeam(parse_team_selection(text, self.seat, n)),
+                lambda: SelectTeam(self._random_team(n)),
+                "team selection could not be parsed after a reprompt; using a random legal team",
+                lambda team: {"team": sorted(team.members), "phase": phase.value},
+                {"required_n": n},
+            )
         if phase is Phase.TEAM_VOTE:
-            return self._vote(obs, "team_vote")
+            return self._ask(
+                messages,
+                "team_vote",
+                lambda text: TeamVote(*parse_vote(text)),
+                lambda: TeamVote(reasoning="", approve=True),
+                "ballot could not be parsed after a reprompt; voting approve",
+                lambda _: {"phase": phase.value},
+            )
         if phase is Phase.QUEST_EXECUTION:
-            return self._quest_vote(obs)
+            return self._ask(
+                messages,
+                "quest_vote",
+                lambda text: QuestVote(parse_vote(text)[1]),
+                self._forced_quest_vote,
+                "quest ballot could not be parsed after a reprompt; casting the side-mandated vote",
+                lambda _: {"phase": phase.value},
+            )
         if phase is Phase.ASSASSINATION:
-            return self._assassinate(obs)
+            return self._ask(
+                messages,
+                "assassination",
+                lambda text: Assassinate(*parse_team_selection(text, self.seat, 1)),
+                self._random_assassination,
+                "assassination target could not be parsed after a reprompt; choosing a random just seat",
+                lambda shot: {"target": shot.target},
+            )
         raise ValueError(f"no action for phase {phase}")
 
-    def _select_team(self, obs: Observation) -> AgentReply:
-        if self.spec.strategy == "codeact" and self.view.side is Side.JUST:
-            return self._select_team_codeact(obs)
-        trace: dict[str, Any] = {"required_n": obs.team_size}
-        value, ok = self._ask_and_parse(
-            obs,
-            "team_selection",
-            lambda text: parse_team_selection(text, self.seat, obs.team_size),
-            trace,
-        )
-        if ok:
-            return AgentReply(SelectTeam(value), trace)
-        team = frozenset(self.rng.sample(ALL_SEATS, obs.team_size))
-        self._fallback(
-            "parse_fallback",
-            "team selection could not be parsed after a reprompt; using a random legal team",
-            {"team": sorted(team), "phase": obs.phase.value},
-            trace,
-        )
-        return AgentReply(SelectTeam(team), trace)
+    def _ask(
+        self,
+        messages: list[ChatMessage],
+        tag: str,
+        parse: Callable[[str], Action],
+        fallback: Callable[[], Action],
+        detail: str,
+        payload: Callable[[Action], dict[str, Any]],
+        trace: dict[str, Any] | None = None,
+    ) -> AgentReply:
+        """Ask, and reprompt once on a ParseError. After two failed parses
+        the action is `fallback()`, reported as a parse_fallback with
+        `detail` and `payload(action)`."""
+        trace = {} if trace is None else trace
+        exchanges = trace.setdefault("exchanges", [])
+        attempts = trace.setdefault("raw_attempts", [])
+        for _ in range(2):
+            text = logged_complete(self.client, messages, self.spec.temperature_text, tag, exchanges)
+            try:
+                action = parse(text)
+            except ParseError as exc:
+                error = str(exc)
+                attempts.append(
+                    {"text": text, "error": error, "error_kind": type(exc).__name__, "ids": exc.ids}
+                )
+                messages = messages + [
+                    ChatMessage("assistant", text),
+                    ChatMessage("user", render("reprompt", error=error)),
+                ]
+            else:
+                trace["final_text"] = text
+                return AgentReply(action, trace)
+        action = fallback()
+        trace["fallback"] = True
+        self.on_error(self.seat, "parse_fallback", detail, payload(action))
+        return AgentReply(action, trace)
 
     def _select_team_codeact(self, obs: Observation) -> AgentReply:
         prompt = build_code_prompt(LeaderMemory(self.view.private_facts, obs.public_facts), obs.team_size)
-
-        def deduction_fallback() -> frozenset[int]:
-            return deduction_team(self._constraints(obs), obs.team_size, self.seat, self.rng)[0]
-
         outcome = self_debug_loop(
             self.client,
             prompt,
             self.debug_config,
-            deduction_fallback,
+            lambda: self._deduction_team(obs)[0],
             temperature=self.spec.temperature_code,
         )
         trace = {
@@ -449,61 +435,14 @@ class LLMAgent(Agent):
             },
         }
         if outcome.fell_back:
-            self._fallback(
+            trace["fallback"] = True
+            self.on_error(
+                self.seat,
                 "codeact_fallback",
                 "no generated program produced a usable team; used deduction instead",
                 {"team": sorted(outcome.team), "attempts": outcome.attempts_used},
-                trace,
             )
         return AgentReply(SelectTeam(outcome.team), trace)
-
-    def _vote(self, obs: Observation, tag: str) -> AgentReply:
-        trace: dict[str, Any] = {}
-        value, ok = self._ask_and_parse(obs, tag, parse_vote, trace)
-        if ok:
-            reasoning, approve = value
-            return AgentReply(TeamVote(reasoning=reasoning, approve=approve), trace)
-        self._fallback(
-            "parse_fallback",
-            "ballot could not be parsed after a reprompt; voting approve",
-            {"phase": obs.phase.value},
-            trace,
-        )
-        return AgentReply(TeamVote(reasoning="", approve=True), trace)
-
-    def _quest_vote(self, obs: Observation) -> AgentReply:
-        trace: dict[str, Any] = {}
-        value, ok = self._ask_and_parse(obs, "quest_vote", parse_vote, trace)
-        if ok:
-            _, approve = value
-            return AgentReply(QuestVote(approve=approve), trace)
-        forced = self._forced_quest_vote()
-        self._fallback(
-            "parse_fallback",
-            "quest ballot could not be parsed after a reprompt; casting the side-mandated vote",
-            {"phase": obs.phase.value},
-            trace,
-        )
-        return AgentReply(forced, trace)
-
-    def _assassinate(self, obs: Observation) -> AgentReply:
-        trace: dict[str, Any] = {}
-        value, ok = self._ask_and_parse(
-            obs,
-            "assassination",
-            lambda text: parse_team_selection(text, self.seat, 1),
-            trace,
-        )
-        if ok:
-            return AgentReply(Assassinate(next(iter(value))), trace)
-        target = self.rng.choice(self._known_just_seats())
-        self._fallback(
-            "parse_fallback",
-            "assassination target could not be parsed after a reprompt; choosing a random just seat",
-            {"target": target},
-            trace,
-        )
-        return AgentReply(Assassinate(target), trace)
 
 
 def make_agent(

@@ -232,6 +232,7 @@ def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
                 [sys.executable, "-B", "-c", _BOOTSTRAP],
                 cwd=scratch,
                 env={"PATH": "/usr/bin:/bin", "HOME": scratch, "TMPDIR": scratch},
+                stdin=subprocess.DEVNULL,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 start_new_session=True,

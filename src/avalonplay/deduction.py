@@ -28,14 +28,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .game import ALL_SEATS, ROLE_DECK, SABOTAGE_THRESHOLDS, Side
 from .knowledge import FactKind, KnowledgeView
 from .memory import PublicFact
 
-GOOD_COUNT = 4
 EVIL_COUNT = 3
 ALL_PLAYERS = frozenset(ALL_SEATS)
 
@@ -56,19 +55,11 @@ class ConstraintKind(str, Enum):
     EXACTLY = "exactly"
 
 
-# Where a constraint came from, kept for auditing.
-PROVENANCE_PRIVATE = "private_fact"
-PROVENANCE_HISTORY = "quest_history"
-PROVENANCE_MANUAL = "manual"
-PROVENANCE_GLOBAL = "global"
-
-
 @dataclass(frozen=True)
 class Constraint:
     kind: ConstraintKind
     players: frozenset[int]
     count: int = 0
-    provenance: str = PROVENANCE_MANUAL
 
     def __post_init__(self) -> None:
         if not self.players:
@@ -84,24 +75,24 @@ class Constraint:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def is_good(cls, player: int, provenance: str = PROVENANCE_MANUAL) -> "Constraint":
-        return cls(ConstraintKind.IS_GOOD, frozenset({player}), 0, provenance)
+    def is_good(cls, player: int) -> "Constraint":
+        return cls(ConstraintKind.IS_GOOD, frozenset({player}), 0)
 
     @classmethod
-    def is_evil(cls, player: int, provenance: str = PROVENANCE_MANUAL) -> "Constraint":
-        return cls(ConstraintKind.IS_EVIL, frozenset({player}), 0, provenance)
+    def is_evil(cls, player: int) -> "Constraint":
+        return cls(ConstraintKind.IS_EVIL, frozenset({player}), 0)
 
     @classmethod
-    def at_least(cls, players: Iterable[int], count: int, provenance: str = PROVENANCE_MANUAL) -> "Constraint":
-        return cls(ConstraintKind.AT_LEAST, frozenset(players), count, provenance)
+    def at_least(cls, players: Iterable[int], count: int) -> "Constraint":
+        return cls(ConstraintKind.AT_LEAST, frozenset(players), count)
 
     @classmethod
-    def at_most(cls, players: Iterable[int], count: int, provenance: str = PROVENANCE_MANUAL) -> "Constraint":
-        return cls(ConstraintKind.AT_MOST, frozenset(players), count, provenance)
+    def at_most(cls, players: Iterable[int], count: int) -> "Constraint":
+        return cls(ConstraintKind.AT_MOST, frozenset(players), count)
 
     @classmethod
-    def exactly(cls, players: Iterable[int], count: int, provenance: str = PROVENANCE_MANUAL) -> "Constraint":
-        return cls(ConstraintKind.EXACTLY, frozenset(players), count, provenance)
+    def exactly(cls, players: Iterable[int], count: int) -> "Constraint":
+        return cls(ConstraintKind.EXACTLY, frozenset(players), count)
 
     # -- evaluation --------------------------------------------------------
 
@@ -136,13 +127,13 @@ class Constraint:
     _LINE_COUNT = re.compile(r"^(at least|at most|exactly)\s+(\d+)\s+evil\s+in\s+\{([\d,\s]+)\}$")
 
     @classmethod
-    def from_line(cls, line: str, provenance: str = PROVENANCE_MANUAL) -> "Constraint":
+    def from_line(cls, line: str) -> "Constraint":
         text = line.strip().lower()
         m = cls._LINE_SIDE.match(text)
         if m:
             seat = int(m.group(1))
             maker = cls.is_good if m.group(2) == "good" else cls.is_evil
-            return maker(seat, provenance)
+            return maker(seat)
         m = cls._LINE_COUNT.match(text)
         if m:
             kind = {
@@ -151,7 +142,7 @@ class Constraint:
                 "exactly": ConstraintKind.EXACTLY,
             }[m.group(1)]
             players = frozenset(int(p) for p in m.group(3).replace(" ", "").split(",") if p)
-            return cls(kind, players, int(m.group(2)), provenance)
+            return cls(kind, players, int(m.group(2)))
         raise DeductionError(f"unparseable constraint line: {line!r}")
 
 
@@ -168,7 +159,7 @@ def _count_ok(kind: ConstraintKind, n: int, count: int) -> bool:
     return n == count
 
 
-GLOBAL_CONSTRAINT = Constraint.exactly(ALL_PLAYERS, EVIL_COUNT, PROVENANCE_GLOBAL)
+GLOBAL_CONSTRAINT = Constraint.exactly(ALL_PLAYERS, EVIL_COUNT)
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,7 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         # The global 4-good/3-evil constraint is always present exactly once.
-        cs = [c for c in self.constraints if (c.kind, c.players, c.count) != (
-            GLOBAL_CONSTRAINT.kind, GLOBAL_CONSTRAINT.players, GLOBAL_CONSTRAINT.count)]
+        cs = [c for c in self.constraints if c != GLOBAL_CONSTRAINT]
         object.__setattr__(self, "constraints", (GLOBAL_CONSTRAINT, *cs))
 
     def add(self, *constraints: Constraint) -> "ConstraintSet":
@@ -188,8 +178,8 @@ class ConstraintSet:
         return [c.to_line() for c in self.constraints]
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str], provenance: str = PROVENANCE_MANUAL) -> "ConstraintSet":
-        return cls(tuple(Constraint.from_line(l, provenance) for l in lines if l.strip()))
+    def from_lines(cls, lines: Iterable[str]) -> "ConstraintSet":
+        return cls(tuple(Constraint.from_line(l) for l in lines if l.strip()))
 
 
 @dataclass(frozen=True)
@@ -233,19 +223,14 @@ def live_worlds(cs: ConstraintSet) -> int:
     return live
 
 
-_ROLE_WORLDS: list[frozenset[int]] | None = None
-
-
+@cache
 def _role_worlds() -> list[frozenset[int]]:
     """The evil seats of each of the 2520 distinct orderings of the deck
     (72 orderings per evil set); built on first use, for the oracle only."""
-    global _ROLE_WORLDS
-    if _ROLE_WORLDS is None:
-        _ROLE_WORLDS = [
-            frozenset(seat for seat, role in zip(ALL_SEATS, a) if role.side is Side.EVIL)
-            for a in sorted(set(itertools.permutations(ROLE_DECK)))
-        ]
-    return _ROLE_WORLDS
+    return [
+        frozenset(seat for seat, role in zip(ALL_SEATS, a) if role.side is Side.EVIL)
+        for a in sorted(set(itertools.permutations(ROLE_DECK)))
+    ]
 
 
 def belief(cs: ConstraintSet) -> BeliefState:
@@ -336,25 +321,16 @@ def facts_from_private(view: KnowledgeView) -> list[Constraint]:
     """Constraints a seat can assert from its own knowledge."""
     out: list[Constraint] = []
     if view.side is Side.JUST:
-        out.append(Constraint.is_good(view.player, PROVENANCE_PRIVATE))
+        out.append(Constraint.is_good(view.player))
     else:
-        out.append(Constraint.is_evil(view.player, PROVENANCE_PRIVATE))
+        out.append(Constraint.is_evil(view.player))
     for fact in view.private_facts:
         if fact.kind is FactKind.EVIL_SET or fact.kind is FactKind.EVIL_TEAMMATES:
-            out.extend(
-                Constraint.is_evil(p, PROVENANCE_PRIVATE) for p in sorted(fact.players)
-            )
+            out.extend(Constraint.is_evil(p) for p in sorted(fact.players))
         elif fact.kind is FactKind.MERLIN_MORGANA_PAIR:
-            out.append(Constraint.exactly(fact.players, 1, PROVENANCE_PRIVATE))
+            out.append(Constraint.exactly(fact.players, 1))
     # Deduplicate while preserving order (a seat may be named twice).
-    seen: set[tuple] = set()
-    unique = []
-    for c in out:
-        key = (c.kind, c.players, c.count)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def facts_from_history(
@@ -374,12 +350,12 @@ def facts_from_history(
                 raise DeductionError(
                     f"round {fact.round}: sabotage count required but not recorded"
                 )
-            out.append(Constraint.exactly(fact.team, fact.sabotage_count, PROVENANCE_HISTORY))
+            out.append(Constraint.exactly(fact.team, fact.sabotage_count))
         elif fact.success:
             if t == 1:
-                out.append(Constraint.exactly(fact.team, 0, PROVENANCE_HISTORY))
+                out.append(Constraint.exactly(fact.team, 0))
             else:
-                out.append(Constraint.at_most(fact.team, t - 1, PROVENANCE_HISTORY))
+                out.append(Constraint.at_most(fact.team, t - 1))
         else:
-            out.append(Constraint.at_least(fact.team, t, PROVENANCE_HISTORY))
+            out.append(Constraint.at_least(fact.team, t))
     return out

@@ -151,9 +151,6 @@ class TeamProposal:
     leader: int
     members: frozenset[int]
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
 
 @dataclass(frozen=True)
 class ProposalRecord:

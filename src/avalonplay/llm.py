@@ -58,7 +58,6 @@ def logged_complete(
 ) -> str:
     """`client.complete`, appending the exchange to `exchanges` in the form
     records embed under ``--log-exchanges``."""
-    t0 = time.monotonic()
     response = client.complete(messages, temperature=temperature, tag=tag)
     exchanges.append(
         {
@@ -66,7 +65,6 @@ def logged_complete(
             "response": response,
             "tag": tag,
             "temperature": temperature,
-            "latency": round(time.monotonic() - t0, 6),
         }
     )
     return response

@@ -23,6 +23,7 @@ rules, or do not reproduce the recorded events.
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,13 +88,25 @@ class GameRecord:
 
 
 def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
-    """Write one game as JSON lines: header, events by seq, outcome."""
+    """Write one game as JSON lines: header, events by seq, outcome.
+
+    A path is written through a temporary file in the same directory (not
+    matching ``*.jsonl``) that then replaces it, so a failed write leaves
+    no partial record for `iter_record_paths` to find.
+    """
     lines = [record.header_dict()]
     lines.extend(e.to_dict() | {"type": "event"} for e in record.events)
     lines.append(record.outcome_dict())
     text = "\n".join(json.dumps(obj, ensure_ascii=False) for obj in lines) + "\n"
     if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text, encoding="utf-8")
+        path = Path(destination)
+        partial = path.with_name(path.name + ".partial")
+        try:
+            partial.write_text(text, encoding="utf-8")
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
     else:
         destination.write(text)
 

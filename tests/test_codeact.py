@@ -1,9 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import avalonplay
 from avalonplay.codeact import (
     CodeActError,
     DebugLoopConfig,
@@ -129,6 +135,33 @@ class TestSandbox:
         assert "SPAWNED" not in result.stdout
         assert "DENIED" in result.stdout
 
+    def test_programs_get_an_empty_stdin(self):
+        # Run the sandbox from a child whose own stdin holds data: none of it
+        # may reach the program, and input() must end at once on EOF.
+        harness = (
+            "import json\n"
+            "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
+            "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=5.0, output_cap=4096)\n"
+            "programs = ('input()', 'import sys; print(repr(sys.stdin.read()))')\n"
+            "results = [execute_sandboxed(p, limits) for p in programs]\n"
+            "print(json.dumps([[r.status.value, r.stdout, r.stderr] for r in results]))\n"
+        )
+        src = str(Path(avalonplay.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", harness],
+            input="harness-input\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        (prompt_status, _, prompt_err), (read_status, read_out, _) = json.loads(child.stdout)
+        assert prompt_status == ExecStatus.ERROR.value
+        assert "EOFError" in prompt_err
+        assert read_status == ExecStatus.OK.value
+        assert read_out == "''\n"
+
     def test_scratch_directory_is_cleaned_up(self, tmp_path):
         result = execute_sandboxed("import os; print(os.getcwd())", FAST)
         scratch = result.stdout.strip()
@@ -252,7 +285,7 @@ class TestSelfDebugLoop:
         assert outcome.attempts[0].issue is None
         assert len(outcome.exchanges) == 1
         assert outcome.exchanges[0]["tag"] == "code_generation"
-        assert list(outcome.exchanges[0]) == ["request", "response", "tag", "temperature", "latency"]
+        assert list(outcome.exchanges[0]) == ["request", "response", "tag", "temperature"]
 
     def test_revision_after_bad_output(self):
         llm = MockLLM(

@@ -235,16 +235,13 @@ class TestMockLLM:
 
 
 class TestExchange:
-    def test_to_dict(self, monkeypatch):
-        clock = iter([10.0, 10.1234567])
-        monkeypatch.setattr("avalonplay.llm.time.monotonic", lambda: next(clock))
+    def test_to_dict(self):
         client = MockLLM([MockRule(response="ok", max_uses=None)])
         exchanges = []
         assert logged_complete(client, MESSAGES, 0.7, "discussion", exchanges) == "ok"
         (d,) = exchanges
         # The keys, in this order, are what records embed under --log-exchanges.
-        assert list(d) == ["request", "response", "tag", "temperature", "latency"]
-        assert d["latency"] == 0.123457
+        assert list(d) == ["request", "response", "tag", "temperature"]
         assert d["request"][1] == {"role": "user", "content": "hello"}
         assert d["tag"] == "discussion"
         assert d["temperature"] == 0.7

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,18 @@ class TestRoundTrip:
         assert loaded.outcome == record.outcome
         assert loaded.aborted == record.aborted
         assert loaded.events == record.events
+
+    def test_a_failed_write_leaves_no_file(self, record, tmp_path, monkeypatch):
+        write_text = Path.write_text
+
+        def fail_halfway(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail_halfway)
+        with pytest.raises(OSError):
+            write_record(record, tmp_path / "game.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_is_one_json_object_per_line(self, record, tmp_path):
         path = tmp_path / "game.jsonl"
@@ -317,6 +331,36 @@ class TestCodeactRecords:
             rows.append(json.dumps(data, ensure_ascii=False))
         older = "\n".join(rows) + "\n"
         assert older.count('"wall_time"') == 5
+        record = load_record(io.StringIO(older))
+        replay(record)
+        assert _text(record) == older
+
+
+def _logged_game() -> GameRecord:
+    return run_game(
+        GameConfig(), LLM_COT, LLM_REACT, seed_for_game(37, 0), client=budgeted_mock(), log_exchanges=True
+    )
+
+
+class TestLoggedExchangeRecords:
+    @pytest.fixture(scope="class")
+    def logged_text(self):
+        return _text(_logged_game())
+
+    def test_two_runs_write_identical_bytes(self, logged_text):
+        assert '"exchanges": [' in logged_text
+        assert _text(_logged_game()) == logged_text
+
+    def test_records_with_latencies_still_load_and_replay(self, logged_text):
+        """Older records carry each logged exchange's `latency`."""
+        rows = []
+        for row in logged_text.splitlines():
+            data = json.loads(row)
+            for exchange in data.get("payload", {}).get("exchanges", ()):
+                exchange["latency"] = 0.0123
+            rows.append(json.dumps(data, ensure_ascii=False))
+        older = "\n".join(rows) + "\n"
+        assert '"latency"' in older
         record = load_record(io.StringIO(older))
         replay(record)
         assert _text(record) == older

@@ -113,7 +113,7 @@ class TestRunGame:
         exchanges = [x for e in record.events for x in e.payload.get("exchanges", [])]
         assert exchanges
         for exchange in exchanges:
-            assert list(exchange) == ["request", "response", "tag", "temperature", "latency"]
+            assert list(exchange) == ["request", "response", "tag", "temperature"]
 
     def test_llm_policy_requires_a_client(self):
         with pytest.raises(ValueError, match="client"):
