@@ -34,7 +34,6 @@ class EventKind(str, Enum):
 @dataclass
 class EventLogEntry:
     seq: int
-    game_id: str
     round: int
     attempt: int
     phase: str
@@ -53,7 +52,6 @@ class EventLogEntry:
     def to_dict(self) -> dict[str, Any]:
         return {
             "seq": self.seq,
-            "game_id": self.game_id,
             "round": self.round,
             "attempt": self.attempt,
             "phase": self.phase,
@@ -68,7 +66,6 @@ class EventLogEntry:
     def from_dict(cls, data: dict[str, Any]) -> "EventLogEntry":
         return cls(
             seq=data["seq"],
-            game_id=data["game_id"],
             round=data["round"],
             attempt=data["attempt"],
             phase=data["phase"],

@@ -15,10 +15,8 @@ play and record replay differ only in where each decision comes from.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable
 
@@ -99,16 +97,6 @@ class Phase(str, Enum):
     FINISHED = "finished"
 
 
-# The rule values every record header's config holds, in header order.
-RULES = {
-    "num_players": NUM_PLAYERS,
-    "team_sizes": TEAM_SIZES,
-    "sabotage_thresholds": SABOTAGE_THRESHOLDS,
-    "majority": MAJORITY,
-    "max_proposal_attempts": MAX_PROPOSAL_ATTEMPTS,
-}
-
-
 @dataclass(frozen=True)
 class GameConfig:
     """The game's toggles; the rules themselves are the constants above."""
@@ -122,26 +110,6 @@ class GameConfig:
     def validate(self) -> None:
         if self.memory_window < 1:
             raise ValidationError("memory window must be at least 1")
-
-    def to_dict(self) -> dict[str, Any]:
-        """The five `RULES` values, then the toggles (the record header's config)."""
-        rules = {k: list(v) if isinstance(v, tuple) else v for k, v in RULES.items()}
-        return rules | asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "GameConfig":
-        """Inverse of `to_dict`. Rule values are compared with `RULES` as JSON,
-        so any other value, 7.0 or true included, raises ValidationError."""
-        kwargs = dict(data)
-        for key, rule in RULES.items():
-            value = kwargs.pop(key, rule)
-            if json.dumps(value) != json.dumps(rule):
-                raise ValidationError(f"{key} must be {json.dumps(rule)}, got {json.dumps(value)}")
-        return cls(**kwargs)
-
-    def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -202,14 +170,12 @@ class GameOutcome:
 @dataclass
 class GameState:
     config: GameConfig
-    seed: int
     round: int = 1
     attempt: int = 1
     leader: int | None = None
     phase: Phase = Phase.LEADER_ASSIGNMENT
     quest_history: list[QuestOutcome] = field(default_factory=list)
     proposal_history: list[ProposalRecord] = field(default_factory=list)
-    winner: Side | None = None
 
     @property
     def successes(self) -> int:
@@ -228,10 +194,10 @@ class GameState:
         return SABOTAGE_THRESHOLDS[r - 1]
 
 
-def new_game(config: GameConfig, rng_seed: int) -> GameState:
+def new_game(config: GameConfig) -> GameState:
     """Validated initial state: round 1, attempt 1, no leader drawn yet."""
     config.validate()
-    return GameState(config=config, seed=rng_seed)
+    return GameState(config=config)
 
 
 def rotate_leader(current: int) -> int:
@@ -322,17 +288,10 @@ def sabotage_clause(n: int) -> str:
 class GameEngine:
     """Drives one game: validates actions, mutates state, appends events."""
 
-    def __init__(
-        self,
-        config: GameConfig,
-        roles: dict[int, Role],
-        seed: int,
-        game_id: str | None = None,
-    ) -> None:
+    def __init__(self, config: GameConfig, roles: dict[int, Role], seed: int) -> None:
         validate_roles(roles)
-        self.state = new_game(config, seed)
+        self.state = new_game(config)
         self.roles = dict(roles)
-        self.game_id = game_id if game_id is not None else f"game-{seed & 0xFFFFFFFFFFFFFFFF:016x}"
         self.events: list[EventLogEntry] = []
         self._rng = random.Random(seed)
         self._seq = 0
@@ -353,7 +312,6 @@ class GameEngine:
         self._seq += 1
         entry = EventLogEntry(
             seq=self._seq,
-            game_id=self.game_id,
             round=self.state.round,
             attempt=self.state.attempt,
             phase=self.state.phase.value,
@@ -634,7 +592,6 @@ class GameEngine:
         return outcome
 
     def _finish(self, outcome: GameOutcome) -> None:
-        self.state.winner = outcome.quest_winner
         self.state.phase = Phase.FINISHED
         self._outcome = outcome
 

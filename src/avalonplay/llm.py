@@ -3,8 +3,9 @@
 The HTTP client posts to ``{base_url}/chat/completions`` with the usual
 ``{model, messages, temperature}`` body, reads the API key from the
 ``AVALON_LLM_API_KEY`` environment variable, retries transient transport
-failures with exponential backoff, and bounds in-flight requests with a
-semaphore shared across worker threads.
+failures (HTTP 429 and 5xx, honouring a numeric ``Retry-After``) with
+exponential backoff, and bounds in-flight requests with a semaphore
+shared across worker threads.
 
 ``MockLLM`` serves fixture-scripted responses for tests and offline runs:
 an ordered rule list where each rule may match on the request's phase tag
@@ -108,9 +109,11 @@ class HttpLLMClient(LLMClient):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
+        retry_after: int | None = None
         for attempt in range(self.max_retries):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(self.backoff * (2 ** (attempt - 1)) if retry_after is None else retry_after)
+            retry_after = None
             try:
                 with self._sem:
                     resp = requests.post(
@@ -119,8 +122,11 @@ class HttpLLMClient(LLMClient):
                         headers=headers,
                         timeout=self.timeout,
                     )
-                if resp.status_code >= 500:
-                    last_error = TransportError(f"server error {resp.status_code}")
+                if resp.status_code == 429 or resp.status_code >= 500:
+                    # Rate limits and server errors pass; wait as long as the server asks.
+                    last_error = TransportError(f"HTTP {resp.status_code}")
+                    wait = resp.headers.get("Retry-After", "")
+                    retry_after = int(wait) if wait.isdecimal() else None
                     continue
                 resp.raise_for_status()
                 data = resp.json()

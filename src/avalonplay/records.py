@@ -1,8 +1,11 @@
 """Durable game records: JSONL serialization and replay verification.
 
 A record file holds one game: a header line, one line per event in
-sequence order, and a closing outcome line.  Loading is the exact
-inverse of writing, and `replay` re-drives the rules engine from the
+sequence order, and a closing outcome line. Only the header and outcome
+lines carry a `type`; only the header holds the game id and the config
+(the `GameConfig` toggles, hashed as stored). Files are written as the
+current schema; schema 1 files load through `_upgrade_v1`. Loading is the
+exact inverse of writing, and `replay` re-drives the rules engine from the
 recorded actions and verifies that every public and private event —
 moderator announcements, ballots, quest results — reproduces exactly.
 Audit-channel events (agent diagnostics) are record-only and excluded
@@ -22,19 +25,21 @@ rules, or do not reproduce the recorded events.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from .agents import AgentSpec
 from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
-from .game import TEAM_SIZES, GameConfig, GameEngine, GameOutcome, Phase, RuleError, drive
+from .game import MAJORITY, MAX_PROPOSAL_ATTEMPTS, NUM_PLAYERS, SABOTAGE_THRESHOLDS, TEAM_SIZES
+from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, drive
 from .knowledge import RoleAssignment
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class RecordFormatError(ValueError):
@@ -64,27 +69,6 @@ class GameRecord:
     outcome: GameOutcome | None = None
     aborted: bool = False
     error: str | None = None
-    schema_version: int = SCHEMA_VERSION
-
-    def header_dict(self) -> dict[str, Any]:
-        return {
-            "type": "header",
-            "schema_version": self.schema_version,
-            "game_id": self.game_id,
-            "config": self.config.to_dict(),
-            "config_hash": self.config.config_hash(),
-            "seed": dict(self.seed_info),
-            "roles": self.roles.to_json(),
-            "agents": {str(s): spec.to_dict() for s, spec in sorted(self.agents.items())},
-        }
-
-    def outcome_dict(self) -> dict[str, Any]:
-        return {
-            "type": "outcome",
-            "aborted": self.aborted,
-            "error": self.error,
-            "outcome": self.outcome.to_dict() if self.outcome else None,
-        }
 
 
 def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
@@ -94,9 +78,20 @@ def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
     matching ``*.jsonl``) that then replaces it, so a failed write leaves
     no partial record for `iter_record_paths` to find.
     """
-    lines = [record.header_dict()]
-    lines.extend(e.to_dict() | {"type": "event"} for e in record.events)
-    lines.append(record.outcome_dict())
+    config = asdict(record.config)
+    header = {
+        "type": "header",
+        "schema_version": SCHEMA_VERSION,
+        "game_id": record.game_id,
+        "config": config,
+        "config_hash": _config_hash(config),
+        "seed": record.seed_info,
+        "roles": record.roles.to_json(),
+        "agents": {str(s): spec.to_dict() for s, spec in sorted(record.agents.items())},
+    }
+    outcome = record.outcome.to_dict() if record.outcome else None
+    tail = {"type": "outcome", "aborted": record.aborted, "error": record.error, "outcome": outcome}
+    lines = [header, *(e.to_dict() for e in record.events), tail]
     text = "\n".join(json.dumps(obj, ensure_ascii=False) for obj in lines) + "\n"
     if isinstance(destination, (str, Path)):
         path = Path(destination)
@@ -111,8 +106,13 @@ def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
         destination.write(text)
 
 
-def _parse_lines(raw: str, source: str) -> list[dict[str, Any]]:
-    rows: list[dict[str, Any]] = []
+def _config_hash(config: dict[str, Any]) -> str:
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def _parse_lines(raw: str, source: str) -> list[tuple[int, dict[str, Any]]]:
+    rows: list[tuple[int, dict[str, Any]]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
@@ -120,10 +120,9 @@ def _parse_lines(raw: str, source: str) -> list[dict[str, Any]]:
             obj = json.loads(line)
         except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise RecordFormatError(f"{source}: line {lineno} is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise RecordFormatError(f"{source}: line {lineno} has no record type")
-        obj["_lineno"] = lineno
-        rows.append(obj)
+        if not isinstance(obj, dict):
+            raise RecordFormatError(f"{source}: line {lineno} is not a JSON object")
+        rows.append((lineno, obj))
     return rows
 
 
@@ -131,7 +130,6 @@ def _parse_lines(raw: str, source: str) -> list[dict[str, Any]]:
 # takes its default.
 _EVENT_FIELD_TYPES = {
     "seq": (int,),
-    "game_id": (str,),
     "round": (int,),
     "attempt": (int,),
     "phase": (str,),
@@ -150,6 +148,35 @@ def _checked(value: Any, kinds: tuple[type, ...], what: str) -> Any:
     return value
 
 
+# The rule values a schema 1 header's config held ahead of the toggles.
+_V1_RULES = {"num_players": NUM_PLAYERS, "team_sizes": TEAM_SIZES, "sabotage_thresholds": SABOTAGE_THRESHOLDS,
+             "majority": MAJORITY, "max_proposal_attempts": MAX_PROPOSAL_ATTEMPTS}
+
+
+def _upgrade_v1(rows: list[tuple[int, dict[str, Any]]], name: str) -> None:
+    """Rewrite a schema 1 record's rows as schema 2 rows, in place: the
+    header's config drops the rule values, which must equal the constants as
+    JSON (so 7.0 or true is a bad header), and its hash stays for
+    `load_record` to check over the config as stored; event lines drop their
+    `type` and `game_id`."""
+    lineno, header = rows[0]
+    try:
+        config = dict(_checked(header["config"], (dict,), "config"))
+        for key, rule in _V1_RULES.items():
+            value, rule = json.dumps(config.pop(key, rule)), json.dumps(rule)
+            if value != rule:
+                raise ValueError(f"{key} must be {rule}, got {value}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecordFormatError(f"{name}: line {lineno}: bad header: {exc!r}") from exc
+    header["config"] = config
+    for lineno, row in rows[1:]:
+        if "type" not in row:
+            raise RecordFormatError(f"{name}: line {lineno} has no record type")
+        if row["type"] == "event":
+            del row["type"]
+            row.pop("game_id", None)
+
+
 def load_record(source: str | Path | TextIO) -> GameRecord:
     """Exact inverse of `write_record`, with schema and order validation."""
     if isinstance(source, (str, Path)):
@@ -161,57 +188,55 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     rows = _parse_lines(raw, name)
     if not rows:
         raise RecordFormatError(f"{name}: empty record")
-    header = rows[0]
-    if header["type"] != "header":
-        raise RecordFormatError(f"{name}: line {header['_lineno']} should be the header")
-    version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
+    lineno, header = rows[0]
+    if header.get("type") != "header":
+        raise RecordFormatError(f"{name}: line {lineno} should be the header")
+    version, stored_config = header.get("schema_version"), header.get("config")
+    if version == 1:
+        _upgrade_v1(rows, name)
+    elif version != SCHEMA_VERSION:
         raise RecordSchemaError(f"{name}: schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
-        config = GameConfig.from_dict(header["config"])
+        config = GameConfig(**_checked(header["config"], (dict,), "config"))
         config.validate()
-        config_hash = config.config_hash()
         roles = RoleAssignment.from_json(header["roles"])
         agents = {int(s): AgentSpec.from_dict(spec) for s, spec in header.get("agents", {}).items()}
         game_id = _checked(header["game_id"], (str,), "game_id")
         seed_info = _checked(header.get("seed", {}), (dict,), "seed")
     except (KeyError, TypeError, ValueError, AttributeError, RuleError) as exc:
-        raise RecordFormatError(f"{name}: line {header['_lineno']}: bad header: {exc!r}") from exc
-    if config_hash != header.get("config_hash"):
+        raise RecordFormatError(f"{name}: line {lineno}: bad header: {exc!r}") from exc
+    if _config_hash(stored_config) != header.get("config_hash"):
         raise RecordSchemaError(f"{name}: config hash does not match the stored configuration")
 
     events: list[EventLogEntry] = []
     outcome_row: dict[str, Any] | None = None
-    for row in rows[1:]:
-        if row["type"] == "event":
+    for lineno, row in rows[1:]:
+        if "type" not in row:
             if outcome_row is not None:
-                raise RecordFormatError(f"{name}: line {row['_lineno']}: event after the outcome line")
-            data = {k: v for k, v in row.items() if k not in ("type", "_lineno")}
+                raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
             try:
                 for key, kinds in _EVENT_FIELD_TYPES.items():
-                    if key in data:
-                        _checked(data[key], kinds, key)
-                event = EventLogEntry.from_dict(data)
+                    if key in row:
+                        _checked(row[key], kinds, key)
+                event = EventLogEntry.from_dict(row)
             except (KeyError, TypeError, ValueError) as exc:
-                raise RecordFormatError(f"{name}: line {row['_lineno']}: bad event: {exc!r}") from exc
+                raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc
             if events and event.seq <= events[-1].seq:
-                raise RecordFormatError(
-                    f"{name}: line {row['_lineno']}: event seq {event.seq} out of order"
-                )
+                raise RecordFormatError(f"{name}: line {lineno}: event seq {event.seq} out of order")
             events.append(event)
         elif row["type"] == "outcome":
             if outcome_row is not None:
-                raise RecordFormatError(f"{name}: line {row['_lineno']}: duplicate outcome line")
-            outcome_row = row
+                raise RecordFormatError(f"{name}: line {lineno}: duplicate outcome line")
+            outcome_row, outcome_lineno = row, lineno
         else:
-            raise RecordFormatError(f"{name}: line {row['_lineno']}: unknown type {row['type']!r}")
+            raise RecordFormatError(f"{name}: line {lineno}: unknown type {row['type']!r}")
     if outcome_row is None:
         raise RecordFormatError(f"{name}: missing outcome line")
 
     try:
         outcome = GameOutcome.from_dict(outcome_row["outcome"]) if outcome_row.get("outcome") else None
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise RecordFormatError(f"{name}: line {outcome_row['_lineno']}: bad outcome: {exc!r}") from exc
+        raise RecordFormatError(f"{name}: line {outcome_lineno}: bad outcome: {exc!r}") from exc
     return GameRecord(
         game_id=game_id,
         config=config,
@@ -222,7 +247,6 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
         outcome=outcome,
         aborted=bool(outcome_row.get("aborted", False)),
         error=outcome_row.get("error"),
-        schema_version=version,
     )
 
 
@@ -346,7 +370,7 @@ def replay(record: GameRecord) -> GameEngine:
     seed = record.seed_info.get("engine_seed")
     if type(seed) is not int:
         raise RecordSchemaError(f"{record.game_id}: record carries no engine seed")
-    engine = GameEngine(record.config, record.roles.as_dict(), seed, game_id=record.game_id)
+    engine = GameEngine(record.config, record.roles.as_dict(), seed)
     try:
         drive(engine, _recorded_decisions(record))
     except RuleError as exc:

@@ -78,7 +78,7 @@ def run_game(
     config.validate()
     roles = deal_roles(random.Random(subseed(game_seed, "roles")))
     engine_seed = subseed(game_seed, "leader")
-    engine = GameEngine(config, roles.as_dict(), engine_seed, game_id=game_id)
+    engine = GameEngine(config, roles.as_dict(), engine_seed)
     views = {p: knowledge_for(roles, p) for p in ALL_SEATS}
     specs = {
         p: just_spec if roles.side(p) is Side.JUST else evil_spec for p in ALL_SEATS
@@ -174,7 +174,7 @@ def run_game(
     if seed_info:
         info.update(seed_info)
     return GameRecord(
-        game_id=engine.game_id,
+        game_id=game_id if game_id is not None else f"game-{engine_seed:016x}",
         config=config,
         roles=roles,
         agents=specs,
@@ -372,22 +372,29 @@ class TournamentResult:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+class GameFailed(RuntimeError):
+    """An exception escaped one tournament game; the message names the game."""
+
+
 def _run_one(
     tc: TournamentConfig,
     index: int,
     client: LLMClient | None,
 ) -> tuple[GameSummary, MetricsCounts]:
     game_seed = seed_for_game(tc.base_seed, index)
-    record = run_game(
-        tc.game,
-        tc.just_spec,
-        tc.evil_spec,
-        game_seed,
-        client=client,
-        game_id=f"g{tc.base_seed}-{index:05d}",
-        seed_info={"base_seed": tc.base_seed, "game_index": index},
-        log_exchanges=tc.log_exchanges,
-    )
+    try:
+        record = run_game(
+            tc.game,
+            tc.just_spec,
+            tc.evil_spec,
+            game_seed,
+            client=client,
+            game_id=f"g{tc.base_seed}-{index:05d}",
+            seed_info={"base_seed": tc.base_seed, "game_index": index},
+            log_exchanges=tc.log_exchanges,
+        )
+    except Exception as exc:
+        raise GameFailed(f"game index {index} (game seed {game_seed}): {type(exc).__name__}: {exc}") from exc
     path = None
     if tc.record_dir:
         path = Path(tc.record_dir) / f"{record.game_id}.jsonl"

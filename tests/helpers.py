@@ -93,6 +93,9 @@ def random_constraint_set(rng) -> "ConstraintSet":
 # --- scripted fixture games -------------------------------------------------
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# Schema 1 record files, and the rule keys their header configs held.
+V1_RECORDS_DIR = FIXTURE_DIR / "records_v1"
+V1_RULE_KEYS = ("num_players", "team_sizes", "sabotage_thresholds", "majority", "max_proposal_attempts")
 
 CODEACT_E2E_FIXTURE = FIXTURE_DIR / "codeact_e2e.json"
 CODEACT_E2E_SEED = 164

@@ -31,7 +31,6 @@ def make_record(events):
 def event(seq, kind, text="", actor=None, payload=None, visibility="public", phase="discussion", rnd=1):
     return EventLogEntry(
         seq=seq,
-        game_id="t1",
         round=rnd,
         attempt=1,
         phase=phase,

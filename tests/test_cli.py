@@ -208,7 +208,7 @@ class TestBadRecords:
         assert out == ""
         assert err.count("\n") == 1
         assert f"seq {data['seq']}: quest round 9 is not 1..5" in err
-        assert data["game_id"] in err
+        assert record_path.stem in err
 
     @pytest.mark.parametrize("command", ["metrics", "analyze"])
     @pytest.mark.parametrize(
@@ -236,4 +236,4 @@ class TestBadRecords:
         assert code == 1
         assert out == ""
         assert err.startswith("bad record: ") and err.count("\n") == 1
-        assert f"{data['game_id']}: seq {data['seq']}: {message}" in err
+        assert f"{record_path.stem}: seq {data['seq']}: {message}" in err

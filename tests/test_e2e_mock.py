@@ -307,10 +307,10 @@ class TestPersistence:
         path = tmp_path / "e2e.jsonl"
         write_record(record, path)
         lines = path.read_text().splitlines()
-        kinds = [json.loads(line)["type"] for line in lines]
+        kinds = [json.loads(line).get("type") for line in lines]
         assert kinds[0] == "header"
         assert kinds[-1] == "outcome"
-        assert set(kinds[1:-1]) == {"event"}
+        assert set(kinds[1:-1]) == {None}
 
 
 class TestStrategySmoke:

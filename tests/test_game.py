@@ -15,7 +15,6 @@ from avalonplay.game import (
     MAJORITY,
     MAX_PROPOSAL_ATTEMPTS,
     NUM_PLAYERS,
-    RULES,
     SABOTAGE_THRESHOLDS,
     TEAM_SIZES,
     GameConfig,
@@ -37,6 +36,8 @@ from avalonplay.game import (
 from avalonplay.knowledge import RoleAssignment
 from avalonplay.records import GameRecord, RecordFormatError, load_record, write_record
 from helpers import (
+    V1_RECORDS_DIR,
+    V1_RULE_KEYS,
     all_evil_sets,
     approve_all,
     canonical_roles,
@@ -45,6 +46,22 @@ from helpers import (
     run_round,
     speak_all,
 )
+
+
+V1_RECORD = V1_RECORDS_DIR / "deduction.jsonl"
+
+
+def _header_record(config: GameConfig) -> list[str]:
+    record = GameRecord("g", config, RoleAssignment(canonical_roles({5, 6, 7})), {}, {})
+    out = io.StringIO()
+    write_record(record, out)
+    return out.getvalue().splitlines()
+
+
+def _load_with_header_config(rows: list[str], field: str, value) -> None:
+    header = json.loads(rows[0])
+    header["config"][field] = value
+    load_record(io.StringIO("\n".join([json.dumps(header), *rows[1:]]) + "\n"))
 
 
 class TestConfig:
@@ -59,14 +76,14 @@ class TestConfig:
             "memory_window",
         ]
         assert cfg.memory_window == 15
-        # A header's config holds the five rule values first, then the toggles.
-        assert list(cfg.to_dict().items())[:5] == [
-            ("num_players", 7),
-            ("team_sizes", [2, 3, 3, 4, 4]),
-            ("sabotage_thresholds", [1, 1, 1, 2, 2]),
-            ("majority", 4),
-            ("max_proposal_attempts", 5),
-        ]
+        # A header's config holds the toggles only: the rules are constants.
+        assert json.loads(_header_record(cfg)[0])["config"] == {
+            "communication_enabled": True,
+            "reveal_sabotage_count": False,
+            "assassination_enabled": True,
+            "play_all_rounds": False,
+            "memory_window": 15,
+        }
 
     def test_memory_window_validated(self):
         with pytest.raises(ValidationError):
@@ -85,29 +102,33 @@ class TestConfig:
             ("sabotage_thresholds", (True, True, True, 2, 2)),
             ("majority", 4.0),
         ]
-        + [(key, 7.0) for key in RULES]
-        + [(key, True) for key in RULES],
+        + [(key, 7.0) for key in V1_RULE_KEYS]
+        + [(key, True) for key in V1_RULE_KEYS],
     )
     def test_noncanonical_values_rejected(self, field, value):
-        # The rules are constants, so a header naming other rule values (or
-        # the right ones as floats or bools) is not a record of this game.
-        record = GameRecord("g", GameConfig(), RoleAssignment(canonical_roles({5, 6, 7})), {}, {})
-        out = io.StringIO()
-        write_record(record, out)
-        rows = out.getvalue().splitlines()
-        header = json.loads(rows[0])
-        header["config"][field] = value
-        rows[0] = json.dumps(header)
+        # The rules are constants, so a schema 1 header naming other rule
+        # values (or the right ones as floats or bools) is not a record of
+        # this game.
+        rows = V1_RECORD.read_text().splitlines()
+        assert json.loads(rows[0])["schema_version"] == 1
         with pytest.raises(RecordFormatError, match="bad header"):
-            load_record(io.StringIO("\n".join(rows) + "\n"))
+            _load_with_header_config(rows, field, value)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        zip(V1_RULE_KEYS, (NUM_PLAYERS, TEAM_SIZES, SABOTAGE_THRESHOLDS, MAJORITY, MAX_PROPOSAL_ATTEMPTS)),
+    )
+    def test_current_headers_name_no_rules(self, field, value):
+        with pytest.raises(RecordFormatError, match="bad header"):
+            _load_with_header_config(_header_record(GameConfig()), field, value)
 
     def test_round_trip_and_hash(self):
         cfg = GameConfig(reveal_sabotage_count=True, play_all_rounds=True)
-        again = GameConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-        assert again.config_hash() == cfg.config_hash()
-        assert cfg.config_hash() != GameConfig().config_hash()
-        assert len(cfg.config_hash()) == 16
+        rows = _header_record(cfg)
+        assert load_record(io.StringIO("\n".join(rows) + "\n")).config == cfg
+        config_hash = json.loads(rows[0])["config_hash"]
+        assert config_hash != json.loads(_header_record(GameConfig())[0])["config_hash"]
+        assert len(config_hash) == 16
 
 
 class TestPureRules:
@@ -143,7 +164,7 @@ class TestPureRules:
                     assert outcome.round == rnd
 
     def test_check_game_end(self):
-        state = new_game(GameConfig(), 0)
+        state = new_game(GameConfig())
         assert check_game_end(state) is None
         for success in (True, True, True):
             state.quest_history.append(
@@ -153,7 +174,7 @@ class TestPureRules:
         assert decided is not None and decided.quest_winner is Side.JUST
 
     def test_check_game_end_play_all_rounds(self):
-        state = new_game(GameConfig(play_all_rounds=True), 0)
+        state = new_game(GameConfig(play_all_rounds=True))
         roles = canonical_roles({5, 6, 7})
         for _ in range(3):
             state.quest_history.append(resolve_quest(1, frozenset({2, 3}), roles))
@@ -374,12 +395,11 @@ class TestEndings:
 
 
 class TestEventHygiene:
-    def test_seq_monotonic_and_game_id_stamped(self):
+    def test_seq_monotonic(self):
         eng = make_engine()
         run_round(eng, {1, 2})
         seqs = [e.seq for e in eng.events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        assert all(e.game_id == eng.game_id for e in eng.events)
 
     def test_ballot_secrecy(self):
         eng = make_engine()

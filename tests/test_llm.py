@@ -26,11 +26,11 @@ def ok_response(content="fine"):
     )
 
 
-def server_error(code=503):
+def server_error(code=503, headers=None):
     def raise_for_status():
         raise requests.HTTPError(f"{code}")
 
-    return SimpleNamespace(status_code=code, raise_for_status=raise_for_status, json=lambda: {})
+    return SimpleNamespace(status_code=code, headers=headers or {}, raise_for_status=raise_for_status, json=lambda: {})
 
 
 def client_error(code=401):
@@ -99,6 +99,27 @@ class TestHttpClient:
         client = HttpLLMClient("http://x", model="m", backoff=0.5)
         assert client.complete(MESSAGES, 0.0, "t") == "third time"
         assert no_sleep == [0.5, 1.0]
+
+    def test_rate_limit_is_retried(self, monkeypatch, no_sleep):
+        responses = iter([server_error(429), ok_response("after the limit")])
+        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: next(responses))
+        client = HttpLLMClient("http://x", model="m", backoff=0.5)
+        assert client.complete(MESSAGES, 0.0, "t") == "after the limit"
+        assert no_sleep == [0.5]
+
+    def test_rate_limits_exhaust_the_retries(self, monkeypatch, no_sleep):
+        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: server_error(429))
+        with pytest.raises(TransportError, match="after 3 attempts: HTTP 429"):
+            HttpLLMClient("http://x", model="m", max_retries=3).complete(MESSAGES, 0.0, "t")
+        assert no_sleep == [1.0, 2.0]
+
+    @pytest.mark.parametrize("code", [429, 503])
+    def test_retry_after_replaces_the_backoff_step(self, monkeypatch, no_sleep, code):
+        responses = iter([server_error(code, {"Retry-After": "2"}), server_error(code, {"Retry-After": "soon"}), ok_response()])
+        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: next(responses))
+        assert HttpLLMClient("http://x", model="m", backoff=0.5).complete(MESSAGES, 0.0, "t") == "fine"
+        # A value that is not a number of seconds falls back to the backoff.
+        assert no_sleep == [2, 1.0]
 
     def test_connection_errors_retried_then_raised(self, monkeypatch, no_sleep):
         def fake_post(*a, **k):

@@ -17,7 +17,6 @@ from helpers import approve_all, canonical_roles, run_round, speak_all
 def make_event(seq, kind, text, actor=None, visibility="public", payload=None):
     return EventLogEntry(
         seq=seq,
-        game_id="g",
         round=1,
         attempt=1,
         phase="discussion",

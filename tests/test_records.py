@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avalonplay.agents import AgentSpec
+from avalonplay.cli import main
 from avalonplay.events import AUDIT
 from avalonplay.game import GameConfig, Phase
 from avalonplay.records import (
@@ -22,7 +23,7 @@ from avalonplay.records import (
     write_record,
 )
 from avalonplay.runner import run_game, seed_for_game
-from helpers import budgeted_mock, run_codeact_e2e
+from helpers import V1_RECORDS_DIR, V1_RULE_KEYS, budgeted_mock, run_codeact_e2e
 
 
 @pytest.fixture(scope="module")
@@ -66,19 +67,16 @@ class TestRoundTrip:
         write_record(record, path)
         lines = path.read_text().splitlines()
         parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["type"] == "header"
+        assert parsed[0]["type"] == "header" and parsed[0]["schema_version"] == 2
         assert parsed[-1]["type"] == "outcome"
-        assert all(p["type"] == "event" for p in parsed[1:-1])
+        # Event lines carry neither a type nor the header's game id.
+        assert all("type" not in p and "game_id" not in p for p in parsed[1:-1])
         assert len(parsed) == len(record.events) + 2
 
     def test_events_stored_in_sequence_order(self, record, tmp_path):
         path = tmp_path / "game.jsonl"
         write_record(record, path)
-        seqs = [
-            json.loads(line)["seq"]
-            for line in path.read_text().splitlines()
-            if json.loads(line)["type"] == "event"
-        ]
+        seqs = [json.loads(line)["seq"] for line in path.read_text().splitlines()[1:-1]]
         assert seqs == sorted(seqs)
 
     def test_agent_specs_survive(self, record, tmp_path):
@@ -107,6 +105,7 @@ class TestFormatErrors:
             load_record(self.write_lines(tmp_path, rows))
 
     def test_missing_type(self, record, tmp_path):
+        # A line with no type between the header and the outcome is an event.
         rows = self.rows(record, tmp_path)
         rows.insert(1, '{"seq": 0}')
         with pytest.raises(RecordFormatError, match="line 2"):
@@ -291,25 +290,52 @@ def _pin_records():
             yield run_game(config, LLM_COT, LLM_REACT, seed_for_game(31, i), client=budgeted_mock(budgets))
 
 
+def _events_digest(records) -> str:
+    """One sha256 over each record's replayed events, written and loaded first."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(json.dumps([e.to_dict() for e in _replay_text(_text(record)).events]).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _bytes_digest(records) -> str:
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(_text(record).encode("utf-8"))
+    return digest.hexdigest()
+
+
 class TestRecordAndReplayPin:
-    def test_record_bytes_and_replayed_events_are_pinned(self):
-        """Written records and replayed event logs of deduction/scripted_evil,
-        random/random and cot/react mock games (aborted ones included) under
-        each rule toggle hash to the value the previous replay loop gave."""
-        digest = hashlib.sha256()
-        n_aborted = 0
-        for record in _pin_records():
-            text = _text(record)
-            replayed = _replay_text(text)
-            digest.update(text.encode("utf-8"))
-            digest.update(json.dumps([e.to_dict() for e in replayed.events]).encode("utf-8"))
-            n_aborted += record.aborted
-        assert n_aborted >= 12
-        assert digest.hexdigest() == PINNED_RECORDS_DIGEST
+    """Written records and replayed event logs of deduction/scripted_evil,
+    random/random and cot/react mock games (aborted ones included) under each
+    rule toggle, and of the codeact end-to-end game."""
+
+    @pytest.fixture(scope="class")
+    def pin_records(self):
+        records = list(_pin_records())
+        assert sum(r.aborted for r in records) >= 12
+        return records
+
+    @pytest.fixture(scope="class")
+    def codeact_record(self):
+        return run_codeact_e2e()[0]
+
+    def test_replayed_events_are_pinned(self, pin_records, codeact_record):
+        assert _events_digest(pin_records) == PINNED_EVENTS_DIGEST
+        assert _events_digest([codeact_record]) == PINNED_CODEACT_EVENTS_DIGEST
+
+    def test_record_bytes_are_pinned(self, pin_records, codeact_record):
+        assert _bytes_digest(pin_records) == PINNED_BYTES_DIGEST
+        assert _bytes_digest([codeact_record]) == PINNED_CODEACT_BYTES_DIGEST
 
 
-# Computed with the replay loop that preceded `game.drive`.
-PINNED_RECORDS_DIGEST = "5fec6bd0cfa3442444a6af20a04e3a67d9e7821c4af71b2e4373553c154285e0"
+# The replayed events are those of schema 1, less the per-event game id.
+PINNED_EVENTS_DIGEST = "a7655d08e2124ec1b820893dfe9d170029c5162cf7d36d8fcd5de6ad0108ebb8"
+PINNED_CODEACT_EVENTS_DIGEST = "8d21ce48b971ece1ef82b079671974e09de8d1f098bccd9a4983e007e70bd3a5"
+# Schema 2 record files: the schema 1 files of the same games with the
+# rule keys, the event `type` and `game_id` dropped and the config re-hashed.
+PINNED_BYTES_DIGEST = "559639d5a3a471cafb0c576b8a513188c3eb489938ebafd7dc41319b9f9dbae9"
+PINNED_CODEACT_BYTES_DIGEST = "6b1683413d8124731714571c7b841b03aab7c3515db5152cba43b1b16ba57887"
 
 
 class TestCodeactRecords:
@@ -334,6 +360,64 @@ class TestCodeactRecords:
         record = load_record(io.StringIO(older))
         replay(record)
         assert _text(record) == older
+
+
+V1_PATHS = sorted(V1_RECORDS_DIR.glob("*.jsonl"))
+
+
+def _rows(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines()]
+
+
+class TestSchemaV1Records:
+    """Schema 1 files: a deduction/scripted_evil game, a mock game aborted
+    mid-game and the codeact end-to-end game."""
+
+    @pytest.mark.parametrize("path", V1_PATHS, ids=lambda p: p.stem)
+    def test_loads_replays_and_rewrites_as_v2(self, path):
+        v1 = _rows(path.read_text())
+        assert v1[0]["schema_version"] == 1
+        assert all(row["type"] == "event" and "game_id" in row for row in v1[1:-1])
+        record = load_record(path)
+        replay(record)
+        text = _text(record)
+        v2 = _rows(text)
+        assert v2[0]["schema_version"] == 2
+        assert v2[0]["config"] == {k: v for k, v in v1[0]["config"].items() if k not in V1_RULE_KEYS}
+        assert [(k, v) for k, v in v2[0].items() if k not in ("schema_version", "config", "config_hash")] == [
+            (k, v) for k, v in v1[0].items() if k not in ("schema_version", "config", "config_hash")
+        ]
+        assert v2[1:-1] == [{k: v for k, v in row.items() if k not in ("type", "game_id")} for row in v1[1:-1]]
+        assert v2[-1] == v1[-1]
+        assert load_record(io.StringIO(text)) == record
+
+    def test_fixtures_cover_an_aborted_game_and_the_codeact_game(self):
+        loaded = {path.stem: load_record(path) for path in V1_PATHS}
+        assert sorted(loaded) == ["codeact-e2e", "deduction", "mock-aborted"]
+        assert loaded["mock-aborted"].aborted and not loaded["deduction"].aborted
+        assert _events_digest([loaded["codeact-e2e"]]) == PINNED_CODEACT_EVENTS_DIGEST
+
+    @pytest.mark.parametrize("command", ["metrics", "analyze"])
+    def test_metrics_and_analyze_match_the_v2_rewrite(self, command, tmp_path, capsys):
+        for path in V1_PATHS:
+            write_record(load_record(path), tmp_path / path.name)
+        assert main([command, str(V1_RECORDS_DIR)]) == 0
+        v1_out = capsys.readouterr().out
+        assert main([command, str(tmp_path)]) == 0
+        assert capsys.readouterr().out == v1_out
+
+    def _load_tampered(self, edit) -> None:
+        rows = _rows((V1_RECORDS_DIR / "deduction.jsonl").read_text())
+        edit(rows)
+        load_record(io.StringIO("\n".join(json.dumps(row) for row in rows) + "\n"))
+
+    def test_config_hash_is_checked(self):
+        with pytest.raises(RecordSchemaError, match="hash"):
+            self._load_tampered(lambda rows: rows[0]["config"].update(play_all_rounds=True))
+
+    def test_event_lines_need_their_type(self):
+        with pytest.raises(RecordFormatError, match="line 3 has no record type"):
+            self._load_tampered(lambda rows: rows[2].pop("type"))
 
 
 def _logged_game() -> GameRecord:
@@ -401,7 +485,8 @@ RETYPED = st.sampled_from([None, True, False, 0, -1, 8, 2.5, "", "x", [], [1, 2]
 def fuzz_sources(record):
     aborted = run_game(GameConfig(), LLM_COT, LLM_REACT, seed_for_game(37, 1), client=budgeted_mock({"team_vote": 17}))
     assert aborted.aborted
-    return [_text(record).splitlines(), _text(aborted).splitlines()]
+    v1 = (V1_RECORDS_DIR / "mock-aborted.jsonl").read_text().splitlines()
+    return [_text(record).splitlines(), _text(aborted).splitlines(), v1]
 
 
 def _dicts(obj):

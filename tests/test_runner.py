@@ -1,17 +1,19 @@
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from avalonplay import runner
-from avalonplay.agents import POLICIES, AgentSpec
+from avalonplay.agents import POLICIES, AgentSpec, DeductionAgent
 from avalonplay.events import AUDIT, EventKind
 from avalonplay.game import GameConfig, Side
 from avalonplay.llm import MockLLM, MockRule
 from avalonplay.records import load_record, replay
 from avalonplay.runner import (
     SEED_STREAM,
+    GameFailed,
     MetricsCounts,
     TournamentConfig,
     compute_metrics,
@@ -316,6 +318,22 @@ class TestTournament:
         result = run_tournament(config, client=MockLLM(rules))
         assert result.report.n_games == 2
         assert result.report.n_aborted == 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_failing_game_is_named(self, monkeypatch, parallelism):
+        def broken_act(self, obs):
+            raise RuntimeError("agent bug")
+
+        monkeypatch.setattr(DeductionAgent, "act", broken_act)
+        # A shared client puts parallel games on the thread pool.
+        client = MockLLM([]) if parallelism > 1 else None
+        config = TournamentConfig(n_games=2, base_seed=3, parallelism=parallelism)
+        with pytest.raises(GameFailed) as info:
+            run_tournament(config, client=client)
+        assert str(info.value) == f"game index 0 (game seed {seed_for_game(3, 0)}): RuntimeError: agent bug"
+        assert isinstance(info.value.__cause__, RuntimeError)
+        # Process-pool workers send the exception back pickled.
+        assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
     def test_deduction_beats_random_on_team_accuracy(self):
         deduction = run_tournament(TournamentConfig(n_games=60, base_seed=33)).report
