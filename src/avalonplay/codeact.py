@@ -7,28 +7,42 @@ a team. Failures (crash, timeout, unusable output) are fed back to the
 model verbatim for revision, up to a bounded number of attempts; after
 that the caller's fallback supplies the team.
 
-Sandboxing is process-level: the child runs in its own process group in a
-scratch directory with no inherited file descriptors beyond the standard
-three. When the kernel allows unprivileged user namespaces (probed once),
-the child is also detached into an empty network namespace. The child
-starts from a small bootstrap (``python -B -c``) that installs a Python
-audit hook blocking socket use, process creation, and filesystem writes
-outside the scratch directory, then compiles and runs ``program.py``
-under that relative name, so tracebacks read ``File "program.py"`` with
-no scratch path and no bootstrap frame. The caller reads both output
-pipes in its own thread until they close or the wall-clock timeout
-passes; a timeout kills the whole process group, and output past a byte
-cap is read and dropped.
+Sandboxing is process-level, and each program gets a fresh process. Each
+harness process starts one fork server on its first run, as
+``python -I -S -B -c``, so programs get the standard library only and no
+``exit()``/``quit()``. A forked harness process starts a server of its own.
+A run is one message on a ``SOCK_SEQPACKET`` socket, passing the program's
+stdin (``/dev/null``), stdout, stderr and a status pipe. The server forks a
+waiter, and the waiter forks the program process, which starts a session,
+sets the CPU, core and file-size rlimits and, when the kernel allows
+unprivileged user namespaces (probed once, by the server), detaches into
+empty user and network namespaces. It then moves to the scratch directory,
+takes ``PATH``, ``HOME`` and ``TMPDIR`` as its whole environment, and runs
+a small bootstrap that installs a Python audit hook blocking socket use,
+process creation, and filesystem writes outside the scratch directory,
+then compiles and runs ``program.py`` under that relative name, so
+tracebacks read ``File "program.py"`` with no scratch path and no bootstrap
+frame. The program ends as an interpreter does, output flushed. The waiter
+reports the program's pid and then its wait status on the status pipe. The
+caller reads the three pipes in its own thread until they close or the
+wall-clock timeout passes; a timeout kills the program's process group,
+and output past a byte cap is read and dropped.
+
+Nothing outlives the harness: the server exits at the end of file on its
+socket (an ``atexit`` hook closes it and waits), and the waiter and the
+program die with their parents (``PR_SET_PDEATHSIG``), as does a server
+started from the main thread.
 """
 
 from __future__ import annotations
 
-import ctypes
+import atexit
 import os
 import re
 import selectors
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -36,15 +50,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .llm import ChatMessage, LLMClient, logged_complete
 from .memory import LeaderMemory
 from .parsing import ParseError, extract_program, parse_team_selection
 from .templates import render
-
-_CLONE_NEWUSER = 0x10000000
-_CLONE_NEWNET = 0x40000000
 
 # Bound on simultaneously running sandboxed children, shared process-wide.
 _EXECUTION_SLOTS = threading.BoundedSemaphore(8)
@@ -121,10 +132,11 @@ def build_code_prompt(leader_memory: LeaderMemory, team_n: int) -> CodePrompt:
     return CodePrompt(team_n=team_n, text=text)
 
 
-# The child's whole entry point, run as `python -B -c` in the scratch
-# directory: install the guard (the second containment layer behind the
-# network namespace), then run program.py as __main__. The excepthook drops
-# the bootstrap's own frame, so a traceback starts at program.py.
+# The program process's entry point, run at the top level of the server's
+# `-c` text in the scratch directory: install the guard (the second
+# containment layer behind the network namespace), then run program.py as
+# __main__. The excepthook drops the top-level frame, so a traceback starts
+# at program.py.
 _BOOTSTRAP = r'''
 import os
 import sys
@@ -180,7 +192,224 @@ with open("program.py", encoding="utf-8") as _source:
 exec(_code, {"__name__": "__main__", "__file__": "program.py"})
 '''.lstrip()
 
+# The fork server's own code, run as `python -I -S -B -c _SERVER <socket fd>
+# <harness pid or 0>` with _BOOTSTRAP appended. Each request is one message:
+# b"<cpu seconds>\0<1 to unshare namespaces, else 0>\0<scratch path>", with
+# four descriptors: stdin, stdout, stderr and the status pipe. For each the
+# server forks a waiter, which forks the program process, writes its pid and
+# then its wait status to the status pipe, and exits. Only a program process
+# returns from _serve(), and so goes on into _BOOTSTRAP; an empty scratch
+# path asks only whether the namespaces can be made.
+_SERVE = r"""
+import ctypes
+import gc
+import os
+import resource
+import signal
+import socket
+import sys
+
 _libc = ctypes.CDLL(None, use_errno=True)
+
+
+def _die_with(parent):
+    _libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _enter_program(request, fds):
+    cpu, unshare, scratch = request.split(b"\0", 2)
+    os.setsid()
+    resource.setrlimit(resource.RLIMIT_CPU, (int(cpu), int(cpu)))
+    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024 * 1024, 64 * 1024 * 1024))
+    for target, fd in enumerate(fds[:3]):
+        os.dup2(fd, target)
+    for fd in fds:
+        os.close(fd)
+    if unshare == b"1" and _libc.unshare(0x10000000 | 0x40000000) != 0:
+        raise OSError(ctypes.get_errno(), "unshare(CLONE_NEWUSER|CLONE_NEWNET) failed")
+    if not scratch:
+        os._exit(0)
+    scratch = os.fsdecode(scratch)
+    os.chdir(scratch)
+    os.environ["HOME"] = os.environ["TMPDIR"] = scratch
+    sys.argv[:] = ["program.py"]
+    for name, fd, mode in (("stdin", 0, "r"), ("stdout", 1, "w"), ("stderr", 2, "w")):
+        old = getattr(sys, name)
+        new = open(fd, mode, 1 if old.line_buffering else -1, old.encoding, old.errors, "\n", closefd=False)
+        setattr(sys, name, new)
+        setattr(sys, f"__{name}__", new)
+
+
+def _report(program, status_fd):
+    try:
+        os.write(status_fd, b"%d\n" % program)
+        os.write(status_fd, b"%d\n" % os.waitpid(program, 0)[1])
+    finally:
+        os._exit(0)
+
+
+def _serve(sock_fd, harness):
+    if harness:
+        _die_with(harness)
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps the waiters
+    server = os.getpid()
+    sock = socket.socket(fileno=sock_fd)
+    # Out of the collector's reach, the server's objects stay shared with
+    # each program process instead of being copied page by page as the
+    # program's collections and its exit walk them.
+    gc.freeze()
+    while True:
+        request, fds, _, _ = socket.recv_fds(sock, 4096, 4)
+        if not request:
+            sys.exit(0)
+        try:
+            waiter = os.fork()
+        except OSError:
+            waiter = -1  # the harness reads an empty status
+        if waiter == 0:
+            sock.close()
+            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+            _die_with(server)
+            waiter = os.getpid()
+            program = os.fork()
+            if program == 0:
+                _die_with(waiter)
+                _enter_program(request, fds)
+                return
+            for fd in fds[:3]:
+                os.close(fd)
+            _report(program, fds[3])
+        for fd in fds:
+            os.close(fd)
+
+
+_serve(int(sys.argv[1]), int(sys.argv[2]))
+"""
+_SERVER = _SERVE + _BOOTSTRAP
+
+
+class _Server:
+    def __init__(self) -> None:
+        self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        # PR_SET_PDEATHSIG fires when the thread that started the server
+        # ends, so a server started from any other thread relies on the end
+        # of file on its socket alone.
+        harness = os.getpid() if threading.current_thread() is threading.main_thread() else 0
+        with theirs:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", "-B", "-c", _SERVER, str(theirs.fileno()), str(harness)],
+                cwd="/",
+                env={"PATH": "/usr/bin:/bin"},
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                pass_fds=(theirs.fileno(),),
+            )
+
+
+_server: _Server | None = None
+_server_lock = threading.Lock()
+
+
+def _server_socket() -> socket.socket:
+    """This process's server socket, starting the server if it is not running."""
+    global _server
+    with _server_lock:
+        if _server is None or _server.proc.poll() is not None:
+            if _server is not None:
+                _server.sock.close()
+            _server = _Server()
+        return _server.sock
+
+
+def _forget_server() -> None:
+    """In a forked child: drop the parent's server, so the child starts its own."""
+    global _server, _server_lock
+    if _server is not None:
+        _server.sock.close()
+    _server, _server_lock = None, threading.Lock()
+
+
+@atexit.register
+def _stop_server() -> None:
+    """The server exits at the end of file on its socket; wait for it."""
+    if _server is not None:
+        _server.sock.close()
+        _server.proc.wait()
+
+
+os.register_at_fork(after_in_child=_forget_server)
+
+
+def _run(request: bytes, timeout: float, output_cap: int) -> tuple[int, bool, list[bytearray], list[bool]]:
+    """Have the server run one request; return the program's exit code,
+    whether it timed out, and its stdout and stderr, each with whether it
+    passed the cap."""
+    pipes = [os.pipe() for _ in range(3)]
+    devnull = os.open(os.devnull, os.O_RDONLY)
+    try:
+        socket.send_fds(_server_socket(), [request], [devnull] + [w for _, w in pipes])
+    except BaseException:
+        for r, _ in pipes:
+            os.close(r)
+        raise
+    finally:
+        os.close(devnull)
+        for _, w in pipes:
+            os.close(w)
+    out, err, status_fd = (r for r, _ in pipes)
+    deadline = time.monotonic() + timeout
+    # Keep up to the cap from each pipe, and keep reading past it so the
+    # program never blocks on a full pipe.
+    kept = {out: bytearray(), err: bytearray()}
+    truncated = {out: False, err: False}
+    status = bytearray()  # b"<pid>\n<wait status>\n", once the waiter has both
+    try:
+        with selectors.DefaultSelector() as selector:
+            for fd in (out, err, status_fd):
+                selector.register(fd, selectors.EVENT_READ)
+            while selector.get_map() and (left := deadline - time.monotonic()) > 0:
+                for key, _ in selector.select(left):
+                    chunk = os.read(key.fd, 65536)
+                    if not chunk:
+                        selector.unregister(key.fd)
+                    elif key.fd == status_fd:
+                        status += chunk
+                    else:
+                        buf = kept[key.fd]
+                        room = output_cap - len(buf)
+                        buf += chunk[:room]
+                        truncated[key.fd] |= len(chunk) > room
+    finally:
+        timed_out = status.count(b"\n") < 2
+        if timed_out:
+            _kill_program(status_fd, status)
+        for fd in (out, err, status_fd):
+            os.close(fd)
+    try:
+        _, wait_status = status.split()
+    except ValueError:
+        raise CodeActError("the sandbox server did not run the program") from None
+    exit_code = os.waitstatus_to_exitcode(int(wait_status))
+    return exit_code, timed_out, [kept[out], kept[err]], [truncated[out], truncated[err]]
+
+
+def _kill_program(status_fd: int, status: bytearray) -> None:
+    """Kill the program's process group, and read the rest of its status."""
+    while b"\n" not in status and (chunk := os.read(status_fd, 64)):
+        status += chunk
+    if b"\n" in status:
+        pid = int(status.split()[0])
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:  # not yet the leader of its own group
+            os.kill(pid, signal.SIGKILL)
+    while chunk := os.read(status_fd, 64):
+        status += chunk
+
+
 _namespace_support: bool | None = None
 
 
@@ -189,35 +418,10 @@ def _probe_namespace_support() -> bool:
     global _namespace_support
     if _namespace_support is None:
         try:
-            proc = subprocess.run(
-                [sys.executable, "-c", "pass"],
-                preexec_fn=_unshare_net,
-                capture_output=True,
-                timeout=30,
-            )
-            _namespace_support = proc.returncode == 0
+            _namespace_support = _run(b"1\x001\x00", 30.0, 4096)[0] == 0
         except Exception:
             _namespace_support = False
     return _namespace_support
-
-
-def _unshare_net() -> None:
-    if _libc.unshare(_CLONE_NEWUSER | _CLONE_NEWNET) != 0:
-        raise OSError(ctypes.get_errno(), "unshare(CLONE_NEWUSER|CLONE_NEWNET) failed")
-
-
-def _child_limits(timeout: float, use_namespaces: bool) -> Callable[[], None]:
-    def prepare() -> None:
-        import resource
-
-        cpu = max(1, int(timeout) + 2)
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
-        resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
-        resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024 * 1024, 64 * 1024 * 1024))
-        if use_namespaces:
-            _unshare_net()
-
-    return prepare
 
 
 def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
@@ -226,74 +430,30 @@ def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
     try:
         with open(os.path.join(scratch, "program.py"), "w", encoding="utf-8") as fh:
             fh.write(program)
-        use_ns = _probe_namespace_support()
+        cpu = max(1, int(limits.per_run_timeout) + 2)
+        request = b"%d\0%d\0%s" % (cpu, _probe_namespace_support(), os.fsencode(scratch))
         with _EXECUTION_SLOTS:
-            proc = subprocess.Popen(
-                [sys.executable, "-B", "-c", _BOOTSTRAP],
-                cwd=scratch,
-                env={"PATH": "/usr/bin:/bin", "HOME": scratch, "TMPDIR": scratch},
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                start_new_session=True,
-                preexec_fn=_child_limits(limits.per_run_timeout, use_ns),
-                close_fds=True,
+            exit_code, timed_out, (stdout, stderr), (stdout_cut, stderr_cut) = _run(
+                request, limits.per_run_timeout, limits.output_cap
             )
-            deadline = time.monotonic() + limits.per_run_timeout
-            # Keep up to the cap from each pipe, and keep reading past it so
-            # the child never blocks on a full pipe.
-            kept = {proc.stdout: bytearray(), proc.stderr: bytearray()}
-            truncated = {proc.stdout: False, proc.stderr: False}
-            timed_out = False
-            try:
-                with selectors.DefaultSelector() as selector:
-                    for stream in kept:
-                        selector.register(stream, selectors.EVENT_READ)
-                    while selector.get_map() and (left := deadline - time.monotonic()) > 0:
-                        for key, _ in selector.select(left):
-                            chunk = os.read(key.fd, 65536)
-                            if not chunk:
-                                selector.unregister(key.fileobj)
-                                continue
-                            buf = kept[key.fileobj]
-                            room = limits.output_cap - len(buf)
-                            buf += chunk[:room]
-                            truncated[key.fileobj] |= len(chunk) > room
-                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                timed_out = True
-            finally:
-                if proc.returncode is None:
-                    _kill_group(proc)
-                    proc.wait()
-                proc.stdout.close()
-                proc.stderr.close()
-        exit_code = proc.returncode
-        if timed_out:
-            status = ExecStatus.TIMEOUT
-        elif exit_code != 0:
-            status = ExecStatus.ERROR
-        elif truncated[proc.stdout] or truncated[proc.stderr]:
-            status = ExecStatus.OUTPUT_TRUNCATED
-        else:
-            status = ExecStatus.OK
-        return ExecutionResult(
-            status=status,
-            stdout=kept[proc.stdout].decode("utf-8", errors="replace"),
-            stderr=kept[proc.stderr].decode("utf-8", errors="replace"),
-            exit_code=exit_code,
-            stdout_truncated=truncated[proc.stdout],
-            stderr_truncated=truncated[proc.stderr],
-        )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-
-def _kill_group(proc: subprocess.Popen) -> None:
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        proc.kill()
+    if timed_out:
+        status = ExecStatus.TIMEOUT
+    elif exit_code != 0:
+        status = ExecStatus.ERROR
+    elif stdout_cut or stderr_cut:
+        status = ExecStatus.OUTPUT_TRUNCATED
+    else:
+        status = ExecStatus.OK
+    return ExecutionResult(
+        status=status,
+        stdout=stdout.decode("utf-8", errors="replace"),
+        stderr=stderr.decode("utf-8", errors="replace"),
+        exit_code=exit_code,
+        stdout_truncated=stdout_cut,
+        stderr_truncated=stderr_cut,
+    )
 
 
 def parse_final_team(result: ExecutionResult, required_n: int) -> frozenset[int]:

@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
@@ -126,8 +126,8 @@ def _parse_lines(raw: str, source: str) -> list[tuple[int, dict[str, Any]]]:
     return rows
 
 
-# The JSON types each event field may hold; a missing payload or visibility
-# takes its default.
+# The keys an event line may hold, with the JSON types of each; a missing
+# payload or visibility takes its default, and any other key is an error.
 _EVENT_FIELD_TYPES = {
     "seq": (int,),
     "round": (int,),
@@ -139,6 +139,11 @@ _EVENT_FIELD_TYPES = {
     "payload": (dict,),
     "visibility": (str,),
 }
+
+
+# The JSON type of each `GameConfig` toggle is the type of its default (a
+# bool toggle or an int window; `_checked` counts no bool as an int).
+_CONFIG_FIELD_TYPES = {f.name: (type(f.default),) for f in fields(GameConfig)}
 
 
 def _checked(value: Any, kinds: tuple[type, ...], what: str) -> Any:
@@ -197,7 +202,11 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     elif version != SCHEMA_VERSION:
         raise RecordSchemaError(f"{name}: schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
-        config = GameConfig(**_checked(header["config"], (dict,), "config"))
+        toggles = _checked(header["config"], (dict,), "config")
+        for key, kinds in _CONFIG_FIELD_TYPES.items():
+            if key in toggles:
+                _checked(toggles[key], kinds, key)
+        config = GameConfig(**toggles)
         config.validate()
         roles = RoleAssignment.from_json(header["roles"])
         agents = {int(s): AgentSpec.from_dict(spec) for s, spec in header.get("agents", {}).items()}
@@ -215,9 +224,10 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
             if outcome_row is not None:
                 raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
             try:
-                for key, kinds in _EVENT_FIELD_TYPES.items():
-                    if key in row:
-                        _checked(row[key], kinds, key)
+                for key, value in row.items():
+                    if key not in _EVENT_FIELD_TYPES:
+                        raise ValueError(f"unknown event key {key!r}")
+                    _checked(value, _EVENT_FIELD_TYPES[key], key)
                 event = EventLogEntry.from_dict(row)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc

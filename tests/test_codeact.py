@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import avalonplay
+from avalonplay import codeact
 from avalonplay.codeact import (
     CodeActError,
     DebugLoopConfig,
@@ -340,3 +342,168 @@ class TestSelfDebugLoop:
         assert d["result"]["status"] == "ok"
         assert d["issue"] is None
         assert d["parsed_ids"] == []
+
+
+# A program that prints the pid of its fork server: its parent is the waiter,
+# and the waiter's parent is the server.
+PRINT_SERVER_PID = "import os\nprint(open(f'/proc/{os.getppid()}/stat').read().split()[3])\n"
+
+
+def run_harness(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports the package; its stdout."""
+    src = str(Path(avalonplay.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def running(pid: int) -> bool:
+    """Whether `pid` is a live process (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def ends_soon(pid: int, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestForkServer:
+    def test_concurrent_runs_each_get_their_own_output(self):
+        barrier = threading.Barrier(8)
+
+        def run(i):
+            barrier.wait(timeout=60)
+            return execute_sandboxed(f"import time\ntime.sleep(0.1)\nprint('run {i}')", FAST)
+
+        results = [None] * 8
+        threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, run(i))) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [(r.status, r.stdout, r.stderr) for r in results] == [
+            (ExecStatus.OK, f"run {i}\n", "") for i in range(8)
+        ]
+
+    def test_a_forked_child_starts_its_own_server(self):
+        harness = (
+            "import json, os\n"
+            "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
+            "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=5.0, output_cap=4096)\n"
+            f"server = lambda: int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n"
+            "before = server()\n"
+            "r, w = os.pipe()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os.write(w, b'%d' % server())\n"
+            "    os._exit(0)\n"
+            "os.close(w)\n"
+            "child = int(os.read(r, 64))\n"
+            "os.waitpid(pid, 0)\n"
+            "print(json.dumps([before, child, server()]))\n"
+        )
+        before, child, after = json.loads(run_harness(harness))
+        assert before == after != child
+        # The child's server ends with the child that started it.
+        assert ends_soon(child)
+
+    def test_harness_exit_leaves_no_process_running(self):
+        harness = (
+            "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
+            "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=5.0, output_cap=4096)\n"
+            "program = \"import os\\nprint(os.getpid(), os.getppid(), open(f'/proc/{os.getppid()}/stat').read().split()[3])\"\n"
+            "print(execute_sandboxed(program, limits).stdout)\n"
+        )
+        pids = [int(pid) for pid in run_harness(harness).split()]
+        assert len(pids) == 3  # program, waiter, server
+        assert all(ends_soon(pid) for pid in pids)
+
+    def test_a_killed_harness_leaves_no_process_running(self):
+        # The harness prints the server, waiter and program pids while a
+        # program sleeps, and is then killed without running any exit hook.
+        harness = (
+            "import os, threading, time\n"
+            "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
+            "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=60.0, output_cap=4096)\n"
+            f"server = int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n"
+            "threading.Thread(target=execute_sandboxed, args=('import time; time.sleep(60)', limits), daemon=True).start()\n"
+            "def children(pid):\n"
+            "    found = []\n"
+            "    for entry in filter(str.isdigit, os.listdir('/proc')):\n"
+            "        try:\n"
+            "            stat = open(f'/proc/{entry}/stat').read()\n"
+            "        except OSError:\n"
+            "            continue\n"
+            "        if int(stat.rsplit(')', 1)[1].split()[1]) == pid:\n"
+            "            found.append(int(entry))\n"
+            "    return found\n"
+            "deadline = time.monotonic() + 30\n"
+            "while not (waiters := children(server)) or not (programs := children(waiters[0])):\n"
+            "    assert time.monotonic() < deadline\n"
+            "    time.sleep(0.01)\n"
+            "print(server, waiters[0], programs[0], flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = str(Path(avalonplay.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", harness], stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+        assert len(pids) == 3  # server, waiter, program
+        assert all(ends_soon(pid) for pid in pids)
+
+    def test_a_killed_server_is_replaced(self):
+        server = int(execute_sandboxed(PRINT_SERVER_PID, FAST).stdout)
+        os.kill(server, signal.SIGKILL)
+        assert ends_soon(server)
+        assert int(execute_sandboxed(PRINT_SERVER_PID, FAST).stdout) != server
+
+    def test_each_program_gets_its_own_network_namespace(self):
+        if not codeact._probe_namespace_support():
+            pytest.skip("unprivileged user and network namespaces are not available")
+        program = "import os\nprint(os.readlink('/proc/self/ns/net'))"
+        first, second = (execute_sandboxed(program, FAST).stdout for _ in range(2))
+        assert first.startswith("net:[")
+        assert len({first, second, os.readlink("/proc/self/ns/net") + "\n"}) == 3
+
+    def test_program_sees_the_cpu_limit(self):
+        result = execute_sandboxed("import resource\nprint(resource.getrlimit(resource.RLIMIT_CPU))", FAST)
+        cpu = int(FAST.per_run_timeout) + 2
+        assert result.stdout == f"({cpu}, {cpu})\n"
+
+    @pytest.mark.parametrize(
+        "program, error",
+        [
+            ("import pytest", "ModuleNotFoundError: No module named 'pytest'"),
+            ("exit(0)", "NameError: name 'exit' is not defined"),
+        ],
+    )
+    def test_programs_get_the_standard_library_only(self, program, error):
+        result = execute_sandboxed(program, FAST)
+        assert result.status is ExecStatus.ERROR
+        assert result.stderr.endswith(error + "\n")

@@ -22,6 +22,7 @@ from avalonplay.records import (
     replay,
     write_record,
 )
+from avalonplay.records import _config_hash
 from avalonplay.runner import run_game, seed_for_game
 from helpers import V1_RECORDS_DIR, V1_RULE_KEYS, budgeted_mock, run_codeact_e2e
 
@@ -144,6 +145,51 @@ class TestFormatErrors:
         rows = self.rows(record, tmp_path)[1:]
         with pytest.raises(RecordFormatError):
             load_record(self.write_lines(tmp_path, rows))
+
+
+class TestStrictLoader:
+    """A header toggle of the wrong JSON type, or an event key the schema does
+    not know, is a format error naming the line, not a silently coerced
+    record."""
+
+    def header_with(self, record, **config):
+        rows = _text(record).splitlines()
+        header = json.loads(rows[0])
+        header["config"].update(config)
+        header["config_hash"] = _config_hash(header["config"])
+        rows[0] = json.dumps(header)
+        return "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"communication_enabled": "no"},
+            {"reveal_sabotage_count": 0},
+            {"assassination_enabled": None},
+            {"play_all_rounds": 1},
+            {"memory_window": 15.0},
+            {"memory_window": True},
+            {"memory_window": "15"},
+        ],
+        ids=lambda c: f"{next(iter(c))}={next(iter(c.values()))!r}",
+    )
+    def test_mistyped_config_value_names_the_line(self, record, config):
+        key = next(iter(config))
+        with pytest.raises(RecordFormatError, match=f"line 1: bad header: .*{key} should be"):
+            load_record(io.StringIO(self.header_with(record, **config)))
+
+    def test_typed_config_values_still_load(self, record):
+        loaded = load_record(io.StringIO(self.header_with(record, communication_enabled=False, memory_window=3)))
+        assert loaded.config == GameConfig(communication_enabled=False, memory_window=3)
+
+    @pytest.mark.parametrize("key", ["colour", "game_id", "type_"])
+    def test_unknown_event_key_names_the_line_and_the_key(self, record, key):
+        rows = _text(record).splitlines()
+        event = json.loads(rows[3])
+        event[key] = "red"
+        rows[3] = json.dumps(event)
+        with pytest.raises(RecordFormatError, match=f"line 4: bad event: .*unknown event key '{key}'"):
+            load_record(io.StringIO("\n".join(rows) + "\n"))
 
 
 class TestSchemaErrors:
@@ -414,6 +460,10 @@ class TestSchemaV1Records:
     def test_config_hash_is_checked(self):
         with pytest.raises(RecordSchemaError, match="hash"):
             self._load_tampered(lambda rows: rows[0]["config"].update(play_all_rounds=True))
+
+    def test_upgrade_strips_game_id_but_not_unknown_keys(self):
+        with pytest.raises(RecordFormatError, match="line 4: bad event: .*unknown event key 'colour'"):
+            self._load_tampered(lambda rows: rows[3].update(colour="red", game_id="elsewhere"))
 
     def test_event_lines_need_their_type(self):
         with pytest.raises(RecordFormatError, match="line 3 has no record type"):
