@@ -104,7 +104,6 @@ class Observation:
     threshold: int | None = None
     proposed_team: frozenset[int] | None = None
     public_facts: tuple[PublicFact, ...] = ()
-    reveal_sabotage_count: bool = False
 
 
 @dataclass(frozen=True)
@@ -193,9 +192,7 @@ class Agent:
     # The deduction policy's constraints: this seat's private facts, then
     # the observed quest history.
     def _constraints(self, obs: Observation) -> ConstraintSet:
-        history = facts_from_history(
-            obs.public_facts, reveal_counts=obs.reveal_sabotage_count
-        )
+        history = facts_from_history(obs.public_facts)
         return ConstraintSet(tuple(self._private_constraints + history))
 
     def _deduction_team(self, obs: Observation) -> tuple[frozenset[int], bool]:

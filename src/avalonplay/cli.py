@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--llm-model", default=None, help="model name for the HTTP client")
     run.add_argument("--mock-llm", default=None, metavar="FIXTURE", help="JSON fixture of scripted model replies")
     run.add_argument("--communication", type=_onoff, default=True, metavar="on|off", help="discussion before each vote (default on)")
-    run.add_argument("--reveal-counts", type=_onoff, default=False, metavar="on|off", help="announce sabotage counts after quests (default off)")
+    run.add_argument("--reveal-counts", type=_onoff, default=False, metavar="on|off", dest="reveal_sabotage_count", help="announce sabotage counts after quests (default off)")
     run.add_argument("--play-all-rounds", type=_onoff, default=False, metavar="on|off", help="always play five rounds (default off)")
     run.add_argument("--assassination", type=_onoff, default=True, metavar="on|off", help="assassination phase after a just quest win (default on)")
     run.add_argument("--parallelism", type=int, default=1, help="worker count (default 1)")
@@ -92,7 +92,7 @@ def _make_client(args: argparse.Namespace) -> LLMClient | None:
 def _cmd_run(args: argparse.Namespace) -> int:
     game = GameConfig(
         communication_enabled=args.communication,
-        reveal_sabotage_count=args.reveal_counts,
+        reveal_sabotage_count=args.reveal_sabotage_count,
         play_all_rounds=args.play_all_rounds,
         assassination_enabled=args.assassination,
     )

@@ -333,23 +333,17 @@ def facts_from_private(view: KnowledgeView) -> list[Constraint]:
     return list(dict.fromkeys(out))
 
 
-def facts_from_history(
-    public_facts: Sequence[PublicFact], reveal_counts: bool = False
-) -> list[Constraint]:
+def facts_from_history(public_facts: Sequence[PublicFact]) -> list[Constraint]:
     """Constraints implied by executed quests under mandatory sabotage.
 
-    Without disclosed counts: a failed quest had at least `threshold` evil
-    members, a successful one at most `threshold - 1`. With disclosed
-    counts every quest pins its team's evil membership exactly.
+    A quest whose sabotage count was disclosed pins its team's evil
+    membership exactly. Otherwise a failed quest had at least `threshold`
+    evil members, a successful one at most `threshold - 1`.
     """
     out: list[Constraint] = []
     for fact in public_facts:
         t = SABOTAGE_THRESHOLDS[fact.round - 1]
-        if reveal_counts:
-            if fact.sabotage_count is None:
-                raise DeductionError(
-                    f"round {fact.round}: sabotage count required but not recorded"
-                )
+        if fact.sabotage_count is not None:
             out.append(Constraint.exactly(fact.team, fact.sabotage_count))
         elif fact.success:
             if t == 1:

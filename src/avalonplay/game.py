@@ -21,6 +21,7 @@ from enum import Enum
 from typing import Any, Callable, Iterable
 
 from .events import AUDIT, PUBLIC, EventKind, EventLogEntry, private_to
+from .templates import join_players
 
 NUM_PLAYERS = 7
 TEAM_SIZES = (2, 3, 3, 4, 4)
@@ -330,9 +331,6 @@ class GameEngine:
             data.update(payload)
         self._emit(EventKind.AGENT_ERROR, f"agent error ({reason}): {detail}", actor=actor, payload=data, visibility=AUDIT)
 
-    def new_events_since(self, cursor: int) -> list[EventLogEntry]:
-        return self.events[cursor:]
-
     # ----- derived accessors ---------------------------------------------
 
     @property
@@ -425,7 +423,7 @@ class GameEngine:
         if payload:
             data.update(payload)
         utterance = text if text is not None else (
-            "I choose " + _spoken_team(sorted(team)) + " for the quest."
+            "I choose " + join_players(team, lambda p: f"player {p}") + " for the quest."
         )
         self._emit(EventKind.TEAM_PROPOSED, utterance, actor=st.leader, payload=data)
         if st.config.communication_enabled:
@@ -594,15 +592,6 @@ class GameEngine:
     def _finish(self, outcome: GameOutcome) -> None:
         self.state.phase = Phase.FINISHED
         self._outcome = outcome
-
-
-def _spoken_team(members: list[int]) -> str:
-    parts = [f"player {p}" for p in members]
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        return f"{parts[0]} and {parts[1]}"
-    return ", ".join(parts[:-1]) + f", and {parts[-1]}"
 
 
 def validate_roles(roles: dict[int, Role]) -> None:

@@ -79,9 +79,6 @@ class RoleAssignment:
     def evil_seats(self) -> frozenset[int]:
         return frozenset(s for s, r in self._roles.items() if r.side is Side.EVIL)
 
-    def just_seats(self) -> frozenset[int]:
-        return frozenset(s for s, r in self._roles.items() if r.side is Side.JUST)
-
     def to_json(self) -> dict[str, str]:
         return {str(s): r.value for s, r in sorted(self._roles.items())}
 
@@ -116,13 +113,12 @@ def _pair_fact(assignment: RoleAssignment) -> PrivateFact:
 
 
 def _teammates_fact(assignment: RoleAssignment) -> PrivateFact:
-    evil = sorted(assignment.evil_seats())
-    parts = [f"player {s} is {assignment[s].value}" for s in evil]
-    labels = ", ".join(parts[:-1]) + f", and {parts[-1]}"
+    evil = assignment.evil_seats()
+    labels = join_players(evil, lambda s: f"player {s} is {assignment[s].value}")
     labels = labels[0].upper() + labels[1:] + "."
     return PrivateFact(
         kind=FactKind.EVIL_TEAMMATES,
-        players=frozenset(evil),
+        players=evil,
         text=render("fact_evil_teammates", players=join_players(evil), labels=labels),
     )
 

@@ -2,15 +2,16 @@
 
 The HTTP client posts to ``{base_url}/chat/completions`` with the usual
 ``{model, messages, temperature}`` body, reads the API key from the
-``AVALON_LLM_API_KEY`` environment variable, retries transient transport
-failures (HTTP 429 and 5xx, honouring a numeric ``Retry-After``) with
-exponential backoff, and bounds in-flight requests with a semaphore
-shared across worker threads.
+``AVALON_LLM_API_KEY`` environment variable, and retries transient
+transport failures (HTTP 429 and 5xx, honouring a numeric ``Retry-After``)
+with exponential backoff.
 
 ``MockLLM`` serves fixture-scripted responses for tests and offline runs:
 an ordered rule list where each rule may match on the request's phase tag
 and/or a text pattern, with a use budget. Requests that no rule matches
-raise immediately; silent improvisation would mask fixture bugs.
+raise immediately; silent improvisation would mask fixture bugs. A
+tournament plays each game against its own copy of the client, so use
+budgets and ``requests_log`` belong to one game.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +89,6 @@ class HttpLLMClient(LLMClient):
         timeout: float = 120.0,
         max_retries: int = 3,
         backoff: float = 1.0,
-        max_in_flight: int = 4,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -97,7 +96,6 @@ class HttpLLMClient(LLMClient):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._sem = threading.BoundedSemaphore(max_in_flight)
 
     def complete(self, messages: Sequence[ChatMessage], temperature: float, tag: str) -> str:
         body = {
@@ -115,13 +113,12 @@ class HttpLLMClient(LLMClient):
                 time.sleep(self.backoff * (2 ** (attempt - 1)) if retry_after is None else retry_after)
             retry_after = None
             try:
-                with self._sem:
-                    resp = requests.post(
-                        f"{self.base_url}/chat/completions",
-                        json=body,
-                        headers=headers,
-                        timeout=self.timeout,
-                    )
+                resp = requests.post(
+                    f"{self.base_url}/chat/completions",
+                    json=body,
+                    headers=headers,
+                    timeout=self.timeout,
+                )
                 if resp.status_code == 429 or resp.status_code >= 500:
                     # Rate limits and server errors pass; wait as long as the server asks.
                     last_error = TransportError(f"HTTP {resp.status_code}")
@@ -163,7 +160,6 @@ class MockLLM(LLMClient):
         self.model = model
         self.rules = list(rules)
         self.requests_log: list[dict[str, Any]] = []
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockLLM":
@@ -187,18 +183,17 @@ class MockLLM(LLMClient):
 
     def complete(self, messages: Sequence[ChatMessage], temperature: float, tag: str) -> str:
         text = "\n".join(m.content for m in messages)
-        with self._lock:
-            self.requests_log.append(
-                {
-                    "tag": tag,
-                    "temperature": temperature,
-                    "messages": [m.to_dict() for m in messages],
-                }
-            )
-            for rule in self.rules:
-                if rule.matches(tag, text):
-                    rule.uses += 1
-                    return rule.response
+        self.requests_log.append(
+            {
+                "tag": tag,
+                "temperature": temperature,
+                "messages": [m.to_dict() for m in messages],
+            }
+        )
+        for rule in self.rules:
+            if rule.matches(tag, text):
+                rule.uses += 1
+                return rule.response
         raise MockScriptExhausted(
             f"no fixture rule matched a {tag!r} request; prompt tail: {text[-200:]!r}"
         )

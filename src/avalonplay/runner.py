@@ -13,13 +13,15 @@ two runs of the same tournament compare equal with `==`, not almost-equal.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -104,7 +106,7 @@ def run_game(
 
     def pump() -> None:
         nonlocal cursor
-        for event in engine.new_events_since(cursor):
+        for event in engine.events[cursor:]:
             for memory in memories.values():
                 memory.ingest_event(event)
         cursor = len(engine.events)
@@ -121,7 +123,6 @@ def run_game(
             public_facts=public_facts_from_history(
                 st.quest_history, config.reveal_sabotage_count
             ),
-            reveal_sabotage_count=config.reveal_sabotage_count,
             **kw,
         )
 
@@ -381,6 +382,8 @@ def _run_one(
     index: int,
     client: LLMClient | None,
 ) -> tuple[GameSummary, MetricsCounts]:
+    """Play and summarise game `index` against its own copy of `client`,
+    so that no rule budget or request log is shared between games."""
     game_seed = seed_for_game(tc.base_seed, index)
     try:
         record = run_game(
@@ -388,7 +391,7 @@ def _run_one(
             tc.just_spec,
             tc.evil_spec,
             game_seed,
-            client=client,
+            client=copy.deepcopy(client),
             game_id=f"g{tc.base_seed}-{index:05d}",
             seed_info={"base_seed": tc.base_seed, "game_index": index},
             log_exchanges=tc.log_exchanges,
@@ -412,39 +415,30 @@ def _run_one(
     return summary, counts_from_record(record)
 
 
-def _run_one_task(args: tuple[TournamentConfig, int]) -> tuple[GameSummary, MetricsCounts]:
-    tc, index = args
-    return _run_one(tc, index, None)
-
-
 def run_tournament(
     tc: TournamentConfig,
     client: LLMClient | None = None,
 ) -> TournamentResult:
     """Run `n_games` seeded games and fold their metrics in index order.
 
-    Parallel scheduling never changes results: game i's outcome depends
-    only on (base_seed, i), and the fold order is fixed by index.  Games
-    without a shared client run in worker processes; LLM-backed games
-    share the client across threads; the process pool never starts more
-    workers than `os.cpu_count()`.
+    Each game plays against its own copy of `client`, so game i's outcome
+    depends only on (base_seed, i), and the fold order is fixed by index:
+    parallel scheduling never changes results.  Serial runs play every game
+    in this process; parallel runs play them in one process pool, which
+    without a client never starts more workers than `os.cpu_count()`.
     """
     tc.game.validate()
     if tc.record_dir:
         Path(tc.record_dir).mkdir(parents=True, exist_ok=True)
     indices = list(range(tc.n_games))
-    if tc.parallelism > 1 and client is None:
-        # More processes than cores only adds contention; chunks of a quarter
-        # of each worker's share amortise task dispatch but still balance load.
-        workers = min(tc.parallelism, os.cpu_count() or 1)
+    if tc.parallelism > 1:
+        # Pure-policy games only contend for cores; model-backed games spend
+        # most of their time waiting on the model.  Chunks of a quarter of
+        # each worker's share amortise task dispatch but still balance load.
+        workers = tc.parallelism if client is not None else min(tc.parallelism, os.cpu_count() or 1)
         chunksize = max(1, tc.n_games // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_run_one_task, [(tc, i) for i in indices], chunksize=chunksize)
-            )
-    elif tc.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=tc.parallelism) as pool:
-            results = list(pool.map(lambda i: _run_one(tc, i, client), indices))
+            results = list(pool.map(_run_one, repeat(tc), indices, repeat(client), chunksize=chunksize))
     else:
         results = [_run_one(tc, i, client) for i in indices]
     counts = MetricsCounts()

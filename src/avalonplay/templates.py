@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 @lru_cache(maxsize=None)
@@ -29,14 +29,12 @@ def render(name: str, **tokens: object) -> str:
     return fill(load_template(name), **tokens)
 
 
-def join_players(players: Iterable[int]) -> str:
-    """Natural-language seat list: '1', '1 and 4', or '1, 2, and 6'."""
-    ids = sorted(players)
-    parts = [str(p) for p in ids]
-    if not parts:
-        return ""
-    if len(parts) == 1:
-        return parts[0]
+def join_players(players: Iterable[int], spell: Callable[[int], str] = str) -> str:
+    """Natural-language seat list in seat order: '1', '1 and 4', or
+    '1, 2, and 6', with each seat written as `spell(seat)`."""
+    parts = [spell(p) for p in sorted(players)]
+    if len(parts) <= 1:
+        return "".join(parts)
     if len(parts) == 2:
         return f"{parts[0]} and {parts[1]}"
     return ", ".join(parts[:-1]) + f", and {parts[-1]}"

@@ -206,15 +206,16 @@ def test_criterion_5_knowledge_soundness_sweep():
         for seat in ALL_SEATS:
             constraints.extend(facts_from_private(knowledge_for(assignment, seat)))
 
-        facts = []
+        hidden, revealed = [], []
         for round_no in range(1, rng.randint(2, 6)):
             team = rng.sample(sorted(ALL_SEATS), TEAM_SIZES[round_no - 1])
             quest = resolve_quest(round_no, team, assignment.as_dict())
-            facts.append(
+            hidden.append(PublicFact(quest.round, quest.team, quest.success, None))
+            revealed.append(
                 PublicFact(quest.round, quest.team, quest.success, quest.sabotage_count)
             )
-        constraints.extend(facts_from_history(facts))
-        constraints.extend(facts_from_history(facts, reveal_counts=True))
+        constraints.extend(facts_from_history(hidden))
+        constraints.extend(facts_from_history(revealed))
 
         for c in constraints:
             assert _constraint_satisfied(c, evil), (i, c, sorted(evil))

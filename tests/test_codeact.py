@@ -12,6 +12,7 @@ import pytest
 
 import avalonplay
 from avalonplay import codeact
+from avalonplay.agents import AgentSpec
 from avalonplay.codeact import (
     CodeActError,
     DebugLoopConfig,
@@ -22,10 +23,13 @@ from avalonplay.codeact import (
     parse_final_team,
     self_debug_loop,
 )
+from avalonplay.game import GameConfig
 from avalonplay.knowledge import PrivateFact, FactKind
 from avalonplay.llm import MockLLM, MockRule
 from avalonplay.memory import LeaderMemory, PublicFact
 from avalonplay.parsing import ParseError, WrongSize
+from avalonplay.records import load_record
+from avalonplay.runner import TournamentConfig, run_tournament
 
 FAST = DebugLoopConfig(max_attempts=3, per_run_timeout=10.0, output_cap=4096)
 
@@ -482,6 +486,52 @@ class TestForkServer:
         os.kill(server, signal.SIGKILL)
         assert ends_soon(server)
         assert int(execute_sandboxed(PRINT_SERVER_PID, FAST).stdout) != server
+
+    def test_a_parallel_tournament_leaves_no_process_running(self, tmp_path):
+        # Each program reports, on stderr, the pool worker that started its
+        # fork server, the server, its waiter and itself.
+        program = (
+            "import os, sys\n"
+            "parent = lambda pid: int(open(f'/proc/{pid}/stat').read().rsplit(')', 1)[1].split()[1])\n"
+            "waiter = os.getppid()\n"
+            "server = parent(waiter)\n"
+            "print(parent(server), server, waiter, os.getpid(), file=sys.stderr)\n"
+            "print(list(range(1, {n} + 1)))\n"
+        )
+        rules = [
+            MockRule(f"```python\n{program.replace('{n}', str(n))}```", phase="code_generation",
+                     pattern=f"selects {n} players", max_uses=None)
+            for n in (2, 3, 4)
+        ] + [
+            MockRule("Nothing to add.", phase="discussion", max_uses=None),
+            MockRule('{"reasoning": "Fine.", "vote": "approve"}', phase="team_vote", max_uses=None),
+            MockRule('{"reasoning": "Go.", "vote": "approve"}', phase="quest_vote", max_uses=None),
+        ]
+        config = TournamentConfig(
+            n_games=4,
+            base_seed=3,
+            just_spec=AgentSpec("llm", strategy="codeact"),
+            evil_spec=AgentSpec("scripted_evil"),
+            game=GameConfig(play_all_rounds=True),
+            parallelism=2,
+            record_dir=str(tmp_path),
+        )
+        assert run_tournament(config, client=MockLLM(rules)).report.n_aborted == 0
+        reports = [
+            attempt["result"]["stderr"].split()
+            for path in sorted(tmp_path.glob("*.jsonl"))
+            for event in load_record(path).events
+            for attempt in event.payload.get("codeact", {}).get("attempts", [])
+        ]
+        assert reports and all(len(pids) == 4 for pids in reports)
+        servers: dict[str, set[str]] = {}
+        for worker, server, _, _ in reports:
+            servers.setdefault(worker, set()).add(server)
+        # Every worker started one server of its own.
+        assert str(os.getpid()) not in servers
+        assert all(len(started) == 1 for started in servers.values())
+        assert len(set.union(*servers.values())) == len(servers)
+        assert all(ends_soon(int(pid)) for pids in reports for pid in pids)
 
     def test_each_program_gets_its_own_network_namespace(self):
         if not codeact._probe_namespace_support():

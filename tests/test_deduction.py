@@ -363,14 +363,8 @@ class TestFactsFromHistory:
         assert signature(facts) == [(ConstraintKind.AT_LEAST, team, count)]
 
     def test_revealed_counts_pin_exact_membership(self):
-        facts = facts_from_history(
-            [PublicFact(2, frozenset({1, 2, 4}), False, 2)], reveal_counts=True
-        )
+        facts = facts_from_history([PublicFact(2, frozenset({1, 2, 4}), False, 2)])
         assert signature(facts) == [(ConstraintKind.EXACTLY, frozenset({1, 2, 4}), 2)]
-
-    def test_revealed_counts_require_a_recorded_count(self):
-        with pytest.raises(DeductionError):
-            facts_from_history([PublicFact(1, frozenset({1, 2}), True, None)], reveal_counts=True)
 
     def test_multi_round_accumulation(self):
         history = [

@@ -31,7 +31,6 @@ class TestRoleAssignment:
         assert ra.seat_of(Role.ASSASSIN) == 6
         assert ra.seats_of(Role.SERVANT) == [3, 4]
         assert ra.evil_seats() == frozenset({5, 6, 7})
-        assert ra.just_seats() == frozenset({1, 2, 3, 4})
         with pytest.raises(ValidationError):
             ra.seat_of(Role.SERVANT)
 

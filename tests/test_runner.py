@@ -33,6 +33,19 @@ SCRIPTED = AgentSpec("scripted_evil")
 RANDOM = AgentSpec("random")
 
 
+def approving_rules() -> list[MockRule]:
+    """Unlimited rules that pick the lowest seats and approve everything."""
+    return [
+        MockRule("[1, 2]", phase="team_selection", pattern=r"select 2 team members", max_uses=None),
+        MockRule("[1, 2, 3]", phase="team_selection", pattern=r"select 3 team members", max_uses=None),
+        MockRule("[1, 2, 3, 4]", phase="team_selection", pattern=r"select 4 team members", max_uses=None),
+        MockRule("Nothing to add.", phase="discussion", max_uses=None),
+        MockRule('{"reasoning": "Fine.", "vote": "approve"}', phase="team_vote", max_uses=None),
+        MockRule('{"reasoning": "Go.", "vote": "approve"}', phase="quest_vote", max_uses=None),
+        MockRule("player 2", phase="assassination", max_uses=None),
+    ]
+
+
 class TestSeeds:
     def test_stream_name(self):
         assert SEED_STREAM == "sha256-stream-v1"
@@ -298,16 +311,7 @@ class TestTournament:
             record = load_record(path)
             replay(record)
 
-    def test_shared_mock_client_uses_threads(self):
-        rules = [
-            MockRule("[1, 2]", phase="team_selection", pattern=r"select 2 team members", max_uses=None),
-            MockRule("[1, 2, 3]", phase="team_selection", pattern=r"select 3 team members", max_uses=None),
-            MockRule("[1, 2, 3, 4]", phase="team_selection", pattern=r"select 4 team members", max_uses=None),
-            MockRule("Nothing to add.", phase="discussion", max_uses=None),
-            MockRule('{"reasoning": "Fine.", "vote": "approve"}', phase="team_vote", max_uses=None),
-            MockRule('{"reasoning": "Go.", "vote": "approve"}', phase="quest_vote", max_uses=None),
-            MockRule("player 2", phase="assassination", max_uses=None),
-        ]
+    def test_mock_client_games_run_in_the_process_pool(self):
         config = TournamentConfig(
             n_games=2,
             base_seed=3,
@@ -315,9 +319,55 @@ class TestTournament:
             evil_spec=SCRIPTED,
             parallelism=4,
         )
-        result = run_tournament(config, client=MockLLM(rules))
+        result = run_tournament(config, client=MockLLM(approving_rules()))
         assert result.report.n_games == 2
         assert result.report.n_aborted == 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_rule_budgets_belong_to_one_game(self, tmp_path, parallelism):
+        # A one-use rule answers the first proposal of every game, not only
+        # of the game that happens to ask first.
+        once = MockRule("[6, 7]", phase="team_selection", pattern=r"select 2 team members", max_uses=1)
+        config = TournamentConfig(
+            n_games=4,
+            base_seed=3,
+            just_spec=AgentSpec("llm"),
+            evil_spec=AgentSpec("llm"),
+            parallelism=parallelism,
+            record_dir=str(tmp_path),
+        )
+        run_tournament(config, client=MockLLM([once] + approving_rules()))
+        paths = sorted(tmp_path.glob("*.jsonl"))
+        assert len(paths) == 4
+        for path in paths:
+            proposals = [e for e in load_record(path).events if e.kind is EventKind.TEAM_PROPOSED]
+            assert proposals[0].payload["members"] == [6, 7], path.name
+            assert all(e.payload["members"] != [6, 7] for e in proposals[1:]), path.name
+
+    def test_finite_budgets_give_the_serial_digest_at_parallelism_4(self):
+        def digest(parallelism):
+            budget = MockRule("[3, 4]", phase="team_selection", max_uses=20)
+            config = TournamentConfig(
+                n_games=12,
+                base_seed=3,
+                just_spec=AgentSpec("llm"),
+                evil_spec=SCRIPTED,
+                parallelism=parallelism,
+            )
+            return run_tournament(config, client=MockLLM([budget] + approving_rules())).digest()
+
+        serial = digest(1)
+        assert [digest(4) for _ in range(20)] == [serial] * 20
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_the_callers_client_is_untouched(self, parallelism):
+        client = MockLLM(approving_rules())
+        config = TournamentConfig(
+            n_games=2, base_seed=3, just_spec=AgentSpec("llm"), evil_spec=SCRIPTED, parallelism=parallelism
+        )
+        assert run_tournament(config, client=client).report.n_aborted == 0
+        assert [rule.uses for rule in client.rules] == [0] * len(client.rules)
+        assert client.requests_log == []
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_a_failing_game_is_named(self, monkeypatch, parallelism):
@@ -325,14 +375,16 @@ class TestTournament:
             raise RuntimeError("agent bug")
 
         monkeypatch.setattr(DeductionAgent, "act", broken_act)
-        # A shared client puts parallel games on the thread pool.
-        client = MockLLM([]) if parallelism > 1 else None
         config = TournamentConfig(n_games=2, base_seed=3, parallelism=parallelism)
         with pytest.raises(GameFailed) as info:
-            run_tournament(config, client=client)
+            run_tournament(config)
         assert str(info.value) == f"game index 0 (game seed {seed_for_game(3, 0)}): RuntimeError: agent bug"
-        assert isinstance(info.value.__cause__, RuntimeError)
-        # Process-pool workers send the exception back pickled.
+        if parallelism == 1:
+            assert isinstance(info.value.__cause__, RuntimeError)
+        else:
+            # A process-pool worker sends the exception back pickled, with
+            # its traceback text, cause included, as the new cause.
+            assert "RuntimeError: agent bug" in str(info.value.__cause__)
         assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
     def test_deduction_beats_random_on_team_accuracy(self):

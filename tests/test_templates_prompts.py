@@ -38,6 +38,8 @@ class TestTemplateMachinery:
         assert join_players([4]) == "4"
         assert join_players([4, 1]) == "1 and 4"
         assert join_players([2, 6, 1]) == "1, 2, and 6"
+        assert join_players([], str) == ""
+        assert join_players([3, 1], lambda p: f"player {p}") == "player 1 and player 3"
 
 
 class TestFrozenWording:
