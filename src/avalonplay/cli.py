@@ -130,9 +130,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     record = load_record(args.file)
     engine = replay(record)
-    comparable = sum(1 for e in record.events if e.visibility != "audit")
     status = "aborted" if record.aborted else "complete"
-    print(f"{record.game_id}: verified {comparable} events ({status} game)")
+    print(f"{record.game_id}: verified {len(record.events)} events ({status} game)")
     if engine.outcome is not None:
         print(f"outcome: {json.dumps(engine.outcome.to_dict())}")
     return 0

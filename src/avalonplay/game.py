@@ -159,14 +159,6 @@ class GameOutcome:
             "overall_winner": self.overall_winner.value,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "GameOutcome":
-        return cls(
-            quest_winner=Side(data["quest_winner"]),
-            assassination_target=data.get("assassination_target"),
-            assassination_hit=data.get("assassination_hit"),
-        )
-
 
 @dataclass
 class GameState:
@@ -302,7 +294,7 @@ class GameEngine:
 
     # ----- event helpers -------------------------------------------------
 
-    def _emit(
+    def emit(
         self,
         kind: EventKind,
         text: str,
@@ -310,6 +302,8 @@ class GameEngine:
         payload: dict[str, Any] | None = None,
         visibility: str = PUBLIC,
     ) -> EventLogEntry:
+        """Append an event stamped with the next seq and the current round,
+        attempt and phase. Replay re-emits recorded audit events here."""
         self._seq += 1
         entry = EventLogEntry(
             seq=self._seq,
@@ -326,10 +320,8 @@ class GameEngine:
         return entry
 
     def log_agent_error(self, actor: int | None, reason: str, detail: str, payload: dict[str, Any] | None = None) -> None:
-        data = {"reason": reason, "detail": detail}
-        if payload:
-            data.update(payload)
-        self._emit(EventKind.AGENT_ERROR, f"agent error ({reason}): {detail}", actor=actor, payload=data, visibility=AUDIT)
+        data = _with_engine_keys({"reason": reason, "detail": detail}, payload)
+        self.emit(EventKind.AGENT_ERROR, f"agent error ({reason}): {detail}", actor=actor, payload=data, visibility=AUDIT)
 
     # ----- derived accessors ---------------------------------------------
 
@@ -378,7 +370,7 @@ class GameEngine:
             raise ProtocolError("first leader can only be drawn once, at the start of round 1")
         leader = self._rng.randint(1, NUM_PLAYERS)
         st.leader = leader
-        self._emit(
+        self.emit(
             EventKind.MODERATOR_NOTE,
             LEADER_NOTE_ROUND.format(leader=leader, round=st.round),
             payload={"leader": leader, "round": st.round},
@@ -393,7 +385,7 @@ class GameEngine:
         last_proposer = st.proposal_history[-1].proposal.leader
         leader = rotate_leader(last_proposer)
         st.leader = leader
-        self._emit(
+        self.emit(
             EventKind.MODERATOR_NOTE,
             LEADER_NOTE_ROUND.format(leader=leader, round=st.round),
             payload={"leader": leader, "round": st.round},
@@ -419,13 +411,11 @@ class GameEngine:
             raise SizeViolation(f"round {st.round} needs a team of {need}, got {len(team)}")
         proposal = TeamProposal(round=st.round, attempt=st.attempt, leader=st.leader, members=team)
         self._current_proposal = proposal
-        data = {"members": sorted(team), "leader": st.leader}
-        if payload:
-            data.update(payload)
+        data = _with_engine_keys({"members": sorted(team), "leader": st.leader}, payload)
         utterance = text if text is not None else (
             "I choose " + join_players(team, lambda p: f"player {p}") + " for the quest."
         )
-        self._emit(EventKind.TEAM_PROPOSED, utterance, actor=st.leader, payload=data)
+        self.emit(EventKind.TEAM_PROPOSED, utterance, actor=st.leader, payload=data)
         if st.config.communication_enabled:
             st.phase = Phase.DISCUSSION
             self._spoken = set()
@@ -433,7 +423,7 @@ class GameEngine:
         else:
             st.phase = Phase.TEAM_VOTE
             announce = TEAM_ANNOUNCE_VOTE.format(team_literal=team_literal(team))
-        self._emit(EventKind.MODERATOR_NOTE, announce, payload={"members": sorted(team)})
+        self.emit(EventKind.MODERATOR_NOTE, announce, payload={"members": sorted(team)})
         return proposal
 
     def add_discussion(self, speaker: int, text: str, payload: dict[str, Any] | None = None) -> None:
@@ -444,7 +434,7 @@ class GameEngine:
         if speaker != expected:
             raise ProtocolError(f"it is player {expected}'s turn to speak, not player {speaker}'s")
         self._spoken.add(speaker)
-        self._emit(EventKind.DISCUSSION, text, actor=speaker, payload=payload or {})
+        self.emit(EventKind.DISCUSSION, text, actor=speaker, payload=payload or {})
         if len(self._spoken) == NUM_PLAYERS:
             st.phase = Phase.TEAM_VOTE
 
@@ -460,20 +450,18 @@ class GameEngine:
         payloads = payloads or {}
         for seat in ALL_SEATS:
             vote = ballots[seat]
-            data = {"approve": vote}
-            data.update(payloads.get(seat, {}))
-            self._emit(
+            self.emit(
                 EventKind.BALLOT_RESULT,
                 BALLOT_PRIVATE_NOTE.format(vote="approve" if vote else "reject"),
                 actor=seat,
-                payload=data,
+                payload=_with_engine_keys({"approve": vote}, payloads.get(seat)),
                 visibility=private_to(seat),
             )
         n_approve = sum(1 for v in ballots.values() if v)
         forced = False
         if not approved and st.attempt == MAX_PROPOSAL_ATTEMPTS:
             forced = True
-        self._emit(
+        self.emit(
             EventKind.BALLOT_RESULT,
             BALLOT_PUBLIC_NOTE.format(
                 result="approved" if approved else "rejected",
@@ -492,13 +480,13 @@ class GameEngine:
         if approved:
             st.phase = Phase.QUEST_EXECUTION
         elif forced:
-            self._emit(EventKind.MODERATOR_NOTE, FORCED_NOTE, payload={"forced": True})
+            self.emit(EventKind.MODERATOR_NOTE, FORCED_NOTE, payload={"forced": True})
             st.phase = Phase.QUEST_EXECUTION
         else:
             st.attempt += 1
             st.leader = rotate_leader(st.leader)
             st.phase = Phase.TEAM_SELECTION
-            self._emit(
+            self.emit(
                 EventKind.MODERATOR_NOTE,
                 LEADER_NOTE_ROTATION.format(leader=st.leader),
                 payload={"leader": st.leader, "round": st.round},
@@ -527,7 +515,7 @@ class GameEngine:
                     )
         st.quest_history.append(outcome)
         clause = sabotage_clause(outcome.sabotage_count) if st.config.reveal_sabotage_count else ""
-        self._emit(
+        self.emit(
             EventKind.QUEST_RESULT,
             QUEST_RESULT_NOTE.format(
                 round=outcome.round,
@@ -568,10 +556,7 @@ class GameEngine:
         if target not in ALL_SEATS:
             raise InvalidPlayer(f"no such seat: {target}")
         hit = self.roles[target] is Role.MERLIN
-        data = {"target": target, "hit": hit}
-        if payload:
-            data.update(payload)
-        self._emit(
+        self.emit(
             EventKind.ASSASSINATION_RESULT,
             ASSASSINATION_NOTE.format(
                 assassin=actor,
@@ -579,7 +564,7 @@ class GameEngine:
                 hit_clause="The target was Merlin." if hit else "The target was not Merlin.",
             ),
             actor=actor,
-            payload=data,
+            payload=_with_engine_keys({"target": target, "hit": hit}, payload),
         )
         outcome = GameOutcome(
             quest_winner=Side.JUST,
@@ -592,6 +577,13 @@ class GameEngine:
     def _finish(self, outcome: GameOutcome) -> None:
         self.state.phase = Phase.FINISHED
         self._outcome = outcome
+
+
+def _with_engine_keys(data: dict[str, Any], payload: dict[str, Any] | None) -> dict[str, Any]:
+    """`data`, the engine's own payload keys, followed by the caller's other
+    `payload` keys: a caller's payload never overrides what the engine says.
+    (Unpacking `data` again keeps its keys first and its values last.)"""
+    return {**data, **payload, **data} if payload else data
 
 
 def validate_roles(roles: dict[int, Role]) -> None:

@@ -6,10 +6,11 @@ lines carry a `type`; only the header holds the game id and the config
 (the `GameConfig` toggles, hashed as stored). Files are written as the
 current schema; schema 1 files load through `_upgrade_v1`. Loading is the
 exact inverse of writing, and `replay` re-drives the rules engine from the
-recorded actions and verifies that every public and private event —
-moderator announcements, ballots, quest results — reproduces exactly.
-Audit-channel events (agent diagnostics) are record-only and excluded
-from replay comparison, since no agents run during a replay.
+recorded actions and requires the rebuilt event log to equal the recorded
+one field for field, seq included, and the outcome to match. Audit-channel
+events (agent diagnostics) follow from no rule, since no agents run during
+a replay, so replay re-emits them from the record where they stand: one
+that was moved or renumbered still differs.
 
 Replay runs `game.drive`, the same phase loop as live play, with each
 decision read from the record instead of asked of an agent. It stops
@@ -28,15 +29,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from .agents import AgentSpec
 from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
 from .game import MAJORITY, MAX_PROPOSAL_ATTEMPTS, NUM_PLAYERS, SABOTAGE_THRESHOLDS, TEAM_SIZES
-from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, drive
+from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, Side, drive
 from .knowledge import RoleAssignment
 
 SCHEMA_VERSION = 2
@@ -244,8 +245,20 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
         raise RecordFormatError(f"{name}: missing outcome line")
 
     try:
-        outcome = GameOutcome.from_dict(outcome_row["outcome"]) if outcome_row.get("outcome") else None
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        aborted = _checked(outcome_row.get("aborted"), (bool,), "aborted")
+        error = _checked(outcome_row.get("error"), (str, type(None)), "error")
+        # An aborted game has no outcome, and a complete game has one.
+        stored = _checked(outcome_row.get("outcome"), (type(None),) if aborted else (dict,), "outcome")
+        outcome = None if aborted else GameOutcome(
+            quest_winner=Side(stored["quest_winner"]),
+            assassination_target=_checked(stored.get("assassination_target"), (int, type(None)), "assassination_target"),
+            assassination_hit=_checked(stored.get("assassination_hit"), (bool, type(None)), "assassination_hit"),
+        )
+        if outcome is not None and stored.get("overall_winner") != outcome.overall_winner.value:
+            raise ValueError(
+                f"overall_winner should be {outcome.overall_winner.value!r}, got {stored.get('overall_winner')!r}"
+            )
+    except (KeyError, TypeError, ValueError) as exc:
         raise RecordFormatError(f"{name}: line {outcome_lineno}: bad outcome: {exc!r}") from exc
     return GameRecord(
         game_id=game_id,
@@ -255,8 +268,8 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
         seed_info=dict(seed_info),
         events=events,
         outcome=outcome,
-        aborted=bool(outcome_row.get("aborted", False)),
-        error=outcome_row.get("error"),
+        aborted=aborted,
+        error=error,
     )
 
 
@@ -284,35 +297,6 @@ def quest_result_fields(record: GameRecord, event: EventLogEntry) -> tuple[int, 
 
 # ----- replay verification ----------------------------------------------------
 
-# Payload keys that carry game facts (as opposed to agent traces), per kind.
-_CORE_PAYLOAD_KEYS = {
-    EventKind.TEAM_PROPOSED: ("members", "leader"),
-    EventKind.QUEST_RESULT: ("round", "team", "success", "sabotage_count"),
-    EventKind.ASSASSINATION_RESULT: ("target", "hit"),
-}
-
-
-def _projection(event: EventLogEntry) -> dict[str, Any]:
-    core: dict[str, Any] = {}
-    if event.kind is EventKind.MODERATOR_NOTE:
-        core = dict(event.payload)
-    elif event.kind is EventKind.BALLOT_RESULT:
-        keys = ("approve",) if event.visibility != "public" else ("approved", "approvals", "forced")
-        core = {k: event.payload.get(k) for k in keys}
-    else:
-        core = {k: event.payload.get(k) for k in _CORE_PAYLOAD_KEYS.get(event.kind, ())}
-    return {
-        "kind": event.kind.value,
-        "round": event.round,
-        "attempt": event.attempt,
-        "phase": event.phase,
-        "actor": event.actor,
-        "visibility": event.visibility,
-        "text": event.text,
-        "payload": core,
-    }
-
-
 # The decision phase whose transition each recorded action kind replays.
 _ACTION_PHASES = {
     EventKind.TEAM_PROPOSED: Phase.TEAM_SELECTION,
@@ -323,48 +307,69 @@ _ACTION_PHASES = {
 }
 
 
-def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | None]:
-    """A `drive` callback that plays back the record's actions in order.
+def _action_phase(event: EventLogEntry) -> Phase | None:
+    """The phase whose decision `event` records, or None: audit events, a
+    vote's public result and moderator notes record no decision."""
+    if event.visibility == AUDIT or (event.visibility == PUBLIC and event.kind is EventKind.BALLOT_RESULT):
+        return None
+    return _ACTION_PHASES.get(event.kind)
 
-    Each decision phase takes the next recorded action of that phase, and
-    None once they run out, so a replay stops where the recorded game
-    stopped, aborted or not. A team vote's seven private ballots are
-    gathered until the public result that closes the vote.
+
+def _action_args(event: EventLogEntry) -> tuple:
+    """The transition arguments of a recorded decision other than a ballot."""
+    payload = event.payload
+    if event.kind is EventKind.TEAM_PROPOSED:
+        members = _checked(payload["members"], (list,), "members")
+        return [_checked(p, (int,), "a member") for p in members], event.text, payload
+    if event.kind is EventKind.DISCUSSION:
+        return _checked(event.actor, (int,), "the speaker"), event.text, payload
+    if event.kind is EventKind.QUEST_RESULT:
+        return ()
+    return _checked(event.actor, (int,), "the assassin"), _checked(payload["target"], (int,), "target"), payload
+
+
+def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | None]:
+    """A `drive` callback that walks `record.events` once, in order.
+
+    Each call re-emits, as recorded, the audit events ahead of the next
+    decision (the engine stamps their seq, round and phase) and passes over
+    the events the engine emits itself. It then returns that decision's
+    transition arguments with its recorded payload; for a team vote, the
+    seven private ballots and their payloads. It returns None when the next
+    decision is not of the engine's phase or the events run out, so a replay
+    stops where the recorded game stopped, aborted or not.
     """
-    queues: dict[Phase, deque[tuple]] = {phase: deque() for phase in _ACTION_PHASES.values()}
-    ballots: dict[int, bool] = {}
-    for event in record.events:
-        phase = _ACTION_PHASES.get(event.kind)
-        if phase is None or event.visibility == AUDIT:
-            continue
-        payload = event.payload
+    events = record.events
+    at = 0
+
+    def decide(engine: GameEngine) -> tuple | None:
+        nonlocal at
+        while at < len(events) and (phase := _action_phase(events[at])) is None:
+            event = events[at]
+            if event.visibility == AUDIT:
+                engine.emit(event.kind, event.text, event.actor, event.payload, AUDIT)
+            at += 1
+        if at == len(events) or phase is not engine.state.phase:
+            return None
+        event = events[at]
         try:
-            if event.kind is EventKind.TEAM_PROPOSED:
-                members = _checked(payload["members"], (list,), "members")
-                args: tuple = ([_checked(p, (int,), "a member") for p in members], event.text)
-            elif event.kind is EventKind.DISCUSSION:
-                args = (_checked(event.actor, (int,), "the speaker"), event.text)
-            elif event.kind is EventKind.BALLOT_RESULT and event.visibility != PUBLIC:
+            if phase is not Phase.TEAM_VOTE:
+                at += 1
+                return _action_args(event)
+            ballots: dict[int, bool] = {}
+            payloads: dict[int, dict[str, Any]] = {}
+            while at < len(events) and _action_phase(events[at]) is Phase.TEAM_VOTE:
+                event = events[at]
                 voter = _checked(event.actor, (int,), "the voter")
-                ballots[voter] = _checked(payload["approve"], (bool,), "approve")
-                continue
-            elif event.kind is EventKind.BALLOT_RESULT:
-                args, ballots = (ballots,), {}
-            elif event.kind is EventKind.QUEST_RESULT:
-                args = ()
-            else:
-                assassin = _checked(event.actor, (int,), "the assassin")
-                args = (assassin, _checked(payload["target"], (int,), "target"))
+                ballots[voter] = _checked(event.payload["approve"], (bool,), "approve")
+                payloads[voter] = event.payload
+                at += 1
+            return ballots, payloads
         except (KeyError, TypeError) as exc:
             raise ReplayMismatch(
                 f"{record.game_id}: recorded seq {event.seq} holds a malformed "
                 f"{event.kind.value} action: {exc!r}"
             ) from exc
-        queues[phase].append(args)
-
-    def decide(engine: GameEngine) -> tuple | None:
-        queue = queues[engine.state.phase]
-        return queue.popleft() if queue else None
 
     return decide
 
@@ -373,9 +378,9 @@ def replay(record: GameRecord) -> GameEngine:
     """Re-drive the rules engine from recorded actions and verify the log.
 
     Runs the same `game.drive` loop as live play, with the recorded actions
-    in place of agents. Returns the rebuilt engine on success; raises
-    ReplayMismatch at the first diverging event, naming the recorded
-    sequence number.
+    in place of agents. Returns the rebuilt engine, whose events equal the
+    record's, on success; raises ReplayMismatch at the first event that
+    differs in any field, naming its recorded seq.
     """
     seed = record.seed_info.get("engine_seed")
     if type(seed) is not int:
@@ -388,18 +393,13 @@ def replay(record: GameRecord) -> GameEngine:
         # be an honest transcript of a real game.
         raise ReplayMismatch(f"{record.game_id}: recorded action rejected on replay: {exc}") from exc
 
-    recorded = [e for e in record.events if e.visibility != AUDIT]
-    replayed = [e for e in engine.events if e.visibility != AUDIT]
-    for i, (want, got) in enumerate(zip(recorded, replayed)):
-        if _projection(want) != _projection(got):
-            raise ReplayMismatch(
-                f"{record.game_id}: event {i} (recorded seq {want.seq}) diverged:\n"
-                f"  recorded: {_projection(want)}\n"
-                f"  replayed: {_projection(got)}"
-            )
-    if len(recorded) != len(replayed):
+    if record.events != engine.events:
+        # The first pair that differs; past the end of the shorter log, one side is None.
+        want, got = next((w, g) for w, g in zip_longest(record.events, engine.events) if w != g)
         raise ReplayMismatch(
-            f"{record.game_id}: recorded {len(recorded)} comparable events, replay produced {len(replayed)}"
+            f"{record.game_id}: seq {(want or got).seq} differs:\n"
+            f"  recorded: {want and want.to_dict()}\n"
+            f"  replayed: {got and got.to_dict()}"
         )
     want_outcome = record.outcome.to_dict() if record.outcome else None
     got_outcome = engine.outcome.to_dict() if engine.outcome else None

@@ -32,7 +32,7 @@ from .knowledge import deal_roles, knowledge_for
 from .llm import LLMClient, MockScriptExhausted, TransportError
 from .memory import GlobalMemory, public_facts_from_history
 from .prompts import build_bundle
-from .records import GameRecord, quest_result_fields, write_record
+from .records import GameRecord, RecordFormatError, quest_result_fields, write_record
 
 SEED_STREAM = "sha256-stream-v1"
 
@@ -235,6 +235,8 @@ def counts_from_record(record: GameRecord) -> MetricsCounts:
     for event in record.events:
         if event.kind is EventKind.TEAM_PROPOSED:
             leader = event.payload.get("leader")
+            if type(leader) is not int or leader not in ALL_SEATS:
+                raise RecordFormatError(f"{record.game_id}: seq {event.seq}: proposal leader {leader!r} is not a seat")
         elif event.kind is EventKind.DISCUSSION:
             c.discussion_utterances += 1
         elif event.kind is EventKind.BALLOT_RESULT and event.visibility == "public":

@@ -237,3 +237,25 @@ class TestBadRecords:
         assert out == ""
         assert err.startswith("bad record: ") and err.count("\n") == 1
         assert f"{record_path.stem}: seq {data['seq']}: {message}" in err
+
+    @pytest.mark.parametrize("leader", [9, "3", None])  # None: key deleted
+    def test_bad_proposal_leader_is_one_error_line(self, capsys, record_path, leader):
+        rows = record_path.read_text().splitlines()
+        for i, row in enumerate(rows):
+            data = json.loads(row)
+            if data.get("kind") == "team_proposed":
+                proposal = i
+            elif data.get("kind") == "quest_result":
+                break
+        data = json.loads(rows[proposal])
+        if leader is None:
+            del data["payload"]["leader"]
+        else:
+            data["payload"]["leader"] = leader
+        rows[proposal] = json.dumps(data)
+        record_path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "metrics", str(record_path.parent))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bad record: ") and err.count("\n") == 1
+        assert f"{record_path.stem}: seq {data['seq']}: proposal leader {leader!r} is not a seat" in err

@@ -52,7 +52,8 @@ V1_RECORD = V1_RECORDS_DIR / "deduction.jsonl"
 
 
 def _header_record(config: GameConfig) -> list[str]:
-    record = GameRecord("g", config, RoleAssignment(canonical_roles({5, 6, 7})), {}, {})
+    # With no events and no outcome, the game is one that aborted.
+    record = GameRecord("g", config, RoleAssignment(canonical_roles({5, 6, 7})), {}, {}, aborted=True)
     out = io.StringIO()
     write_record(record, out)
     return out.getvalue().splitlines()
@@ -310,6 +311,25 @@ class TestEngineFlow:
         assert [e.actor for e in overrides] == [5]
         assert all(e.visibility == AUDIT for e in overrides)
 
+    @pytest.mark.parametrize("payload", [{"leader": 9}, {"members": [6, 7], "leader": 9, "trace": 1}])
+    def test_a_callers_payload_keeps_the_engines_keys(self, payload):
+        eng = make_engine()
+        leader = eng.assign_first_leader()
+        eng.propose_team({1, 2}, payload=payload)
+        proposed = eng.events[-2]
+        assert proposed.kind is EventKind.TEAM_PROPOSED
+        assert list(proposed.payload) == ["members", "leader", *(k for k in payload if k not in ("members", "leader"))]
+        assert proposed.payload["members"] == [1, 2] and proposed.payload["leader"] == leader
+
+    def test_a_callers_ballot_payload_keeps_the_vote(self):
+        eng = make_engine()
+        eng.assign_first_leader()
+        eng.propose_team({1, 2})
+        speak_all(eng)
+        eng.submit_ballots(approve_all(), {seat: {"approve": False, "reasoning": "no"} for seat in ALL_SEATS})
+        ballots = [e for e in eng.events if e.kind is EventKind.BALLOT_RESULT and e.actor is not None]
+        assert [e.payload for e in ballots] == [{"approve": True, "reasoning": "no"}] * NUM_PLAYERS
+
     def test_quest_vote_from_off_team_seat_rejected(self):
         eng = make_engine()
         eng.assign_first_leader()
@@ -352,6 +372,13 @@ class TestEndings:
         outcome = eng.run_assassination(eng.assassin_seat, servant)
         assert outcome.assassination_hit is False
         assert outcome.overall_winner is Side.JUST
+
+    def test_a_callers_payload_keeps_the_hit(self):
+        eng = make_engine(evil={5, 6, 7})
+        self._win_three_quests(eng)
+        servant = next(s for s, r in eng.roles.items() if r is Role.SERVANT)
+        eng.run_assassination(eng.assassin_seat, servant, {"target": 1, "hit": True, "trace": 1})
+        assert eng.events[-1].payload == {"target": servant, "hit": False, "trace": 1}
 
     def test_assassination_disabled_finishes_immediately(self):
         eng = make_engine(evil={5, 6, 7}, config=GameConfig(assassination_enabled=False))

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from avalonplay.agents import AgentSpec
 from avalonplay.cli import main
-from avalonplay.events import AUDIT
 from avalonplay.game import GameConfig, Phase
 from avalonplay.records import (
     GameRecord,
@@ -192,6 +192,47 @@ class TestStrictLoader:
             load_record(io.StringIO("\n".join(rows) + "\n"))
 
 
+_OUTCOME_LINE_CASES = [
+    ({"aborted": "no"}, "aborted should be bool, got 'no'"),
+    ({"aborted": None}, "aborted should be bool, got None"),
+    ({"error": 5}, "error should be str or NoneType, got 5"),
+    ({"outcome": None}, "outcome should be dict, got None"),
+    ({"aborted": True}, "outcome should be NoneType, got {"),
+    ({"outcome": {"assassination_hit": "no"}}, "assassination_hit should be bool or NoneType, got 'no'"),
+    ({"outcome": {"assassination_hit": 1}}, "assassination_hit should be bool or NoneType, got 1"),
+    ({"outcome": {"assassination_target": "4"}}, "assassination_target should be int or NoneType"),
+    ({"outcome": {"assassination_target": True}}, "assassination_target should be int or NoneType"),
+    ({"outcome": {"overall_winner": "just"}}, "overall_winner should be 'evil', got 'just'"),
+]
+
+
+class TestOutcomeLine:
+    """The outcome line is checked as strictly as the header: a field of the
+    wrong JSON type, an outcome that does not fit `aborted` or a stored
+    winner that the other fields do not give is a format error naming the
+    line."""
+
+    @pytest.mark.parametrize(
+        "fields, message", _OUTCOME_LINE_CASES, ids=[json.dumps(f) for f, _ in _OUTCOME_LINE_CASES]
+    )
+    def test_bad_outcome_line_names_the_line(self, record, fields, message):
+        rows = _text(record).splitlines()
+        tail = json.loads(rows[-1])
+        for key, value in fields.items():
+            tail[key] = tail[key] | value if isinstance(value, dict) else value
+        rows[-1] = json.dumps(tail)
+        with pytest.raises(RecordFormatError, match=f"line {len(rows)}: bad outcome: .*{re.escape(message)}"):
+            load_record(io.StringIO("\n".join(rows) + "\n"))
+
+    def test_a_complete_game_cut_short_is_rejected(self, record):
+        rows = _text(record).splitlines()
+        first_quest = next(i for i, row in enumerate(rows) if '"kind": "quest_result"' in row)
+        tail = json.loads(rows[-1]) | {"outcome": None}
+        rows = [*rows[: first_quest + 1], json.dumps(tail)]
+        with pytest.raises(RecordFormatError, match=f"line {len(rows)}: bad outcome"):
+            load_record(io.StringIO("\n".join(rows) + "\n"))
+
+
 class TestSchemaErrors:
     def test_version_mismatch(self, record, tmp_path):
         path = tmp_path / "game.jsonl"
@@ -269,6 +310,26 @@ class TestReplay:
         with pytest.raises(ReplayMismatch, match="outcome"):
             replay(load_record(path))
 
+    def test_renumbered_seqs_detected(self, record):
+        rows = _text(record).splitlines()
+        for i in range(5, len(rows) - 1):  # from the fifth event on
+            data = json.loads(rows[i])
+            data["seq"] += 10
+            rows[i] = json.dumps(data)
+        with pytest.raises(ReplayMismatch, match="seq 15 differs"):
+            _replay_text("\n".join(rows) + "\n")
+
+    def test_audit_event_moved_past_its_quest_result_detected(self):
+        record = run_game(GameConfig(), LLM_COT, LLM_REACT, seed_for_game(37, 0), client=budgeted_mock())
+        rows = _text(record).splitlines()
+        i = next(i for i, row in enumerate(rows) if '"quest_vote_override"' in row)
+        audit, result = json.loads(rows[i]), json.loads(rows[i + 1])
+        assert result["kind"] == "quest_result"
+        audit["seq"], result["seq"] = result["seq"], audit["seq"]
+        rows[i], rows[i + 1] = json.dumps(result), json.dumps(audit)
+        with pytest.raises(ReplayMismatch, match=f"seq {audit['seq']} differs"):
+            _replay_text("\n".join(rows) + "\n")
+
     def test_missing_engine_seed_rejected(self, record):
         broken = GameRecord(
             game_id=record.game_id,
@@ -337,10 +398,14 @@ def _pin_records():
 
 
 def _events_digest(records) -> str:
-    """One sha256 over each record's replayed events, written and loaded first."""
+    """One sha256 over each record's replayed events, written and loaded
+    first; the replayed events equal the loaded ones."""
     digest = hashlib.sha256()
     for record in records:
-        digest.update(json.dumps([e.to_dict() for e in _replay_text(_text(record)).events]).encode("utf-8"))
+        loaded = load_record(io.StringIO(_text(record)))
+        events = replay(loaded).events
+        assert events == loaded.events
+        digest.update(json.dumps([e.to_dict() for e in events]).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -375,9 +440,10 @@ class TestRecordAndReplayPin:
         assert _bytes_digest([codeact_record]) == PINNED_CODEACT_BYTES_DIGEST
 
 
-# The replayed events are those of schema 1, less the per-event game id.
-PINNED_EVENTS_DIGEST = "a7655d08e2124ec1b820893dfe9d170029c5162cf7d36d8fcd5de6ad0108ebb8"
-PINNED_CODEACT_EVENTS_DIGEST = "8d21ce48b971ece1ef82b079671974e09de8d1f098bccd9a4983e007e70bd3a5"
+# The replayed events are the loaded events, audit events and agent traces
+# included.
+PINNED_EVENTS_DIGEST = "d44af3c3e56ddac69327cf54ec32090fef8dd1525baf58d86728874909fad97a"
+PINNED_CODEACT_EVENTS_DIGEST = "7426a9ba2e1fb643d8365f775bd202721972207cb3b661680dce15736910f28e"
 # Schema 2 record files: the schema 1 files of the same games with the
 # rule keys, the event `type` and `game_id` dropped and the config re-hashed.
 PINNED_BYTES_DIGEST = "559639d5a3a471cafb0c576b8a513188c3eb489938ebafd7dc41319b9f9dbae9"
@@ -519,11 +585,7 @@ class TestAbortedReplay:
         engine = _replay_text(_text(record))
         assert not engine.finished
         assert engine.state.phase is phase
-        # Agent traces and audit events (so also seq numbers) are not replayed.
-        def game_facts(events):
-            return [(e.kind, e.round, e.attempt, e.phase, e.actor, e.text, e.visibility) for e in events]
-
-        assert game_facts(engine.events) == game_facts(e for e in record.events if e.visibility != AUDIT)
+        assert engine.events == record.events
 
 
 RECORD_ERRORS = (RecordFormatError, RecordSchemaError, ReplayMismatch)
