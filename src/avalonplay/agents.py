@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable
 
@@ -32,8 +31,9 @@ from .deduction import (
     belief,
     facts_from_history,
     facts_from_private,
+    live_worlds,
     select_team,
-    success_probability,
+    success_counts,
 )
 from .game import ALL_SEATS, Phase, Side
 from .knowledge import KnowledgeView
@@ -155,6 +155,8 @@ class Agent:
         self.view = view
         self.rng = rng
         self.on_error = on_error
+        # (the last public-facts tuple seen, the mask of its history constraints)
+        self._history_memo: tuple[tuple[PublicFact, ...] | None, int] = (None, 0)
 
     def act(self, obs: Observation) -> AgentReply:
         raise NotImplementedError
@@ -189,11 +191,25 @@ class Agent:
     def _private_constraints(self) -> list[Constraint]:
         return facts_from_private(self.view)
 
+    @cached_property
+    def _private_worlds(self) -> int:
+        return live_worlds(ConstraintSet(tuple(self._private_constraints)))
+
     # The deduction policy's constraints: this seat's private facts, then
     # the observed quest history.
     def _constraints(self, obs: Observation) -> ConstraintSet:
         history = facts_from_history(obs.public_facts)
         return ConstraintSet(tuple(self._private_constraints + history))
+
+    def _live_worlds(self, obs: Observation) -> int:
+        """`live_worlds(self._constraints(obs))`: the private mask AND the
+        mask of the quest history, which is kept for the last facts tuple
+        seen (the runner hands out one tuple per quest result)."""
+        facts, history = self._history_memo
+        if facts is not obs.public_facts:
+            history = live_worlds(ConstraintSet(tuple(facts_from_history(obs.public_facts))))
+            self._history_memo = (obs.public_facts, history)
+        return self._private_worlds & history
 
     def _deduction_team(self, obs: Observation) -> tuple[frozenset[int], bool]:
         """The deduction policy's team: (`select_team` over the beliefs, True),
@@ -246,11 +262,21 @@ class ScriptedEvilAgent(Agent):
         return self._act_shared(obs)
 
 
+def _backs_team(succeeds: int, live: int, side: Side) -> bool | None:
+    """Whether a deduction seat of `side` backs a team whose quest succeeds
+    in `succeeds` of its `live` worlds: a just seat when that chance is at
+    least one half, an evil seat when it is at most one half. None when no
+    world is live."""
+    if not live:
+        return None
+    return 2 * succeeds >= live if side is Side.JUST else 2 * succeeds <= live
+
+
 class DeductionAgent(Agent):
-    def _success_probability(self, obs: Observation) -> Fraction | None:
+    def _backs_proposal(self, obs: Observation, side: Side) -> bool | None:
         if obs.proposed_team is None or obs.threshold is None:
             return None
-        return success_probability(self._constraints(obs), obs.proposed_team, obs.threshold)
+        return _backs_team(*success_counts(self._live_worlds(obs), obs.proposed_team, obs.threshold), side)
 
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase
@@ -266,13 +292,13 @@ class DeductionAgent(Agent):
             )
             return AgentReply(SelectTeam(team), trace={"fallback": True})
         if phase is Phase.DISCUSSION:
-            p = self._success_probability(obs)
-            if p is None or p >= Fraction(1, 2):
-                return AgentReply(Discuss("I have no objection to this team."))
-            return AgentReply(Discuss("I am not convinced by this team."))
+            # Either side speaks as a just seat would vote.
+            if self._backs_proposal(obs, Side.JUST) is False:
+                return AgentReply(Discuss("I am not convinced by this team."))
+            return AgentReply(Discuss("I have no objection to this team."))
         if phase is Phase.TEAM_VOTE:
-            p = self._success_probability(obs)
-            if p is None:
+            approve = self._backs_proposal(obs, self.view.side)
+            if approve is None:
                 approve = True
                 self.on_error(
                     self.seat,
@@ -280,10 +306,6 @@ class DeductionAgent(Agent):
                     "belief state had no consistent world; voted approve",
                     {},
                 )
-            elif self.view.side is Side.JUST:
-                approve = p >= Fraction(1, 2)
-            else:
-                approve = p <= Fraction(1, 2)
             return AgentReply(self._ballot(approve))
         return self._act_shared(obs)
 

@@ -14,6 +14,14 @@ set are the AND of its constraint masks, so `belief`,
 `success_probability` and the contradiction test are popcounts. The
 tables are built lazily, never at import time.
 
+`belief` and `success_probability` keep an exact `Fraction` API. The
+deduction policy's hot path works on masks and counts instead: a seat ANDs
+its private mask (computed once per game) with the history mask of the
+quest results so far (recomputed once per quest), and
+`success_counts(live, team, threshold)` returns (succeeding worlds, live
+worlds) as integers, which the policy compares with one half as `2k >= n`
+or `2k <= n`.
+
 `brute_force_oracle` recomputes beliefs by filtering all 2520 role
 assignments with its own satisfaction logic. It shares no enumeration or
 bit-twiddling code with `belief`, so the two can cross-check each other.
@@ -250,18 +258,21 @@ def belief(cs: ConstraintSet) -> BeliefState:
     return BeliefState(p_good=p_good, n_worlds=n)
 
 
+def success_counts(live: int, team: Iterable[int], threshold: int) -> tuple[int, int]:
+    """(the worlds of the `live` mask in which `team` holds fewer than
+    `threshold` evil seats, the worlds of `live`), both as counts."""
+    # The quest succeeds in the worlds with at most threshold - 1 evil on the team.
+    succeeds = _worlds_satisfying(ConstraintKind.AT_MOST, sum(1 << p for p in team), threshold - 1)
+    return (live & succeeds).bit_count(), live.bit_count()
+
+
 def success_probability(
     cs: ConstraintSet, team: frozenset[int], threshold: int
 ) -> Fraction | None:
     """Exact chance that `team` holds fewer than `threshold` evil seats,
     over the worlds consistent with `cs`; None when there are none."""
-    live = live_worlds(cs)
-    n = live.bit_count()
-    if n == 0:
-        return None
-    # The quest succeeds in the worlds with at most threshold - 1 evil on the team.
-    succeeds = _worlds_satisfying(ConstraintKind.AT_MOST, sum(1 << p for p in team), threshold - 1)
-    return Fraction((live & succeeds).bit_count(), n)
+    succeeds, n = success_counts(live_worlds(cs), team, threshold)
+    return Fraction(succeeds, n) if n else None
 
 
 def select_team(beliefs: BeliefState, n: int, leader: int) -> frozenset[int]:
@@ -277,7 +288,9 @@ def select_team(beliefs: BeliefState, n: int, leader: int) -> frozenset[int]:
         raise DeductionError(f"team size out of range: {n}")
     if leader not in ALL_PLAYERS:
         raise DeductionError(f"no such seat: {leader}")
-    order = sorted(ALL_SEATS, key=lambda p: (-beliefs.p_good[p], p != leader, p))
+    # A stable sort by descending p_good keeps the tie order: leader, then ascending seats.
+    ties = [leader, *(p for p in ALL_SEATS if p != leader)]
+    order = sorted(ties, key=beliefs.p_good.__getitem__, reverse=True)
     return frozenset(order[:n])
 
 

@@ -7,10 +7,11 @@ lines carry a `type`; only the header holds the game id and the config
 current schema; schema 1 files load through `_upgrade_v1`. Loading is the
 exact inverse of writing, and `replay` re-drives the rules engine from the
 recorded actions and requires the rebuilt event log to equal the recorded
-one field for field, seq included, and the outcome to match. Audit-channel
-events (agent diagnostics) follow from no rule, since no agents run during
-a replay, so replay re-emits them from the record where they stand: one
-that was moved or renumbered still differs.
+one field for field, seq included and payload values of the same JSON
+type, and the outcome to match. Audit-channel events (agent diagnostics)
+follow from no rule, since no agents run during a replay, so replay
+re-emits them from the record where they stand: one that was moved or
+renumbered still differs.
 
 Replay runs `game.drive`, the same phase loop as live play, with each
 decision read from the record instead of asked of an agent. It stops
@@ -41,6 +42,12 @@ from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, Side, d
 from .knowledge import RoleAssignment
 
 SCHEMA_VERSION = 2
+
+# One encoder and one decoder for every record line: `json.dumps` with a
+# keyword argument builds a new encoder for each, and `json.loads` adds a
+# call and its argument checks to each.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+_decode_line = json.JSONDecoder().decode
 
 
 class RecordFormatError(ValueError):
@@ -93,7 +100,7 @@ def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
     outcome = record.outcome.to_dict() if record.outcome else None
     tail = {"type": "outcome", "aborted": record.aborted, "error": record.error, "outcome": outcome}
     lines = [header, *(e.to_dict() for e in record.events), tail]
-    text = "\n".join(json.dumps(obj, ensure_ascii=False) for obj in lines) + "\n"
+    text = "\n".join(map(_encode_line, lines)) + "\n"
     if isinstance(destination, (str, Path)):
         path = Path(destination)
         partial = path.with_name(path.name + ".partial")
@@ -118,7 +125,7 @@ def _parse_lines(raw: str, source: str) -> list[tuple[int, dict[str, Any]]]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_line(line)
         except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise RecordFormatError(f"{source}: line {lineno} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
@@ -226,9 +233,11 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
                 raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
             try:
                 for key, value in row.items():
-                    if key not in _EVENT_FIELD_TYPES:
+                    kinds = _EVENT_FIELD_TYPES.get(key)
+                    if kinds is None:
                         raise ValueError(f"unknown event key {key!r}")
-                    _checked(value, _EVENT_FIELD_TYPES[key], key)
+                    if type(value) not in kinds:  # `_checked` inline, as this runs for every key
+                        _checked(value, kinds, key)
                 event = EventLogEntry.from_dict(row)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc
@@ -374,6 +383,29 @@ def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | No
     return decide
 
 
+def _same_json(a: Any, b: Any) -> bool:
+    """`a == b` for JSON values, except that no two of bool, int and float
+    are equal: a payload's `true`, `1` and `1.0` are three values."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        if a.keys() != b.keys():
+            return False
+        for key, value in a.items():
+            other = b[key]
+            if value is not other and not _same_json(value, other):
+                return False
+        return True
+    if type(a) is list:
+        if len(a) != len(b):
+            return False
+        for value, other in zip(a, b):
+            if value is not other and not _same_json(value, other):
+                return False
+        return True
+    return a == b
+
+
 def replay(record: GameRecord) -> GameEngine:
     """Re-drive the rules engine from recorded actions and verify the log.
 
@@ -393,9 +425,13 @@ def replay(record: GameRecord) -> GameEngine:
         # be an honest transcript of a real game.
         raise ReplayMismatch(f"{record.game_id}: recorded action rejected on replay: {exc}") from exc
 
-    if record.events != engine.events:
+    recorded, replayed = record.events, engine.events
+    # `==` takes true, 1 and 1.0 for one value, so the payloads are compared again by type.
+    if recorded != replayed or not all(_same_json(w.payload, g.payload) for w, g in zip(recorded, replayed)):
         # The first pair that differs; past the end of the shorter log, one side is None.
-        want, got = next((w, g) for w, g in zip_longest(record.events, engine.events) if w != g)
+        want, got = next(
+            (w, g) for w, g in zip_longest(recorded, replayed) if w != g or not _same_json(w.payload, g.payload)
+        )
         raise ReplayMismatch(
             f"{record.game_id}: seq {(want or got).seq} differs:\n"
             f"  recorded: {want and want.to_dict()}\n"

@@ -30,7 +30,7 @@ from .events import EventKind
 from .game import ALL_SEATS, GameConfig, GameEngine, Phase, Side, drive
 from .knowledge import deal_roles, knowledge_for
 from .llm import LLMClient, MockScriptExhausted, TransportError
-from .memory import GlobalMemory, public_facts_from_history
+from .memory import GlobalMemory, PublicFact, public_facts_from_history
 from .prompts import build_bundle
 from .records import GameRecord, RecordFormatError, quest_result_fields, write_record
 
@@ -103,6 +103,9 @@ def run_game(
         if specs[p].policy in MEMORY_POLICIES
     }
     cursor = 0
+    # Rebuilt only after a quest result, so every observation in between
+    # hands out the same tuple (which deduction seats memoise on).
+    public_facts: tuple[PublicFact, ...] = ()
 
     def pump() -> None:
         nonlocal cursor
@@ -112,7 +115,10 @@ def run_game(
         cursor = len(engine.events)
 
     def observe(seat: int, **kw: Any) -> Observation:
+        nonlocal public_facts
         st = engine.state
+        if len(public_facts) != len(st.quest_history):
+            public_facts = public_facts_from_history(st.quest_history, config.reveal_sabotage_count)
         memory = memories.get(seat)
         return Observation(
             seat=seat,
@@ -120,9 +126,7 @@ def run_game(
             round=st.round,
             attempt=st.attempt,
             bundle=build_bundle(engine, views[seat], memory) if memory is not None else None,
-            public_facts=public_facts_from_history(
-                st.quest_history, config.reveal_sabotage_count
-            ),
+            public_facts=public_facts,
             **kw,
         )
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalonplay.agents import (
     AgentSpec,
@@ -18,13 +20,15 @@ from avalonplay.agents import (
     build_strategy_prompt,
     make_agent,
 )
+from avalonplay.agents import _backs_team
 from avalonplay.codeact import DebugLoopConfig
-from avalonplay.game import GameConfig, GameEngine, Phase
+from avalonplay.deduction import live_worlds, success_counts, success_probability
+from avalonplay.game import GameConfig, GameEngine, Phase, Side
 from avalonplay.knowledge import RoleAssignment, knowledge_for
 from avalonplay.llm import MockLLM, MockRule
 from avalonplay.memory import PublicFact, public_facts_from_history
 from avalonplay.prompts import PromptBundle
-from helpers import canonical_roles, run_round
+from helpers import canonical_roles, random_constraint_set, run_round
 
 RA = RoleAssignment(canonical_roles({5, 6, 7}))
 
@@ -174,6 +178,25 @@ class TestDeductionAgent:
         assert fine.action.text == "I have no objection to this team."
         bad = agent.act(obs(Phase.DISCUSSION, proposed_team=frozenset({5, 6}), threshold=1))
         assert bad.action.text == "I am not convinced by this team."
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: random_constraint_set(random.Random(seed))),
+    st.sets(st.integers(min_value=1, max_value=7), min_size=1).map(frozenset),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from(Side),
+)
+def test_property_integer_rule_matches_the_fraction_rule(cs, team, threshold, side):
+    """The vote and discussion rule on world counts decides as the exact
+    success probability against one half would, and is None exactly when no
+    world is live."""
+    live = live_worlds(cs)
+    verdict = _backs_team(*success_counts(live, team, threshold), side)
+    p = success_probability(cs, team, threshold)
+    assert (verdict is None) == (p is None) == (live == 0)
+    if p is not None:
+        assert verdict == (p >= Fraction(1, 2) if side is Side.JUST else p <= Fraction(1, 2))
 
 
 class TestStrategyPrompt:

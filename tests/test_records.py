@@ -330,6 +330,29 @@ class TestReplay:
         with pytest.raises(ReplayMismatch, match=f"seq {audit['seq']} differs"):
             _replay_text("\n".join(rows) + "\n")
 
+    @pytest.mark.parametrize(
+        "game_index, kind, key, value, retyped",
+        [
+            (0, "quest_result", "sabotage_count", 1, True),
+            (1, "assassination_result", "hit", False, 0),
+            (0, "quest_result", "round", 1, 1.0),
+        ],
+        ids=["true-sabotage-count", "hit-0", "round-1.0"],
+    )
+    def test_a_payload_value_of_another_json_type_is_detected(self, game_index, kind, key, value, retyped):
+        # `==` takes each retyped value for the engine's, and the file still loads.
+        assert retyped == value
+        game = run_game(GameConfig(), AgentSpec("deduction"), AgentSpec("scripted_evil"), seed_for_game(11, game_index))
+        rows = _text(game).splitlines()
+        i, data = next(
+            (i, data) for i, data in enumerate(map(json.loads, rows))
+            if data.get("kind") == kind and data["payload"][key] == value
+        )
+        data["payload"][key] = retyped
+        rows[i] = json.dumps(data)
+        with pytest.raises(ReplayMismatch, match=f"seq {data['seq']} differs"):
+            _replay_text("\n".join(rows) + "\n")
+
     def test_missing_engine_seed_rejected(self, record):
         broken = GameRecord(
             game_id=record.game_id,

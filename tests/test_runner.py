@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from avalonplay import runner
-from avalonplay.agents import POLICIES, AgentSpec, DeductionAgent
+from avalonplay.agents import POLICIES, AgentSpec, DeductionAgent, Observation
+from avalonplay.deduction import live_worlds
 from avalonplay.events import AUDIT, EventKind
-from avalonplay.game import GameConfig, Side
+from avalonplay.game import GameConfig, GameEngine, Phase, Side
 from avalonplay.llm import MockLLM, MockRule
 from avalonplay.records import load_record, replay
 from avalonplay.runner import (
@@ -393,6 +394,58 @@ class TestTournament:
             TournamentConfig(n_games=60, base_seed=33, just_spec=RANDOM)
         ).report
         assert deduction.team_accuracy - baseline.team_accuracy >= Fraction(15, 100)
+
+
+class TestObservationCaches:
+    """The runner's per-quest facts tuple and each deduction seat's memoised
+    live-world mask never go stale."""
+
+    @pytest.mark.parametrize(
+        "config", [GameConfig(), GameConfig(reveal_sabotage_count=True, play_all_rounds=True)], ids=["default", "all-rounds"]
+    )
+    def test_facts_change_at_each_quest_result_and_masks_follow(self, config, monkeypatch):
+        quests = 0
+        resolve = GameEngine.resolve_current_quest
+
+        def counting_resolve(engine, *args):
+            nonlocal quests
+            outcome = resolve(engine, *args)
+            quests += 1
+            return outcome
+
+        handed_out = []  # (quest results so far, the observation's facts tuple)
+
+        def observation(**fields):
+            obs = Observation(**fields)
+            handed_out.append((quests, obs.public_facts))
+            return obs
+
+        act = DeductionAgent.act
+        decisions = []
+
+        def checked_act(agent, obs):
+            reply = act(agent, obs)
+            if obs.phase in (Phase.DISCUSSION, Phase.TEAM_VOTE):
+                assert agent._history_memo[0] is obs.public_facts
+            assert agent._live_worlds(obs) == live_worlds(agent._constraints(obs))
+            decisions.append(obs.phase)
+            return reply
+
+        monkeypatch.setattr(GameEngine, "resolve_current_quest", counting_resolve)
+        monkeypatch.setattr(runner, "Observation", observation)
+        monkeypatch.setattr(DeductionAgent, "act", checked_act)
+        record = run_game(config, DEDUCTION, SCRIPTED, game_seed=seed_for_game(5, 3))
+
+        assert quests == sum(1 for e in record.events if e.kind is EventKind.QUEST_RESULT) >= 3
+        assert Phase.TEAM_VOTE in decisions and Phase.DISCUSSION in decisions
+        facts_at: dict[int, tuple] = {}
+        for n_quests, facts in handed_out:
+            assert len(facts) == n_quests
+            # The same tuple between quest results ...
+            assert facts_at.setdefault(n_quests, facts) is facts
+        # ... and a new one after each.
+        assert set(facts_at) >= set(range(quests))
+        assert len({id(facts) for facts in facts_at.values()}) == len(facts_at)
 
 
 def _prompt_log_digest(client) -> str:
