@@ -89,16 +89,16 @@ class AgentReply:
 
 @dataclass(frozen=True)
 class Observation:
-    """Everything a seat may see when asked to act.
+    """What a seat sees when asked to act; its seat and private knowledge
+    are its agent's own.
 
     The prompt bundle is only needed by model-backed policies; pure
     policies act on the structured fields alone and callers may omit it.
+    `team_size` is set for team selection, `proposed_team` and `threshold`
+    for discussion, the team vote and the quest.
     """
 
-    seat: int
     phase: Phase
-    round: int
-    attempt: int
     bundle: PromptBundle | None = None
     team_size: int | None = None
     threshold: int | None = None

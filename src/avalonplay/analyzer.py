@@ -19,11 +19,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import NoneType
 from typing import Any, Iterable
 
 from .events import EventKind, EventLogEntry
 from .game import ALL_SEATS
-from .records import GameRecord, quest_result_fields
+from .records import GameRecord, RecordFormatError, _checked, quest_result_fields
 from .templates import load_template
 
 FINDING_KINDS = (
@@ -78,7 +79,17 @@ def _claim_rules() -> dict[str, re.Pattern[str]]:
     return rules
 
 
+def _seats(value: Any, what: str) -> list[int]:
+    """`value`, if it is a list of integers."""
+    for seat in _checked(value, (list,), what):
+        _checked(seat, (int,), f"an entry of {what}")
+    return value
+
+
 def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
+    """Findings from the proposals' parse and program traces, the private
+    ballots and the parse fallbacks. A trace field this reads that has the
+    wrong JSON type raises RecordFormatError naming the game and the seq."""
     findings: list[ConsistencyFinding] = []
 
     def add(event: EventLogEntry, kind: str, detail: str) -> None:
@@ -94,45 +105,52 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
 
     for event in record.events:
         payload = event.payload
-        if event.kind is EventKind.TEAM_PROPOSED:
-            required = payload.get("required_n") or len(payload.get("members", ()))
-            for attempt in payload.get("raw_attempts", ()):
-                ids = attempt.get("ids", [])
-                error_kind = attempt.get("error_kind")
-                if error_kind == "WrongSize":
-                    add(
-                        event,
-                        "TeamSizeViolation",
-                        f"named {len(ids)} player(s) {ids} when {required} were required",
-                    )
-                elif error_kind == "InvalidPlayerRef":
-                    add(event, "InvalidPlayerRef", f"named nonexistent seat(s) in {ids}")
-            for attempt in (payload.get("codeact") or {}).get("attempts", ()):
-                ids = attempt.get("parsed_ids") or []
-                if not ids:
-                    continue
-                if any(i not in ALL_SEATS for i in ids):
-                    add(event, "InvalidPlayerRef", f"program printed nonexistent seat(s) in {ids}")
-                elif len(set(ids)) != required:
-                    add(
-                        event,
-                        "TeamSizeViolation",
-                        f"program printed {len(set(ids))} player(s) {sorted(set(ids))} "
-                        f"when {required} were required",
-                    )
-        elif event.kind is EventKind.BALLOT_RESULT and event.visibility.startswith("private:"):
-            reasoning = payload.get("reasoning") or ""
-            approve = payload.get("approve")
-            for rule_vote, pattern in _vote_mismatch_rules():
-                if approve is rule_vote and pattern.search(reasoning):
-                    add(
-                        event,
-                        "VoteReasoningMismatch",
-                        f"voted {'approve' if approve else 'reject'} while reasoning {reasoning!r}",
-                    )
-                    break
-        elif event.kind is EventKind.AGENT_ERROR and payload.get("reason") == "parse_fallback":
-            add(event, "ParseFallbackUsed", payload.get("detail", "parse fallback"))
+        try:
+            if event.kind is EventKind.TEAM_PROPOSED:
+                required = _checked(payload.get("required_n"), (int, NoneType), "required_n") or len(
+                    _checked(payload.get("members", []), (list,), "members")
+                )
+                for attempt in _checked(payload.get("raw_attempts", []), (list,), "raw_attempts"):
+                    ids = _seats(_checked(attempt, (dict,), "a raw attempt").get("ids", []), "ids")
+                    error_kind = _checked(attempt.get("error_kind"), (str, NoneType), "error_kind")
+                    if error_kind == "WrongSize":
+                        add(
+                            event,
+                            "TeamSizeViolation",
+                            f"named {len(ids)} player(s) {ids} when {required} were required",
+                        )
+                    elif error_kind == "InvalidPlayerRef":
+                        add(event, "InvalidPlayerRef", f"named nonexistent seat(s) in {ids}")
+                codeact = _checked(payload.get("codeact"), (dict, NoneType), "codeact") or {}
+                for attempt in _checked(codeact.get("attempts", []), (list,), "codeact attempts"):
+                    ids = _checked(attempt, (dict,), "a codeact attempt").get("parsed_ids")
+                    ids = _seats(ids, "parsed_ids") if ids is not None else []
+                    if not ids:
+                        continue
+                    if any(i not in ALL_SEATS for i in ids):
+                        add(event, "InvalidPlayerRef", f"program printed nonexistent seat(s) in {ids}")
+                    elif len(set(ids)) != required:
+                        add(
+                            event,
+                            "TeamSizeViolation",
+                            f"program printed {len(set(ids))} player(s) {sorted(set(ids))} "
+                            f"when {required} were required",
+                        )
+            elif event.kind is EventKind.BALLOT_RESULT and event.visibility.startswith("private:"):
+                reasoning = _checked(payload.get("reasoning"), (str, NoneType), "reasoning") or ""
+                approve = _checked(payload.get("approve"), (bool,), "approve")
+                for rule_vote, pattern in _vote_mismatch_rules():
+                    if approve is rule_vote and pattern.search(reasoning):
+                        add(
+                            event,
+                            "VoteReasoningMismatch",
+                            f"voted {'approve' if approve else 'reject'} while reasoning {reasoning!r}",
+                        )
+                        break
+            elif event.kind is EventKind.AGENT_ERROR and payload.get("reason") == "parse_fallback":
+                add(event, "ParseFallbackUsed", _checked(payload.get("detail", "parse fallback"), (str,), "detail"))
+        except TypeError as exc:  # from `_checked`: every field above is checked before it is used
+            raise RecordFormatError(f"{record.game_id}: seq {event.seq}: {exc}") from None
     return findings
 
 

@@ -32,7 +32,6 @@ first use, and reused by later calls.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -116,43 +115,6 @@ class Constraint:
         """Mask of the side-level worlds (bit i: `_EVIL_SETS[i]`) satisfying this."""
         return _worlds_satisfying(self.kind, self.mask, self.count)
 
-    # -- line form -----------------------------------------------------------
-
-    def to_line(self) -> str:
-        if self.kind is ConstraintKind.IS_GOOD:
-            return f"player {next(iter(self.players))} is good"
-        if self.kind is ConstraintKind.IS_EVIL:
-            return f"player {next(iter(self.players))} is evil"
-        word = {
-            ConstraintKind.AT_LEAST: "at least",
-            ConstraintKind.AT_MOST: "at most",
-            ConstraintKind.EXACTLY: "exactly",
-        }[self.kind]
-        seats = ",".join(str(p) for p in sorted(self.players))
-        return f"{word} {self.count} evil in {{{seats}}}"
-
-    _LINE_SIDE = re.compile(r"^player\s+(\d+)\s+is\s+(good|evil)$")
-    _LINE_COUNT = re.compile(r"^(at least|at most|exactly)\s+(\d+)\s+evil\s+in\s+\{([\d,\s]+)\}$")
-
-    @classmethod
-    def from_line(cls, line: str) -> "Constraint":
-        text = line.strip().lower()
-        m = cls._LINE_SIDE.match(text)
-        if m:
-            seat = int(m.group(1))
-            maker = cls.is_good if m.group(2) == "good" else cls.is_evil
-            return maker(seat)
-        m = cls._LINE_COUNT.match(text)
-        if m:
-            kind = {
-                "at least": ConstraintKind.AT_LEAST,
-                "at most": ConstraintKind.AT_MOST,
-                "exactly": ConstraintKind.EXACTLY,
-            }[m.group(1)]
-            players = frozenset(int(p) for p in m.group(3).replace(" ", "").split(",") if p)
-            return cls(kind, players, int(m.group(2)))
-        raise DeductionError(f"unparseable constraint line: {line!r}")
-
 
 def _count_ok(kind: ConstraintKind, n: int, count: int) -> bool:
     """Whether `n` evil seats among a constraint's players satisfy it."""
@@ -178,16 +140,6 @@ class ConstraintSet:
         # The global 4-good/3-evil constraint is always present exactly once.
         cs = [c for c in self.constraints if c != GLOBAL_CONSTRAINT]
         object.__setattr__(self, "constraints", (GLOBAL_CONSTRAINT, *cs))
-
-    def add(self, *constraints: Constraint) -> "ConstraintSet":
-        return ConstraintSet(self.constraints + tuple(constraints))
-
-    def to_lines(self) -> list[str]:
-        return [c.to_line() for c in self.constraints]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "ConstraintSet":
-        return cls(tuple(Constraint.from_line(l) for l in lines if l.strip()))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ module constants; `GameConfig` holds only the toggles a game may vary.
 
 The engine is deterministic given its seed and the submitted actions; every
 transition appends to an event log that downstream memories, records, and
-the analyzer consume. `drive` is the one phase loop over the engine: live
-play and record replay differ only in where each decision comes from.
+the analyzer consume. Beyond that log and `GameState`, the engine keeps only
+what the next transition needs: the current attempt's team and how many
+seats have spoken on it; what became of past proposals is in the log.
+`drive` is the one phase loop over the engine: live play and record replay
+differ only in where each decision comes from.
 """
 
 from __future__ import annotations
@@ -114,22 +117,6 @@ class GameConfig:
 
 
 @dataclass(frozen=True)
-class TeamProposal:
-    round: int
-    attempt: int
-    leader: int
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ProposalRecord:
-    proposal: TeamProposal
-    ballots: dict[int, bool]
-    approved: bool  # team proceeded to the quest
-    forced: bool = False  # fifth attempt adopted without majority
-
-
-@dataclass(frozen=True)
 class QuestOutcome:
     round: int
     team: frozenset[int]
@@ -168,7 +155,6 @@ class GameState:
     leader: int | None = None
     phase: Phase = Phase.LEADER_ASSIGNMENT
     quest_history: list[QuestOutcome] = field(default_factory=list)
-    proposal_history: list[ProposalRecord] = field(default_factory=list)
 
     @property
     def successes(self) -> int:
@@ -178,13 +164,11 @@ class GameState:
     def failures(self) -> int:
         return sum(1 for q in self.quest_history if not q.success)
 
-    def team_size(self, round_no: int | None = None) -> int:
-        r = self.round if round_no is None else round_no
-        return TEAM_SIZES[r - 1]
+    def team_size(self) -> int:
+        return TEAM_SIZES[self.round - 1]
 
-    def threshold(self, round_no: int | None = None) -> int:
-        r = self.round if round_no is None else round_no
-        return SABOTAGE_THRESHOLDS[r - 1]
+    def threshold(self) -> int:
+        return SABOTAGE_THRESHOLDS[self.round - 1]
 
 
 def new_game(config: GameConfig) -> GameState:
@@ -287,9 +271,8 @@ class GameEngine:
         self.roles = dict(roles)
         self.events: list[EventLogEntry] = []
         self._rng = random.Random(seed)
-        self._seq = 0
-        self._current_proposal: TeamProposal | None = None
-        self._spoken: set[int] = set()
+        self._team: frozenset[int] | None = None
+        self._spoken = 0  # discussion speakers so far: seats 1.._spoken
         self._outcome: GameOutcome | None = None
 
     # ----- event helpers -------------------------------------------------
@@ -304,9 +287,8 @@ class GameEngine:
     ) -> EventLogEntry:
         """Append an event stamped with the next seq and the current round,
         attempt and phase. Replay re-emits recorded audit events here."""
-        self._seq += 1
         entry = EventLogEntry(
-            seq=self._seq,
+            seq=len(self.events) + 1,
             round=self.state.round,
             attempt=self.state.attempt,
             phase=self.state.phase.value,
@@ -326,8 +308,9 @@ class GameEngine:
     # ----- derived accessors ---------------------------------------------
 
     @property
-    def current_proposal(self) -> TeamProposal | None:
-        return self._current_proposal
+    def current_team(self) -> frozenset[int] | None:
+        """The members of the team proposed in this attempt, until its quest resolves."""
+        return self._team
 
     @property
     def assassin_seat(self) -> int:
@@ -344,8 +327,7 @@ class GameEngine:
     def next_speaker(self) -> int | None:
         if self.state.phase is not Phase.DISCUSSION:
             return None
-        remaining = [p for p in ALL_SEATS if p not in self._spoken]
-        return remaining[0] if remaining else None
+        return self._spoken + 1 if self._spoken < NUM_PLAYERS else None
 
     def expected_actors(self) -> set[int]:
         phase = self.state.phase
@@ -357,7 +339,7 @@ class GameEngine:
         if phase is Phase.TEAM_VOTE:
             return set(ALL_SEATS)
         if phase is Phase.QUEST_EXECUTION:
-            return set(self._current_proposal.members) if self._current_proposal else set()
+            return set(self._team) if self._team else set()
         if phase is Phase.ASSASSINATION:
             return {self.assassin_seat}
         return set()
@@ -368,22 +350,19 @@ class GameEngine:
         st = self.state
         if st.phase is not Phase.LEADER_ASSIGNMENT or st.round != 1 or st.leader is not None:
             raise ProtocolError("first leader can only be drawn once, at the start of round 1")
-        leader = self._rng.randint(1, NUM_PLAYERS)
-        st.leader = leader
-        self.emit(
-            EventKind.MODERATOR_NOTE,
-            LEADER_NOTE_ROUND.format(leader=leader, round=st.round),
-            payload={"leader": leader, "round": st.round},
-        )
-        st.phase = Phase.TEAM_SELECTION
-        return leader
+        return self._open_round(self._rng.randint(1, NUM_PLAYERS))
 
     def assign_next_leader(self) -> int:
         st = self.state
         if st.phase is not Phase.LEADER_ASSIGNMENT or st.round == 1:
             raise ProtocolError("next-round leader assignment requires a resolved quest")
-        last_proposer = st.proposal_history[-1].proposal.leader
-        leader = rotate_leader(last_proposer)
+        # The leader rotates only on a rejection, so the seat still leading
+        # is the one whose team went on the last quest.
+        return self._open_round(rotate_leader(st.leader))
+
+    def _open_round(self, leader: int) -> int:
+        """Seat `leader` for this round, announce it, and open team selection."""
+        st = self.state
         st.leader = leader
         self.emit(
             EventKind.MODERATOR_NOTE,
@@ -398,7 +377,7 @@ class GameEngine:
         members: Iterable[int],
         text: str | None = None,
         payload: dict[str, Any] | None = None,
-    ) -> TeamProposal:
+    ) -> None:
         st = self.state
         if st.phase is not Phase.TEAM_SELECTION:
             raise ProtocolError(f"cannot propose a team during {st.phase.value}")
@@ -409,8 +388,7 @@ class GameEngine:
         need = st.team_size()
         if len(team) != need:
             raise SizeViolation(f"round {st.round} needs a team of {need}, got {len(team)}")
-        proposal = TeamProposal(round=st.round, attempt=st.attempt, leader=st.leader, members=team)
-        self._current_proposal = proposal
+        self._team = team
         data = _with_engine_keys({"members": sorted(team), "leader": st.leader}, payload)
         utterance = text if text is not None else (
             "I choose " + join_players(team, lambda p: f"player {p}") + " for the quest."
@@ -418,13 +396,12 @@ class GameEngine:
         self.emit(EventKind.TEAM_PROPOSED, utterance, actor=st.leader, payload=data)
         if st.config.communication_enabled:
             st.phase = Phase.DISCUSSION
-            self._spoken = set()
+            self._spoken = 0
             announce = TEAM_ANNOUNCE_DISCUSS.format(team_literal=team_literal(team))
         else:
             st.phase = Phase.TEAM_VOTE
             announce = TEAM_ANNOUNCE_VOTE.format(team_literal=team_literal(team))
         self.emit(EventKind.MODERATOR_NOTE, announce, payload={"members": sorted(team)})
-        return proposal
 
     def add_discussion(self, speaker: int, text: str, payload: dict[str, Any] | None = None) -> None:
         st = self.state
@@ -433,9 +410,9 @@ class GameEngine:
         expected = self.next_speaker()
         if speaker != expected:
             raise ProtocolError(f"it is player {expected}'s turn to speak, not player {speaker}'s")
-        self._spoken.add(speaker)
+        self._spoken += 1
         self.emit(EventKind.DISCUSSION, text, actor=speaker, payload=payload or {})
-        if len(self._spoken) == NUM_PLAYERS:
+        if self._spoken == NUM_PLAYERS:
             st.phase = Phase.TEAM_VOTE
 
     def submit_ballots(
@@ -458,9 +435,7 @@ class GameEngine:
                 visibility=private_to(seat),
             )
         n_approve = sum(1 for v in ballots.values() if v)
-        forced = False
-        if not approved and st.attempt == MAX_PROPOSAL_ATTEMPTS:
-            forced = True
+        forced = not approved and st.attempt == MAX_PROPOSAL_ATTEMPTS
         self.emit(
             EventKind.BALLOT_RESULT,
             BALLOT_PUBLIC_NOTE.format(
@@ -470,13 +445,6 @@ class GameEngine:
             ),
             payload={"approved": approved, "approvals": n_approve, "forced": forced},
         )
-        record = ProposalRecord(
-            proposal=self._current_proposal,
-            ballots=dict(sorted(ballots.items())),
-            approved=approved or forced,
-            forced=forced,
-        )
-        st.proposal_history.append(record)
         if approved:
             st.phase = Phase.QUEST_EXECUTION
         elif forced:
@@ -491,19 +459,19 @@ class GameEngine:
                 LEADER_NOTE_ROTATION.format(leader=st.leader),
                 payload={"leader": st.leader, "round": st.round},
             )
-        return record.approved
+        return approved or forced
 
     def resolve_current_quest(self, quest_votes: dict[int, bool] | None = None) -> QuestOutcome:
         st = self.state
         if st.phase is not Phase.QUEST_EXECUTION:
             raise ProtocolError(f"cannot run a quest during {st.phase.value}")
-        proposal = self._current_proposal
-        outcome = resolve_quest(st.round, proposal.members, self.roles)
+        team = self._team
+        outcome = resolve_quest(st.round, team, self.roles)
         if quest_votes:
             # Quest ballots are forced by side; a contrary attempt is
             # overridden and kept in the audit trail.
             for seat in sorted(quest_votes):
-                if seat not in proposal.members:
+                if seat not in team:
                     raise ProtocolError(f"player {seat} is not on the quest team")
                 expected = self.roles[seat].side is Side.JUST
                 if quest_votes[seat] != expected:
@@ -529,7 +497,7 @@ class GameEngine:
                 "sabotage_count": outcome.sabotage_count,
             },
         )
-        self._current_proposal = None
+        self._team = None
         self._after_quest()
         return outcome
 
@@ -539,7 +507,6 @@ class GameEngine:
         if decided is None:
             st.round += 1
             st.attempt = 1
-            st.leader = None
             st.phase = Phase.LEADER_ASSIGNMENT
             return
         if decided.quest_winner is Side.JUST and st.config.assassination_enabled:

@@ -37,7 +37,7 @@ from typing import Any, Callable, TextIO
 
 from .agents import AgentSpec
 from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
-from .game import MAJORITY, MAX_PROPOSAL_ATTEMPTS, NUM_PLAYERS, SABOTAGE_THRESHOLDS, TEAM_SIZES
+from .game import ALL_SEATS, MAJORITY, MAX_PROPOSAL_ATTEMPTS, NUM_PLAYERS, SABOTAGE_THRESHOLDS, TEAM_SIZES
 from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, Side, drive
 from .knowledge import RoleAssignment
 
@@ -161,6 +161,31 @@ def _checked(value: Any, kinds: tuple[type, ...], what: str) -> Any:
     return value
 
 
+# The JSON types of an `AgentSpec`'s fields; a header's spec holds exactly these keys.
+_SPEC_FIELD_TYPES = {
+    "policy": (str,),
+    "strategy": (str,),
+    "model": (str,),
+    "temperature_text": (int, float),
+    "temperature_code": (int, float),
+}
+_SEAT_KEYS = [str(p) for p in ALL_SEATS]
+
+
+def _agent_specs(agents: dict[str, Any]) -> dict[int, AgentSpec]:
+    """The header's `agents` map: one spec for each of seats 1..7."""
+    if sorted(agents) != _SEAT_KEYS:
+        raise ValueError(f"agents should name seats 1..{NUM_PLAYERS}, got {sorted(agents)}")
+    specs = {}
+    for seat, spec in agents.items():
+        if _checked(spec, (dict,), f"agent {seat}").keys() != _SPEC_FIELD_TYPES.keys():
+            raise ValueError(f"agent {seat} should hold {list(_SPEC_FIELD_TYPES)}, got {list(spec)}")
+        for key, kinds in _SPEC_FIELD_TYPES.items():
+            _checked(spec[key], kinds, f"agent {seat} {key}")
+        specs[int(seat)] = AgentSpec.from_dict(spec)
+    return specs
+
+
 # The rule values a schema 1 header's config held ahead of the toggles.
 _V1_RULES = {"num_players": NUM_PLAYERS, "team_sizes": TEAM_SIZES, "sabotage_thresholds": SABOTAGE_THRESHOLDS,
              "majority": MAJORITY, "max_proposal_attempts": MAX_PROPOSAL_ATTEMPTS}
@@ -217,7 +242,7 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
         config = GameConfig(**toggles)
         config.validate()
         roles = RoleAssignment.from_json(header["roles"])
-        agents = {int(s): AgentSpec.from_dict(spec) for s, spec in header.get("agents", {}).items()}
+        agents = _agent_specs(_checked(header["agents"], (dict,), "agents"))
         game_id = _checked(header["game_id"], (str,), "game_id")
         seed_info = _checked(header.get("seed", {}), (dict,), "seed")
     except (KeyError, TypeError, ValueError, AttributeError, RuleError) as exc:
@@ -425,18 +450,15 @@ def replay(record: GameRecord) -> GameEngine:
         # be an honest transcript of a real game.
         raise ReplayMismatch(f"{record.game_id}: recorded action rejected on replay: {exc}") from exc
 
-    recorded, replayed = record.events, engine.events
-    # `==` takes true, 1 and 1.0 for one value, so the payloads are compared again by type.
-    if recorded != replayed or not all(_same_json(w.payload, g.payload) for w, g in zip(recorded, replayed)):
-        # The first pair that differs; past the end of the shorter log, one side is None.
-        want, got = next(
-            (w, g) for w, g in zip_longest(recorded, replayed) if w != g or not _same_json(w.payload, g.payload)
-        )
-        raise ReplayMismatch(
-            f"{record.game_id}: seq {(want or got).seq} differs:\n"
-            f"  recorded: {want and want.to_dict()}\n"
-            f"  replayed: {got and got.to_dict()}"
-        )
+    # Past the end of the shorter log, one side is None. `==` takes true, 1
+    # and 1.0 for one value, so the payloads are compared again by type.
+    for want, got in zip_longest(record.events, engine.events):
+        if not (want == got and _same_json(want.payload, got.payload)):
+            raise ReplayMismatch(
+                f"{record.game_id}: seq {(want or got).seq} differs:\n"
+                f"  recorded: {want and want.to_dict()}\n"
+                f"  replayed: {got and got.to_dict()}"
+            )
     want_outcome = record.outcome.to_dict() if record.outcome else None
     got_outcome = engine.outcome.to_dict() if engine.outcome else None
     if want_outcome != got_outcome:

@@ -121,10 +121,7 @@ def run_game(
             public_facts = public_facts_from_history(st.quest_history, config.reveal_sabotage_count)
         memory = memories.get(seat)
         return Observation(
-            seat=seat,
             phase=st.phase,
-            round=st.round,
-            attempt=st.attempt,
             bundle=build_bundle(engine, views[seat], memory) if memory is not None else None,
             public_facts=public_facts,
             **kw,
@@ -144,7 +141,7 @@ def run_game(
             seat = engine.assassin_seat
             reply = agents[seat].act(observe(seat))
             return seat, reply.action.target, traces(reply)
-        team = engine.current_proposal.members
+        team = engine.current_team
 
         def ask(seat: int) -> AgentReply:
             return agents[seat].act(observe(seat, proposed_team=team, threshold=st.threshold()))

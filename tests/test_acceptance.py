@@ -133,7 +133,8 @@ def test_criterion_3_exhaustive_rules():
     engine.assign_first_leader()
     for attempt in range(1, 6):
         engine.propose_team({1, 2})
-        engine.submit_ballots(reject_all())
+        # Only the fifth rejected team proceeds, and its result says forced.
+        assert engine.submit_ballots(reject_all()) == (attempt == 5)
         ballot = [
             e
             for e in engine.events
@@ -141,8 +142,6 @@ def test_criterion_3_exhaustive_rules():
         ][-1]
         assert ballot.payload["forced"] == (attempt == 5)
     assert engine.state.phase is Phase.QUEST_EXECUTION
-    final = engine.state.proposal_history[-1]
-    assert final.forced and final.approved
 
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"rule sweep took {elapsed:.2f}s"

@@ -47,10 +47,8 @@ def bundle(action="Do the thing.", history=""):
     )
 
 
-def obs(phase, seat=1, **kwargs):
-    defaults = dict(seat=seat, phase=phase, round=1, attempt=1)
-    defaults.update(kwargs)
-    return Observation(**defaults)
+def obs(phase, **kwargs):
+    return Observation(phase=phase, **kwargs)
 
 
 class TestAgentSpec:
@@ -88,7 +86,7 @@ class TestRandomAgent:
 
     def test_assassination_avoids_known_evil(self):
         agent = RandomAgent(6, view(6), random.Random(0))
-        targets = {agent.act(obs(Phase.ASSASSINATION, seat=6)).action.target for _ in range(40)}
+        targets = {agent.act(obs(Phase.ASSASSINATION)).action.target for _ in range(40)}
         assert targets <= {1, 2, 3, 4}
 
     def test_discussion(self):
@@ -99,26 +97,26 @@ class TestRandomAgent:
 class TestScriptedEvilAgent:
     def test_team_stacks_evil_seats(self):
         agent = ScriptedEvilAgent(6, view(6), random.Random(0))
-        assert agent.act(obs(Phase.TEAM_SELECTION, seat=6, team_size=2)).action.members == frozenset({6, 5})
-        assert agent.act(obs(Phase.TEAM_SELECTION, seat=6, team_size=4)).action.members == frozenset({6, 5, 7, 1})
+        assert agent.act(obs(Phase.TEAM_SELECTION, team_size=2)).action.members == frozenset({6, 5})
+        assert agent.act(obs(Phase.TEAM_SELECTION, team_size=4)).action.members == frozenset({6, 5, 7, 1})
 
     def test_votes_for_teams_with_evil_presence(self):
         agent = ScriptedEvilAgent(5, view(5), random.Random(0))
-        yes = agent.act(obs(Phase.TEAM_VOTE, seat=5, proposed_team=frozenset({5, 1})))
-        no = agent.act(obs(Phase.TEAM_VOTE, seat=5, proposed_team=frozenset({1, 2})))
+        yes = agent.act(obs(Phase.TEAM_VOTE, proposed_team=frozenset({5, 1})))
+        no = agent.act(obs(Phase.TEAM_VOTE, proposed_team=frozenset({1, 2})))
         assert yes.action.approve and not no.action.approve
         assert no.action.reasoning == "I disagree with this team."
 
     def test_discussion_casts_suspicion_on_just_seats(self):
         agent = ScriptedEvilAgent(5, view(5), random.Random(1))
         for _ in range(20):
-            text = agent.act(obs(Phase.DISCUSSION, seat=5)).action.text
+            text = agent.act(obs(Phase.DISCUSSION)).action.text
             target = int(text.split("player ")[1].split(".")[0])
             assert target in {1, 2, 3, 4}
             assert "Something about their choices feels off." in text
 
     def test_sabotages_quests(self):
-        assert not ScriptedEvilAgent(7, view(7), random.Random(0)).act(obs(Phase.QUEST_EXECUTION, seat=7)).action.approve
+        assert not ScriptedEvilAgent(7, view(7), random.Random(0)).act(obs(Phase.QUEST_EXECUTION)).action.approve
 
 
 class TestDeductionAgent:
@@ -129,13 +127,13 @@ class TestDeductionAgent:
 
     def test_leader_claims_its_own_seat_under_uncertainty(self):
         agent = DeductionAgent(3, view(3), random.Random(0))
-        reply = agent.act(obs(Phase.TEAM_SELECTION, seat=3, team_size=2))
+        reply = agent.act(obs(Phase.TEAM_SELECTION, team_size=2))
         assert 3 in reply.action.members
 
     def test_history_steers_selection(self):
         failed = (PublicFact(1, frozenset({6, 7}), False, None),)
         agent = DeductionAgent(3, view(3), random.Random(0))
-        reply = agent.act(obs(Phase.TEAM_SELECTION, seat=3, team_size=4, public_facts=failed))
+        reply = agent.act(obs(Phase.TEAM_SELECTION, team_size=4, public_facts=failed))
         assert reply.action.members & frozenset({6, 7}) == frozenset()
 
     def test_just_vote_threshold(self):
@@ -143,19 +141,19 @@ class TestDeductionAgent:
         # Percival: {1,5} contains exactly one evil; a 2-team from that pair
         # fails half the worlds, and the tie goes to approval.
         reply = agent.act(
-            obs(Phase.TEAM_VOTE, seat=2, proposed_team=frozenset({2, 3}), threshold=1)
+            obs(Phase.TEAM_VOTE, proposed_team=frozenset({2, 3}), threshold=1)
         )
         assert reply.action.approve
         risky = agent.act(
-            obs(Phase.TEAM_VOTE, seat=2, proposed_team=frozenset({6, 7}), threshold=1)
+            obs(Phase.TEAM_VOTE, proposed_team=frozenset({6, 7}), threshold=1)
         )
         assert not risky.action.approve
 
     def test_evil_vote_threshold_is_mirrored(self):
         agent = DeductionAgent(5, view(5), random.Random(0))
-        clean = agent.act(obs(Phase.TEAM_VOTE, seat=5, proposed_team=frozenset({1, 2}), threshold=1))
+        clean = agent.act(obs(Phase.TEAM_VOTE, proposed_team=frozenset({1, 2}), threshold=1))
         assert not clean.action.approve
-        dirty = agent.act(obs(Phase.TEAM_VOTE, seat=5, proposed_team=frozenset({5, 6}), threshold=1))
+        dirty = agent.act(obs(Phase.TEAM_VOTE, proposed_team=frozenset({5, 6}), threshold=1))
         assert dirty.action.approve
 
     def test_contradictory_beliefs_fall_back_with_an_error_report(self):
@@ -298,14 +296,14 @@ class TestLLMAgent:
 
     def test_quest_vote_fallback_is_side_correct(self):
         evil = self.agent([MockRule("???", phase="quest_vote", max_uses=None)], seat=5)
-        reply = evil.act(obs(Phase.QUEST_EXECUTION, seat=5, bundle=bundle()))
+        reply = evil.act(obs(Phase.QUEST_EXECUTION, bundle=bundle()))
         assert reply.action == QuestVote(approve=False)
         just = self.agent([MockRule("???", phase="quest_vote", max_uses=None)], seat=2)
-        assert just.act(obs(Phase.QUEST_EXECUTION, seat=2, bundle=bundle())).action.approve
+        assert just.act(obs(Phase.QUEST_EXECUTION, bundle=bundle())).action.approve
 
     def test_assassination(self):
         agent = self.agent([MockRule("Final answer: player 2.", phase="assassination")], seat=6)
-        reply = agent.act(obs(Phase.ASSASSINATION, seat=6, bundle=bundle()))
+        reply = agent.act(obs(Phase.ASSASSINATION, bundle=bundle()))
         assert reply.action == Assassinate(target=2)
 
     def test_codeact_team_selection_runs_code(self):
@@ -334,7 +332,7 @@ class TestLLMAgent:
                 debug_config=DebugLoopConfig(max_attempts=1),
             )
             reply = agent.act(
-                obs(Phase.TEAM_SELECTION, seat=seat, round=3, bundle=bundle(), team_size=3, public_facts=facts)
+                obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=3, public_facts=facts)
             )
             prompt = reply.trace["exchanges"][0]["request"][-1]["content"]
             private = view(seat).private_facts
@@ -362,7 +360,7 @@ class TestLLMAgent:
             seat=5,
             strategy="codeact",
         )
-        reply = agent.act(obs(Phase.TEAM_SELECTION, seat=5, bundle=bundle(), team_size=2))
+        reply = agent.act(obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=2))
         assert reply.action.members == frozenset({5, 6})
 
 

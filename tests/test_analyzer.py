@@ -1,4 +1,9 @@
+import io
+import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from avalonplay.agents import AgentSpec
 from avalonplay.analyzer import (
@@ -12,8 +17,10 @@ from avalonplay.analyzer import (
 from avalonplay.events import EventKind, EventLogEntry, private_to
 from avalonplay.game import GameConfig
 from avalonplay.knowledge import RoleAssignment
-from avalonplay.records import GameRecord
-from avalonplay.runner import run_game, seed_for_game
+from avalonplay.cli import main
+from avalonplay.llm import MockLLM
+from avalonplay.records import GameRecord, RecordFormatError, load_record, replay, write_record
+from avalonplay.runner import compute_metrics, run_game, seed_for_game
 from helpers import canonical_roles
 
 
@@ -371,3 +378,67 @@ class TestSummaries:
             "ParseFallbackUsed",
             "CounterfactualClaim",
         )
+
+
+MOCK_FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "mock_llm.json"
+
+
+def _proposal(row):
+    return row.get("kind") == "team_proposed" and "raw_attempts" in row["payload"]
+
+
+def _private_ballot(row):
+    return row.get("kind") == "ballot_result" and row.get("visibility", "").startswith("private:")
+
+
+# (which event line to change, how, the error it must give): one trace field
+# the analyzer reads, each of a JSON type that crashed it before.
+MALFORMED_TRACES = {
+    "raw_attempts": (_proposal, lambda p: p.update(raw_attempts="x"), "raw_attempts should be list, got 'x'"),
+    "ids": (
+        lambda row: _proposal(row) and row["payload"]["raw_attempts"],
+        lambda p: p["raw_attempts"][0].update(ids=5),
+        "ids should be list, got 5",
+    ),
+    "reasoning": (_private_ballot, lambda p: p.update(reasoning=5), "reasoning should be str or NoneType, got 5"),
+    "codeact": (_proposal, lambda p: p.update(codeact=5), "codeact should be dict or NoneType, got 5"),
+}
+
+
+class TestMalformedTraces:
+    """A trace field of the wrong JSON type in a record that loads, replays
+    and feeds metrics is a RecordFormatError naming the game and the seq,
+    and `avalonplay analyze` reports it as one error line."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # Game 7 of base seed 2 under the benchmark's mock holds a reprompted team selection.
+        record = run_game(
+            GameConfig(), AgentSpec("llm", model="mock"), AgentSpec("scripted_evil"),
+            seed_for_game(2, 7), client=MockLLM.from_file(MOCK_FIXTURE), game_id="g2-00007",
+        )
+        out = io.StringIO()
+        write_record(record, out)
+        return out.getvalue().splitlines()
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED_TRACES))
+    def test_bad_trace_field_names_the_seq(self, rows, field, tmp_path, capsys):
+        applies, change, message = MALFORMED_TRACES[field]
+        rows = list(rows)
+        i, data = next((i, data) for i, data in enumerate(map(json.loads, rows)) if applies(data))
+        change(data["payload"])
+        rows[i] = json.dumps(data)
+        path = tmp_path / "g2-00007.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        record = load_record(path)
+        replay(record)
+        compute_metrics([record])
+        where = f"g2-00007: seq {data['seq']}: {message}"
+        with pytest.raises(RecordFormatError) as exc:
+            analyze_record(record)
+        assert where in str(exc.value)
+        assert main(["analyze", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad record: ") and captured.err.count("\n") == 1
+        assert where in captured.err

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from avalonplay.agents import AgentSpec
 from avalonplay.events import AUDIT, EventKind
 from avalonplay.game import (
     ALL_SEATS,
@@ -53,7 +54,8 @@ V1_RECORD = V1_RECORDS_DIR / "deduction.jsonl"
 
 def _header_record(config: GameConfig) -> list[str]:
     # With no events and no outcome, the game is one that aborted.
-    record = GameRecord("g", config, RoleAssignment(canonical_roles({5, 6, 7})), {}, {}, aborted=True)
+    agents = {p: AgentSpec() for p in ALL_SEATS}
+    record = GameRecord("g", config, RoleAssignment(canonical_roles({5, 6, 7})), agents, {}, aborted=True)
     out = io.StringIO()
     write_record(record, out)
     return out.getvalue().splitlines()
@@ -239,11 +241,12 @@ class TestEngineFlow:
             proposers.append(eng.state.leader)
             eng.propose_team({1, 2})
             speak_all(eng)
-            eng.submit_ballots(reject_all())
+            proceeds = eng.submit_ballots(reject_all())
         # The fifth rejection still executes the quest.
         assert eng.state.phase is Phase.QUEST_EXECUTION
-        record = eng.state.proposal_history[-1]
-        assert record.forced and record.approved
+        assert proceeds
+        result = [e for e in eng.events if e.kind is EventKind.BALLOT_RESULT and e.visibility == "public"][-1]
+        assert result.payload == {"approved": False, "approvals": 0, "forced": True}
         assert len({*proposers}) == 5  # a fresh proposer each attempt
         forced_notes = [e for e in eng.events if e.kind is EventKind.MODERATOR_NOTE and e.payload.get("forced")]
         assert len(forced_notes) == 1
@@ -259,7 +262,7 @@ class TestEngineFlow:
             eng.propose_team({0, 2})
         # Duplicates collapse before the size check.
         eng.propose_team([1, 1, 2])
-        assert eng.current_proposal.members == frozenset({1, 2})
+        assert eng.current_team == frozenset({1, 2})
 
     def test_propose_requires_selection_phase(self):
         eng = make_engine()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avalonplay.agents import AgentSpec
+from avalonplay.analyzer import analyze_record
 from avalonplay.cli import main
 from avalonplay.game import GameConfig, Phase
 from avalonplay.records import (
@@ -23,7 +24,7 @@ from avalonplay.records import (
     write_record,
 )
 from avalonplay.records import _config_hash
-from avalonplay.runner import run_game, seed_for_game
+from avalonplay.runner import compute_metrics, run_game, seed_for_game
 from helpers import V1_RECORDS_DIR, V1_RULE_KEYS, budgeted_mock, run_codeact_e2e
 
 
@@ -181,6 +182,33 @@ class TestStrictLoader:
     def test_typed_config_values_still_load(self, record):
         loaded = load_record(io.StringIO(self.header_with(record, communication_enabled=False, memory_window=3)))
         assert loaded.config == GameConfig(communication_enabled=False, memory_window=3)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda agents: agents.pop("7"), "agents should name seats 1..7"),
+            (lambda agents: agents.update({"9": agents["1"]}), "agents should name seats 1..7"),
+            (lambda agents: agents["2"].update(temperature_text="hot"), "agent 2 temperature_text should be int or float"),
+            (lambda agents: agents["2"].update(temperature_code=True), "agent 2 temperature_code should be int or float"),
+            (lambda agents: agents["5"].update(model=5), "agent 5 model should be str, got 5"),
+            (lambda agents: agents.update({"3": {"policy": "deduction"}}), "agent 3 should hold ['policy', 'strategy'"),
+        ],
+        ids=["missing-seat", "extra-seat", "text-temperature", "bool-temperature", "int-model", "policy-only"],
+    )
+    def test_bad_agents_map_names_the_line(self, record, change, message):
+        rows = _text(record).splitlines()
+        header = json.loads(rows[0])
+        change(header["agents"])
+        rows[0] = json.dumps(header)
+        with pytest.raises(RecordFormatError, match=f"line 1: bad header: .*{re.escape(message)}"):
+            load_record(io.StringIO("\n".join(rows) + "\n"))
+
+    def test_integer_temperatures_load_and_rewrite_to_the_same_bytes(self, record):
+        rows = _text(record).splitlines()
+        header = json.loads(rows[0])
+        header["agents"]["1"]["temperature_text"] = 1
+        text = "\n".join([json.dumps(header, ensure_ascii=False), *rows[1:]]) + "\n"
+        assert _text(load_record(io.StringIO(text))) == text
 
     @pytest.mark.parametrize("key", ["colour", "game_id", "type_"])
     def test_unknown_event_key_names_the_line_and_the_key(self, record, key):
@@ -660,7 +688,10 @@ class TestTamperedRecords:
     def test_only_record_errors_escape(self, fuzz_sources, data):
         text = data.draw(tampered(data.draw(st.sampled_from(fuzz_sources))))
         try:
-            _replay_text(text)
+            record = load_record(io.StringIO(text))
+            replay(record)
+            compute_metrics([record])
+            analyze_record(record)
         except RECORD_ERRORS:
             pass
 
