@@ -16,7 +16,7 @@ statements the record cannot verify are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import NoneType
@@ -24,7 +24,8 @@ from typing import Any, Iterable
 
 from .events import EventKind, EventLogEntry
 from .game import ALL_SEATS
-from .records import GameRecord, RecordFormatError, _checked, quest_result_fields
+from .records import GameRecord, RecordFormatError, _checked
+from .runner import _ratio_json
 from .templates import load_template
 
 FINDING_KINDS = (
@@ -46,14 +47,7 @@ class ConsistencyFinding:
     contradicts_seq: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "game_id": self.game_id,
-            "seq": self.seq,
-            "actor": self.actor,
-            "kind": self.kind,
-            "detail": self.detail,
-            "contradicts_seq": self.contradicts_seq,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=1)
@@ -107,9 +101,7 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
         payload = event.payload
         try:
             if event.kind is EventKind.TEAM_PROPOSED:
-                required = _checked(payload.get("required_n"), (int, NoneType), "required_n") or len(
-                    _checked(payload.get("members", []), (list,), "members")
-                )
+                required = _checked(payload.get("required_n"), (int, NoneType), "required_n") or len(payload["members"])
                 for attempt in _checked(payload.get("raw_attempts", []), (list,), "raw_attempts"):
                     ids = _seats(_checked(attempt, (dict,), "a raw attempt").get("ids", []), "ids")
                     error_kind = _checked(attempt.get("error_kind"), (str, NoneType), "error_kind")
@@ -138,7 +130,7 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
                         )
             elif event.kind is EventKind.BALLOT_RESULT and event.visibility.startswith("private:"):
                 reasoning = _checked(payload.get("reasoning"), (str, NoneType), "reasoning") or ""
-                approve = _checked(payload.get("approve"), (bool,), "approve")
+                approve = payload["approve"]
                 for rule_vote, pattern in _vote_mismatch_rules():
                     if approve is rule_vote and pattern.search(reasoning):
                         add(
@@ -149,7 +141,7 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
                         break
             elif event.kind is EventKind.AGENT_ERROR and payload.get("reason") == "parse_fallback":
                 add(event, "ParseFallbackUsed", _checked(payload.get("detail", "parse fallback"), (str,), "detail"))
-        except TypeError as exc:  # from `_checked`: every field above is checked before it is used
+        except TypeError as exc:  # from `_checked`: every trace field above is checked before it is used
             raise RecordFormatError(f"{record.game_id}: seq {event.seq}: {exc}") from None
     return findings
 
@@ -173,7 +165,8 @@ def check_claims(record: GameRecord) -> list[ConsistencyFinding]:
 
     for event in record.events:
         if event.kind is EventKind.QUEST_RESULT:
-            quests.append((event.seq, *quest_result_fields(record, event)))
+            payload = event.payload
+            quests.append((event.seq, payload["round"], frozenset(payload["team"]), payload["success"]))
             continue
         if event.kind is not EventKind.DISCUSSION:
             continue
@@ -228,6 +221,8 @@ def check_claims(record: GameRecord) -> list[ConsistencyFinding]:
 
 
 def analyze_record(record: GameRecord) -> list[ConsistencyFinding]:
+    """Findings of both passes, by seq, for a record from `run_game`, or
+    loaded and then passed through `replay`, which checks what the engine wrote."""
     return sorted(
         check_structural(record) + check_claims(record),
         key=lambda f: (f.seq, f.kind, f.detail),
@@ -247,11 +242,7 @@ class AnalysisReport:
             "n_games": self.n_games,
             "n_utterances": self.n_utterances,
             "finding_counts": dict(self.finding_counts),
-            "findings_per_100_utterances": None if rate is None else {
-                "numerator": rate.numerator,
-                "denominator": rate.denominator,
-                "value": float(rate),
-            },
+            "findings_per_100_utterances": _ratio_json(rate),
         }
 
 

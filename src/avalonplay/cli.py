@@ -20,6 +20,7 @@ from .agents import POLICIES, STRATEGIES, AgentSpec
 from .game import GameConfig
 from .llm import HttpLLMClient, LLMClient, MockLLM
 from .records import (
+    GameRecord,
     RecordFormatError,
     RecordSchemaError,
     ReplayMismatch,
@@ -40,6 +41,15 @@ def _onoff(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected 'on' or 'off', got {value!r}")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def count(value: str) -> int:
+        if int(value) < low:
+            raise argparse.ArgumentTypeError(f"expected at least {low}, got {value}")
+        return int(value)
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avalonplay",
@@ -48,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="play a seeded tournament and print metrics")
-    run.add_argument("--games", type=int, default=10, help="number of games (default 10)")
+    run.add_argument("--games", type=_at_least(0), default=10, help="number of games (default 10)")
     run.add_argument("--seed", type=int, default=0, help="tournament base seed (default 0)")
     run.add_argument("--just", choices=POLICIES, default="deduction", help="policy for just seats")
     run.add_argument("--evil", choices=POLICIES, default="scripted_evil", help="policy for evil seats")
@@ -61,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reveal-counts", type=_onoff, default=False, metavar="on|off", dest="reveal_sabotage_count", help="announce sabotage counts after quests (default off)")
     run.add_argument("--play-all-rounds", type=_onoff, default=False, metavar="on|off", help="always play five rounds (default off)")
     run.add_argument("--assassination", type=_onoff, default=True, metavar="on|off", help="assassination phase after a just quest win (default on)")
-    run.add_argument("--parallelism", type=int, default=1, help="worker count (default 1)")
+    run.add_argument("--parallelism", type=_at_least(1), default=1, help="worker count (default 1)")
     run.add_argument("--record-dir", default=None, help="write one JSONL record per game here")
     run.add_argument("--log-exchanges", action="store_true", help="embed raw model exchanges in records")
 
@@ -127,34 +137,43 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    record = load_record(args.file)
-    engine = replay(record)
-    status = "aborted" if record.aborted else "complete"
-    print(f"{record.game_id}: verified {len(record.events)} events ({status} game)")
-    if engine.outcome is not None:
-        print(f"outcome: {json.dumps(engine.outcome.to_dict())}")
-    return 0
+def _verified(path: Path) -> GameRecord:
+    """The record at `path`, loaded and then replayed: checked for every reader."""
+    try:
+        record = load_record(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror or exc}") from None
+    replay(record)
+    return record
 
 
-def _load_many(path: Path):
+def _verified_many(path: Path) -> list[GameRecord]:
     if path.is_dir():
         paths = iter_record_paths(path)
         if not paths:
             raise SystemExit(f"{path}: no .jsonl records found")
-        return [load_record(p) for p in paths]
-    return [load_record(path)]
+        return [_verified(p) for p in paths]
+    return [_verified(path)]
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    record = _verified(Path(args.file))
+    status = "aborted" if record.aborted else "complete"
+    print(f"{record.game_id}: verified {len(record.events)} events ({status} game)")
+    if record.outcome is not None:
+        print(f"outcome: {json.dumps(record.outcome.to_dict())}")
+    return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    records = _load_many(Path(args.dir))
+    records = _verified_many(Path(args.dir))
     json.dump(compute_metrics(records).to_json(), sys.stdout, indent=2)
     print()
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    records = _load_many(Path(args.path))
+    records = _verified_many(Path(args.path))
     findings, report = analyze_records(records)
     out = {
         "findings": [f.to_dict() for f in findings],

@@ -67,6 +67,7 @@ class GlobalMemory:
     k: int = DEFAULT_WINDOW
     key_info: list[EventLogEntry] = field(default_factory=list)
     window: deque[EventLogEntry] = field(default_factory=deque)
+    seen: int = field(default=0, init=False)  # events of the game log ingested so far
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -81,6 +82,12 @@ class GlobalMemory:
         if is_key_info(entry):
             self.key_info.append(entry)
         return True
+
+    def catch_up(self, events: list[EventLogEntry]) -> None:
+        """Ingest the entries of a game's event log not yet seen, in order."""
+        for entry in events[self.seen:]:
+            self.ingest_event(entry)
+        self.seen = len(events)
 
     def evicted_key_info(self) -> list[EventLogEntry]:
         """Key entries no longer inside the recency window."""

@@ -219,7 +219,10 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     """Exact inverse of `write_record`, with schema and order validation."""
     if isinstance(source, (str, Path)):
         name = str(source)
-        raw = Path(source).read_text(encoding="utf-8")
+        try:
+            raw = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise RecordFormatError(f"{name}: not UTF-8 text: {exc}") from exc
     else:
         name = getattr(source, "name", "<stream>")
         raw = source.read()
@@ -309,24 +312,6 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
 
 def iter_record_paths(directory: str | Path) -> list[Path]:
     return sorted(Path(directory).glob("*.jsonl"))
-
-
-def quest_result_fields(record: GameRecord, event: EventLogEntry) -> tuple[int, frozenset[int], bool]:
-    """The round, team and success of a quest_result event, type-checked.
-
-    For readers of records that were loaded but not replayed; a bad value
-    raises RecordFormatError naming the game and the seq.
-    """
-    payload = event.payload
-    rnd, team, success = payload.get("round"), payload.get("team"), payload.get("success")
-    where = f"{record.game_id}: seq {event.seq}"
-    if type(rnd) is not int or not 1 <= rnd <= len(TEAM_SIZES):
-        raise RecordFormatError(f"{where}: quest round {rnd!r} is not 1..{len(TEAM_SIZES)}")
-    if type(team) is not list or any(type(p) is not int for p in team):
-        raise RecordFormatError(f"{where}: quest team {team!r} is not a list of seats")
-    if type(success) is not bool:
-        raise RecordFormatError(f"{where}: quest success {success!r} is not true or false")
-    return rnd, frozenset(team), success
 
 
 # ----- replay verification ----------------------------------------------------

@@ -32,7 +32,7 @@ from .knowledge import deal_roles, knowledge_for
 from .llm import LLMClient, MockScriptExhausted, TransportError
 from .memory import GlobalMemory, PublicFact, public_facts_from_history
 from .prompts import build_bundle
-from .records import GameRecord, RecordFormatError, quest_result_fields, write_record
+from .records import GameRecord, write_record
 
 SEED_STREAM = "sha256-stream-v1"
 
@@ -102,17 +102,9 @@ def run_game(
         for p in ALL_SEATS
         if specs[p].policy in MEMORY_POLICIES
     }
-    cursor = 0
     # Rebuilt only after a quest result, so every observation in between
     # hands out the same tuple (which deduction seats memoise on).
     public_facts: tuple[PublicFact, ...] = ()
-
-    def pump() -> None:
-        nonlocal cursor
-        for event in engine.events[cursor:]:
-            for memory in memories.values():
-                memory.ingest_event(event)
-        cursor = len(engine.events)
 
     def observe(seat: int, **kw: Any) -> Observation:
         nonlocal public_facts
@@ -120,6 +112,8 @@ def run_game(
         if len(public_facts) != len(st.quest_history):
             public_facts = public_facts_from_history(st.quest_history, config.reveal_sabotage_count)
         memory = memories.get(seat)
+        if memory is not None:
+            memory.catch_up(engine.events)
         return Observation(
             phase=st.phase,
             bundle=build_bundle(engine, views[seat], memory) if memory is not None else None,
@@ -131,7 +125,6 @@ def run_game(
         return _trace_payload(reply.trace, log_exchanges)
 
     def decide(engine: GameEngine) -> tuple:
-        pump()
         st = engine.state
         if st.phase is Phase.TEAM_SELECTION:
             leader = st.leader
@@ -222,6 +215,8 @@ class MetricsCounts:
 
 
 def counts_from_record(record: GameRecord) -> MetricsCounts:
+    """One game's tallies. `record` comes from `run_game`, or was loaded
+    and then passed through `replay`, which checks every field read here."""
     c = MetricsCounts(n_games=1, n_aborted=int(record.aborted))
     if record.aborted:
         return c
@@ -234,19 +229,18 @@ def counts_from_record(record: GameRecord) -> MetricsCounts:
             c.assassination_hits = int(bool(outcome.assassination_hit))
     leader: int | None = None
     for event in record.events:
+        payload = event.payload
         if event.kind is EventKind.TEAM_PROPOSED:
-            leader = event.payload.get("leader")
-            if type(leader) is not int or leader not in ALL_SEATS:
-                raise RecordFormatError(f"{record.game_id}: seq {event.seq}: proposal leader {leader!r} is not a seat")
+            leader = payload["leader"]
         elif event.kind is EventKind.DISCUSSION:
             c.discussion_utterances += 1
         elif event.kind is EventKind.BALLOT_RESULT and event.visibility == "public":
-            if not event.payload.get("approved"):
+            if not payload["approved"]:
                 c.rejected_ballots += 1
-            if event.payload.get("forced"):
+            if payload["forced"]:
                 c.forced_approvals += 1
         elif event.kind is EventKind.QUEST_RESULT:
-            rnd, _, success = quest_result_fields(record, event)
+            rnd, success = payload["round"], payload["success"]
             c.quests_run += 1
             c.quests_succeeded += int(success)
             c.round_quests[rnd - 1] += 1
@@ -329,6 +323,7 @@ def report_from_counts(c: MetricsCounts) -> MetricsReport:
 
 
 def compute_metrics(records: Iterable[GameRecord]) -> MetricsReport:
+    """Exact metrics over records from `run_game`, or loaded and then replayed."""
     total = MetricsCounts()
     for record in records:
         total.add(counts_from_record(record))

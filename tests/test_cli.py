@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from avalonplay.cli import _onoff, build_parser, main
 from avalonplay.records import load_record
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+MOCK_FIXTURE = ROOT / "bench" / "fixtures" / "mock_llm.json"
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +35,16 @@ class TestArgumentHandling:
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--just", "wizard"])
+
+    @pytest.mark.parametrize("option, value", [("--games", "-3"), ("--parallelism", "0")])
+    def test_out_of_range_count_rejected(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected at least" in capsys.readouterr().err
+
+    def test_zero_games_accepted(self):
+        assert build_parser().parse_args(["run", "--games", "0"]).games == 0
 
     def test_llm_without_transport_rejected(self, capsys):
         with pytest.raises(SystemExit, match="llm policy requires"):
@@ -71,6 +90,30 @@ class TestRun:
         plain = digest()
         assert digest("--record-dir", str(tmp_path / "a")) == plain
         assert digest("--record-dir", str(tmp_path / "b")) == plain
+
+    @pytest.mark.parametrize(
+        "games, argv",
+        [
+            (12, []),
+            (4, ["--just", "llm", "--strategy", "codeact", "--mock-llm", str(MOCK_FIXTURE)]),
+        ],
+        ids=["deduction", "codeact-mock"],
+    )
+    def test_record_files_do_not_depend_on_parallelism(self, capsys, tmp_path, games, argv):
+        def written(parallelism):
+            out = tmp_path / f"parallelism-{parallelism}"
+            code, _, _ = run_cli(
+                capsys, "run", "--games", str(games), "--seed", "7", *argv,
+                "--parallelism", str(parallelism), "--record-dir", str(out),
+            )
+            assert code == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        serial = written(1)
+        assert len(serial) == games
+        if argv:
+            assert all(b'"codeact": {' in text for text in serial.values())
+        assert written(2) == serial
 
     def test_engine_flags_change_play(self, capsys):
         _, out, _ = run_cli(
@@ -194,25 +237,35 @@ class TestBadRecords:
         assert err.startswith("bad record: ") and err.count("\n") == 1
         assert "line 4 is not valid JSON" in err
 
-    def test_metrics_rejects_a_quest_round_out_of_range(self, capsys, record_path):
+    @staticmethod
+    def _edit_first(record_path, kind, edit, public_only=False):
+        """Apply `edit` to the payload of the first `kind` event; return its seq."""
         rows = record_path.read_text().splitlines()
         for i, row in enumerate(rows):
             data = json.loads(row)
-            if data.get("kind") == "quest_result":
-                data["payload"]["round"] = 9
+            if data.get("kind") == kind and (not public_only or data["visibility"] == "public"):
+                edit(data["payload"])
                 rows[i] = json.dumps(data)
-                break
-        record_path.write_text("\n".join(rows) + "\n")
-        code, out, err = run_cli(capsys, "metrics", str(record_path.parent))
+                record_path.write_text("\n".join(rows) + "\n")
+                return data["seq"]
+        raise AssertionError(f"no {kind} event")
+
+    @staticmethod
+    def _assert_replay_mismatch(result, record_path, seq):
+        code, out, err = result
         assert code == 1
         assert out == ""
-        assert err.count("\n") == 1
-        assert f"seq {data['seq']}: quest round 9 is not 1..5" in err
-        assert record_path.stem in err
+        assert "Traceback" not in err
+        assert err.splitlines()[0] == f"replay mismatch: {record_path.stem}: seq {seq} differs:"
+
+    def test_metrics_rejects_a_quest_round_out_of_range(self, capsys, record_path):
+        seq = self._edit_first(record_path, "quest_result", lambda p: p.update(round=9))
+        result = run_cli(capsys, "metrics", str(record_path.parent))
+        self._assert_replay_mismatch(result, record_path, seq)
 
     @pytest.mark.parametrize("command", ["metrics", "analyze"])
     @pytest.mark.parametrize(
-        "key, value, message",
+        "key, value, flaw",
         [
             ("success", None, "quest success None is not true or false"),  # key deleted
             ("round", 9, "quest round 9 is not 1..5"),
@@ -220,42 +273,56 @@ class TestBadRecords:
             ("team", [1, "2"], "quest team [1, '2'] is not a list of seats"),
         ],
     )
-    def test_bad_quest_result_is_one_error_line(self, capsys, record_path, command, key, value, message):
-        rows = record_path.read_text().splitlines()
-        for i, row in enumerate(rows):
-            data = json.loads(row)
-            if data.get("kind") == "quest_result":
-                if value is None:
-                    del data["payload"][key]
-                else:
-                    data["payload"][key] = value
-                rows[i] = json.dumps(data)
-                break
-        record_path.write_text("\n".join(rows) + "\n")
-        code, out, err = run_cli(capsys, command, str(record_path.parent))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("bad record: ") and err.count("\n") == 1
-        assert f"{record_path.stem}: seq {data['seq']}: {message}" in err
+    def test_bad_quest_result_is_one_error_line(self, capsys, record_path, command, key, value, flaw):
+        def edit(payload):
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+
+        seq = self._edit_first(record_path, "quest_result", edit)
+        result = run_cli(capsys, command, str(record_path.parent))
+        self._assert_replay_mismatch(result, record_path, seq)
 
     @pytest.mark.parametrize("leader", [9, "3", None])  # None: key deleted
     def test_bad_proposal_leader_is_one_error_line(self, capsys, record_path, leader):
-        rows = record_path.read_text().splitlines()
-        for i, row in enumerate(rows):
-            data = json.loads(row)
-            if data.get("kind") == "team_proposed":
-                proposal = i
-            elif data.get("kind") == "quest_result":
-                break
-        data = json.loads(rows[proposal])
-        if leader is None:
-            del data["payload"]["leader"]
-        else:
-            data["payload"]["leader"] = leader
-        rows[proposal] = json.dumps(data)
-        record_path.write_text("\n".join(rows) + "\n")
-        code, out, err = run_cli(capsys, "metrics", str(record_path.parent))
+        def edit(payload):
+            if leader is None:
+                del payload["leader"]
+            else:
+                payload["leader"] = leader
+
+        seq = self._edit_first(record_path, "team_proposed", edit)
+        result = run_cli(capsys, "metrics", str(record_path.parent))
+        self._assert_replay_mismatch(result, record_path, seq)
+
+    @pytest.mark.parametrize("command", ["metrics", "analyze"])
+    def test_retyped_ballot_result_is_a_replay_mismatch(self, capsys, record_path, command):
+        # Read by truthiness, "no" and 1 would count as an approved, forced ballot.
+        seq = self._edit_first(
+            record_path, "ballot_result", lambda p: p.update(approved="no", forced=1), public_only=True
+        )
+        result = run_cli(capsys, command, str(record_path.parent))
+        self._assert_replay_mismatch(result, record_path, seq)
+
+    @pytest.mark.parametrize("command", ["replay", "metrics", "analyze"])
+    @pytest.mark.parametrize("missing", [True, False])  # False: a directory named like a record
+    def test_unreadable_path_is_one_error_line(self, tmp_path, command, missing):
+        unreadable = tmp_path / "g0-00000.jsonl"
+        if not missing:
+            unreadable.mkdir()
+        target = tmp_path if command != "replay" and not missing else unreadable
+        done = subprocess.run(
+            [sys.executable, "-m", "avalonplay.cli", command, str(target)],
+            capture_output=True, text=True, env=os.environ | {"PYTHONPATH": SRC},
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"cannot read {unreadable}: ") and done.stderr.count("\n") == 1
+
+    def test_record_that_is_not_utf8_is_one_error_line(self, capsys, tmp_path):
+        (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "metrics", str(tmp_path))
         assert code == 1
         assert out == ""
-        assert err.startswith("bad record: ") and err.count("\n") == 1
-        assert f"{record_path.stem}: seq {data['seq']}: proposal leader {leader!r} is not a seat" in err
+        assert err.startswith("bad record: ") and "not UTF-8 text" in err and err.count("\n") == 1

@@ -83,6 +83,19 @@ class TestGlobalMemory:
         assert mem.ingest_event(make_event(3, EventKind.BALLOT_RESULT, "You voted to reject the team.", actor=3, visibility=private_to(3)))
         assert len(mem.window) == 1
 
+    def test_catch_up_ingests_each_event_once(self):
+        log = [make_event(seq, EventKind.DISCUSSION, f"chatter {seq}", actor=2) for seq in range(1, 4)]
+        mem = GlobalMemory(owner=1, k=5)
+        mem.catch_up(log[:2])
+        mem.catch_up(log[:2])
+        log.append(make_event(4, EventKind.QUEST_RESULT, "The round-1 quest ended in success."))
+        mem.catch_up(log)
+        assert [e.seq for e in mem.window] == [1, 2, 3, 4]
+        assert [e.seq for e in mem.key_info] == [4]
+        assert mem.seen == 4
+        with pytest.raises(TypeError):
+            GlobalMemory(owner=1, k=5, seen=2)
+
     def test_empty_history_renders_empty(self):
         assert render_game_history(GlobalMemory(owner=1, k=4)) == ""
 

@@ -126,14 +126,10 @@ class TestInformationHygiene:
         ra = RoleAssignment(canonical_roles({5, 6, 7}))
         engine = GameEngine(GameConfig(), ra.as_dict(), seed=2)
         memories = {p: GlobalMemory(p, 15) for p in ALL_SEATS}
-        cursor = 0
 
         def pump():
-            nonlocal cursor
-            for event in engine.events[cursor:]:
-                for p in ALL_SEATS:
-                    memories[p].ingest_event(event)
-            cursor = len(engine.events)
+            for memory in memories.values():
+                memory.catch_up(engine.events)
 
         engine.assign_first_leader()
         pump()
