@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 from .agents import POLICIES, STRATEGIES, AgentSpec
 from .game import GameConfig
@@ -89,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_client(args: argparse.Namespace) -> LLMClient | None:
     needs_llm = "llm" in (args.just, args.evil)
     if args.mock_llm:
-        return MockLLM.from_file(args.mock_llm)
+        try:
+            return MockLLM.from_file(args.mock_llm)
+        except OSError as exc:
+            raise SystemExit(f"cannot read {args.mock_llm}: {exc.strerror or exc}") from None
     if args.llm_base_url:
         if not args.llm_model:
             raise SystemExit("--llm-model is required with --llm-base-url")
@@ -126,7 +130,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         record_dir=args.record_dir,
         log_exchanges=args.log_exchanges,
     )
-    result = run_tournament(tc, client=_make_client(args))
+    client = _make_client(args)
+    try:
+        result = run_tournament(tc, client=client)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise SystemExit(f"cannot write {exc.filename}: {exc.strerror}") from None
     out = {
         "digest": result.digest(),
         "report": result.report.to_json(),
@@ -147,13 +157,15 @@ def _verified(path: Path) -> GameRecord:
     return record
 
 
-def _verified_many(path: Path) -> list[GameRecord]:
+def _verified_many(path: Path) -> Iterator[GameRecord]:
+    """The record at `path`, or each record in the directory `path`, verified
+    as it is reached, so a reader can fold a directory of any size."""
+    paths = [path]
     if path.is_dir():
         paths = iter_record_paths(path)
         if not paths:
             raise SystemExit(f"{path}: no .jsonl records found")
-        return [_verified(p) for p in paths]
-    return [_verified(path)]
+    return map(_verified, paths)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

@@ -22,11 +22,16 @@ a small bootstrap that installs a Python audit hook blocking socket use,
 process creation, and filesystem writes outside the scratch directory,
 then compiles and runs ``program.py`` under that relative name, so
 tracebacks read ``File "program.py"`` with no scratch path and no bootstrap
-frame. The program ends as an interpreter does, output flushed. The waiter
-reports the program's pid and then its wait status on the status pipe. The
-caller reads the three pipes in its own thread until they close or the
-wall-clock timeout passes; a timeout kills the program's process group,
-and output past a byte cap is read and dropped.
+frame. The server compiles once before serving, so programs inherit a warm
+compiler. The program ends as ``python program.py`` would (exit status,
+uncaught exception, death by ``SIGINT``, non-daemon threads, ``atexit``
+handlers, module-level finalizers, standard streams flushed), then calls
+``os._exit`` instead of tearing the interpreter down; other files left
+open are not flushed. The waiter reports the program's pid and then its
+wait status on the status pipe. The caller reads the three pipes in its
+own thread until they close or the wall-clock timeout passes; a timeout
+kills the program's process group, and output past a byte cap is read and
+dropped.
 
 Nothing outlives the harness: the server exits at the end of file on its
 socket (an ``atexit`` hook closes it and waits), and the waiter and the
@@ -136,9 +141,13 @@ def build_code_prompt(leader_memory: LeaderMemory, team_n: int) -> CodePrompt:
 # `-c` text in the scratch directory: install the guard (the second
 # containment layer behind the network namespace), then run program.py as
 # __main__. The excepthook drops the top-level frame, so a traceback starts
-# at program.py.
+# at program.py. The program then ends as Py_RunMain ends one, minus the
+# interpreter's teardown, which would walk and copy the server's heap.
 _BOOTSTRAP = r'''
+import atexit
+import gc
 import os
+import signal
 import sys
 
 _SCRATCH = os.path.realpath(os.getcwd())
@@ -184,12 +193,51 @@ def _excepthook(kind, value, tb):
     sys.__excepthook__(kind, value.with_traceback(tb.tb_next), tb.tb_next)
 
 
+def _exit_status(code):
+    """The exit status of SystemExit(code), as CPython reads it."""
+    if code is None:
+        return 0
+    if isinstance(code, int):  # CPython reads a code outside a C long as -1
+        return code & 0xFF if -(1 << 63) <= code < 1 << 63 else 255
+    if sys.stderr is not None:
+        print(code, file=sys.stderr)
+    return 1
+
+
 sys.addaudithook(_hook)
 sys.excepthook = _excepthook
 sys.argv[0] = "program.py"
-with open("program.py", encoding="utf-8") as _source:
-    _code = compile(_source.read(), "program.py", "exec")
-exec(_code, {"__name__": "__main__", "__file__": "program.py"})
+_interrupted = False
+try:
+    with open("program.py", encoding="utf-8") as _source:
+        _code = compile(_source.read(), "program.py", "exec")
+    exec(_code, {"__name__": "__main__", "__file__": "program.py"})
+    _status = 0
+except SystemExit as _stop:
+    _status = _exit_status(_stop.code)
+except BaseException as _error:  # this is the program's top level
+    _interrupted = isinstance(_error, KeyboardInterrupt)
+    sys.excepthook(type(_error), _error, _error.__traceback__)
+    _status = 1
+# What Py_FinalizeEx does that a program can see: join its threads, run its
+# atexit handlers, finalize its module-level objects (nothing else holds the
+# namespace now, and the server's objects are frozen, so this is cheap) and
+# flush the standard streams. Other files left open are not flushed.
+if "threading" in sys.modules:
+    sys.modules["threading"]._shutdown()
+atexit._run_exitfuncs()
+gc.collect()
+for _stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
+    try:
+        if _stream is not None and not getattr(_stream, "closed", False):
+            _stream.flush()
+    except Exception:
+        _status = 120  # as Py_RunMain exits when its final flush fails
+if _interrupted:  # die by SIGINT, as CPython does
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    os.kill(os.getpid(), signal.SIGINT)
+    _status = 128 + signal.SIGINT  # still alive: SIGINT is blocked
+os._exit(_status)
 '''.lstrip()
 
 # The fork server's own code, run as `python -I -S -B -c _SERVER <socket fd>
@@ -257,6 +305,9 @@ def _serve(sock_fd, harness):
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps the waiters
     server = os.getpid()
     sock = socket.socket(fileno=sock_fd)
+    # The first compile() sets up the compiler's state (about 2 ms); done
+    # here, each program process inherits it.
+    compile("pass", "<warm-up>", "exec")
     # Out of the collector's reach, the server's objects stay shared with
     # each program process instead of being copied page by page as the
     # program's collections and its exit walk them.

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from avalonplay import cli
 from avalonplay.cli import _onoff, build_parser, main
 from avalonplay.records import load_record
 
@@ -161,6 +162,25 @@ class TestRun:
         data = json.loads(out)
         assert data["report"]["n_aborted"] == 0
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--record-dir", "{file}"], "cannot write {file}: File exists"),
+            (["--just", "llm", "--mock-llm", "{missing}"], "cannot read {missing}: No such file or directory"),
+        ],
+        ids=["record-dir-is-a-file", "missing-mock-llm-fixture"],
+    )
+    def test_bad_path_is_one_error_line(self, tmp_path, argv, message):
+        paths = {"file": tmp_path / "file", "missing": tmp_path / "missing.json"}
+        paths["file"].write_text("")
+        done = subprocess.run(
+            [sys.executable, "-m", "avalonplay.cli", "run", "--games", "1", *(a.format(**paths) for a in argv)],
+            capture_output=True, text=True, env=os.environ | {"PYTHONPATH": SRC},
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == message.format(**paths) + "\n"
+
 
 class TestReplayCommand:
     @pytest.fixture()
@@ -201,6 +221,26 @@ class TestMetricsCommand:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="no .jsonl records"):
             main(["metrics", str(tmp_path)])
+
+    def test_reads_one_record_at_a_time(self, capsys, monkeypatch, tmp_path):
+        run_cli(capsys, "run", "--games", "3", "--seed", "5", "--record-dir", str(tmp_path))
+        read = []
+        monkeypatch.setattr(cli, "load_record", lambda path: read.append(path) or load_record(path))
+        records = cli._verified_many(tmp_path)
+        assert read == []
+        next(records)
+        assert read == sorted(tmp_path.glob("*.jsonl"))[:1]
+
+    def test_a_tampered_last_record_prints_no_metrics(self, capsys, tmp_path):
+        run_cli(capsys, "run", "--games", "3", "--seed", "5", "--record-dir", str(tmp_path))
+        last = sorted(tmp_path.glob("*.jsonl"))[-1]
+        rows = last.read_text().splitlines()
+        rows.insert(3, "{not json")
+        last.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "metrics", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bad record: ") and err.count("\n") == 1
 
 
 class TestAnalyzeCommand:

@@ -249,6 +249,52 @@ class TestSandboxOutputIsDeterministic:
         assert list(d) == ["status", "stdout", "stderr", "exit_code", "stdout_truncated", "stderr_truncated"]
 
 
+class TestProgramEnding:
+    """A program ends as `python program.py` would: same exit status, and
+    every output its exit path makes (buffers, atexit handlers, threads,
+    module-level finalizers) reaches the pipes."""
+
+    @pytest.mark.parametrize(
+        "program, status, exit_code, stdout, stderr_tail",
+        [
+            ("raise KeyboardInterrupt", ExecStatus.ERROR, -signal.SIGINT, "",
+             '  File "program.py", line 1, in <module>\n    raise KeyboardInterrupt\nKeyboardInterrupt\n'),
+            ("import sys\nsys.exit('bye')", ExecStatus.ERROR, 1, "", "bye\n"),
+            ("import sys\nsys.exit(3)", ExecStatus.ERROR, 3, "", ""),
+            ("raise SystemExit(None)", ExecStatus.OK, 0, "", ""),
+            ("import sys\nsys.stdout.write('no newline')", ExecStatus.OK, 0, "no newline", ""),
+            ("import atexit\natexit.register(lambda: print('at exit'))", ExecStatus.OK, 0, "at exit\n", ""),
+            (
+                "import threading, time\n"
+                "def late():\n"
+                "    time.sleep(0.05)\n"
+                "    print('thread done')\n"
+                "threading.Thread(target=late).start()\n",
+                ExecStatus.OK, 0, "thread done\n", "",
+            ),
+            ("class D:\n    def __del__(self):\n        print('del')\nd = D()\n", ExecStatus.OK, 0, "del\n", ""),
+            (
+                "import sys\nclass D:\n    def __del__(self):\n        sys.stdout.write('del\\n')\nd = D()\n",
+                ExecStatus.OK, 0, "del\n", "",
+            ),
+            ("import os\nos._exit(5)", ExecStatus.ERROR, 5, "", ""),
+            ("import sys\nsys.stdout.close()", ExecStatus.OK, 0, "", ""),
+            ("import io, sys\nprint('kept')\nsys.stdout = io.StringIO()\n", ExecStatus.OK, 0, "kept\n", ""),
+        ],
+        ids=[
+            "keyboard-interrupt", "exit-with-message", "exit-with-int", "exit-with-none", "unflushed-write",
+            "atexit-handler", "non-daemon-thread", "module-global-del", "del-reads-a-global", "os-exit",
+            "closed-stdout", "rebound-stdout",
+        ],
+    )
+    def test_exit_path(self, program, status, exit_code, stdout, stderr_tail):
+        result = execute_sandboxed(program, FAST)
+        assert (result.status, result.exit_code, result.stdout) == (status, exit_code, stdout)
+        assert result.stderr.endswith(stderr_tail)
+        if not stderr_tail:
+            assert result.stderr == ""
+
+
 class TestParseFinalTeam:
     def test_bracketed_last_line(self):
         assert parse_final_team(result_with("thinking...\n[2, 3, 6, 7]\n"), 4) == frozenset(
