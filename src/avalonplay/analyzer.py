@@ -246,31 +246,44 @@ class AnalysisReport:
         }
 
 
-def summarize(
-    findings: Iterable[ConsistencyFinding], records: Iterable[GameRecord]
-) -> AnalysisReport:
-    records = list(records)
-    findings = list(findings)
-    utterances = sum(
-        1 for r in records for e in r.events if e.kind is EventKind.DISCUSSION
-    )
+def _utterances(record: GameRecord) -> int:
+    return sum(1 for e in record.events if e.kind is EventKind.DISCUSSION)
+
+
+def _report(findings: Iterable[ConsistencyFinding], n_games: int, utterances: int) -> AnalysisReport:
     counts = {kind: 0 for kind in FINDING_KINDS}
+    n_findings = 0
     for finding in findings:
         counts[finding.kind] = counts.get(finding.kind, 0) + 1
-    rate = Fraction(len(findings) * 100, utterances) if utterances else None
+        n_findings += 1
+    rate = Fraction(n_findings * 100, utterances) if utterances else None
     return AnalysisReport(
-        n_games=len(records),
+        n_games=n_games,
         n_utterances=utterances,
         finding_counts=tuple(sorted((k, v) for k, v in counts.items() if v)),
         findings_per_100_utterances=rate,
     )
 
 
+def summarize(
+    findings: Iterable[ConsistencyFinding], records: Iterable[GameRecord]
+) -> AnalysisReport:
+    n_games = utterances = 0
+    for record in records:
+        n_games += 1
+        utterances += _utterances(record)
+    return _report(findings, n_games, utterances)
+
+
 def analyze_records(
     records: Iterable[GameRecord],
 ) -> tuple[list[ConsistencyFinding], AnalysisReport]:
-    records = list(records)
+    """Findings and their summary, folding one record at a time, so the
+    records need not all be in memory at once."""
     findings: list[ConsistencyFinding] = []
+    n_games = utterances = 0
     for record in records:
         findings.extend(analyze_record(record))
-    return findings, summarize(findings, records)
+        n_games += 1
+        utterances += _utterances(record)
+    return findings, _report(findings, n_games, utterances)

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .agents import POLICIES, STRATEGIES, AgentSpec
 from .game import GameConfig
-from .llm import HttpLLMClient, LLMClient, MockLLM
+from .llm import FixtureError, HttpLLMClient, LLMClient, MockLLM
 from .records import (
     GameRecord,
     RecordFormatError,
@@ -94,6 +94,8 @@ def _make_client(args: argparse.Namespace) -> LLMClient | None:
             return MockLLM.from_file(args.mock_llm)
         except OSError as exc:
             raise SystemExit(f"cannot read {args.mock_llm}: {exc.strerror or exc}") from None
+        except FixtureError as exc:
+            raise SystemExit(f"bad fixture {exc.path}: {exc.reason}") from None
     if args.llm_base_url:
         if not args.llm_model:
             raise SystemExit("--llm-model is required with --llm-base-url")

@@ -11,32 +11,37 @@ Sandboxing is process-level, and each program gets a fresh process. Each
 harness process starts one fork server on its first run, as
 ``python -I -S -B -c``, so programs get the standard library only and no
 ``exit()``/``quit()``. A forked harness process starts a server of its own.
-A run is one message on a ``SOCK_SEQPACKET`` socket, passing the program's
-stdin (``/dev/null``), stdout, stderr and a status pipe. The server forks a
-waiter, and the waiter forks the program process, which starts a session,
-sets the CPU, core and file-size rlimits and, when the kernel allows
-unprivileged user namespaces (probed once, by the server), detaches into
-empty user and network namespaces. It then moves to the scratch directory,
-takes ``PATH``, ``HOME`` and ``TMPDIR`` as its whole environment, and runs
-a small bootstrap that installs a Python audit hook blocking socket use,
-process creation, and filesystem writes outside the scratch directory,
-then compiles and runs ``program.py`` under that relative name, so
-tracebacks read ``File "program.py"`` with no scratch path and no bootstrap
-frame. The server compiles once before serving, so programs inherit a warm
-compiler. The program ends as ``python program.py`` would (exit status,
-uncaught exception, death by ``SIGINT``, non-daemon threads, ``atexit``
-handlers, module-level finalizers, standard streams flushed), then calls
-``os._exit`` instead of tearing the interpreter down; other files left
-open are not flushed. The waiter reports the program's pid and then its
-wait status on the status pipe. The caller reads the three pipes in its
-own thread until they close or the wall-clock timeout passes; a timeout
-kills the program's process group, and output past a byte cap is read and
-dropped.
+The server probes once, at start, whether the kernel allows unprivileged
+user namespaces, and tells the harness. It compiles once, so programs
+inherit a warm compiler, and then keeps one waiter and its program process
+ready at all times: the program process has already started a session, set
+the core and file-size rlimits and, where the probe succeeded, detached into
+empty user and network namespaces; it fails its run, before any line of the
+program, if it could not. A run is one message on a ``SOCK_SEQPACKET``
+socket, passing the program's stdin (``/dev/null``), stdout, stderr and a
+status pipe. The ready waiter takes it, hands the request and the three
+streams to its program process, and wakes the server to fork the next
+waiter and program. The program process sets the CPU rlimit the request
+names, moves to the scratch directory, takes ``PATH``, ``HOME`` and
+``TMPDIR`` as its whole environment, and runs a small bootstrap that
+installs a Python audit hook blocking socket use, process creation, and
+filesystem writes outside the scratch directory, then compiles and runs
+``program.py`` under that relative name, so tracebacks read
+``File "program.py"`` with no scratch path and no bootstrap frame. The
+program ends as ``python program.py`` would (exit status, uncaught
+exception, death by ``SIGINT``, non-daemon threads, ``atexit`` handlers,
+module-level finalizers, standard streams flushed), then calls ``os._exit``
+instead of tearing the interpreter down; other files left open are not
+flushed. The waiter reports the program's pid and then its wait status on
+the status pipe. The caller reads the three pipes in its own thread until
+the program's streams close and the status is complete, or the wall-clock
+timeout passes; a timeout kills the program's process group, and output
+past a byte cap is read and dropped.
 
-Nothing outlives the harness: the server exits at the end of file on its
-socket (an ``atexit`` hook closes it and waits), and the waiter and the
-program die with their parents (``PR_SET_PDEATHSIG``), as does a server
-started from the main thread.
+Nothing outlives the harness: at the end of file on its socket (an
+``atexit`` hook closes it and waits) the ready waiter exits, and then the
+server; each waiter and program process dies with its parent
+(``PR_SET_PDEATHSIG``), as does a server started from the main thread.
 """
 
 from __future__ import annotations
@@ -241,13 +246,19 @@ os._exit(_status)
 '''.lstrip()
 
 # The fork server's own code, run as `python -I -S -B -c _SERVER <socket fd>
-# <harness pid or 0>` with _BOOTSTRAP appended. Each request is one message:
-# b"<cpu seconds>\0<1 to unshare namespaces, else 0>\0<scratch path>", with
-# four descriptors: stdin, stdout, stderr and the status pipe. For each the
-# server forks a waiter, which forks the program process, writes its pid and
-# then its wait status to the status pipe, and exits. Only a program process
-# returns from _serve(), and so goes on into _BOOTSTRAP; an empty scratch
-# path asks only whether the namespaces can be made.
+# <harness pid or 0>` with _BOOTSTRAP appended. The server first probes once
+# whether a child can enter fresh user and network namespaces, and sends its
+# verdict, b"1" or b"0", on the socket. From then on it keeps one waiter and
+# its program process ready. The program process has started its session,
+# set the core and file-size rlimits and, if the probe succeeded, entered
+# fresh namespaces; it blocks on a socket of its own from the waiter. The
+# waiter blocks on the harness socket, where a request is one message,
+# b"<cpu seconds>\0<scratch path>", with four descriptors: stdin, stdout,
+# stderr and the status pipe. The waiter that takes a request hands the
+# request and the three streams to its program; writes a byte on its pipe to
+# the server, which then forks the next waiter; writes the program's pid and
+# then its wait status to the status pipe; and exits. Only a program process
+# returns from _serve(), and so goes on into _BOOTSTRAP.
 _SERVE = r"""
 import ctypes
 import gc
@@ -258,6 +269,8 @@ import socket
 import sys
 
 _libc = ctypes.CDLL(None, use_errno=True)
+_libc.unshare.argtypes = (ctypes.c_int,)
+_NAMESPACES = 0x10000000 | 0x40000000  # CLONE_NEWUSER | CLONE_NEWNET
 
 
 def _die_with(parent):
@@ -266,20 +279,32 @@ def _die_with(parent):
         os._exit(1)
 
 
-def _enter_program(request, fds):
-    cpu, unshare, scratch = request.split(b"\0", 2)
+def _probe():
+    child = os.fork()
+    if child == 0:
+        os._exit(_libc.unshare(_NAMESPACES) != 0)
+    return os.waitpid(child, 0)[1] == 0
+
+
+def _enter_program(channel, unshare):
     os.setsid()
-    resource.setrlimit(resource.RLIMIT_CPU, (int(cpu), int(cpu)))
     resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
     resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024 * 1024, 64 * 1024 * 1024))
-    for target, fd in enumerate(fds[:3]):
+    failure = None
+    if unshare and _libc.unshare(_NAMESPACES) != 0:
+        failure = OSError(ctypes.get_errno(), "unshare(CLONE_NEWUSER|CLONE_NEWNET) failed")
+    request, fds, _, _ = socket.recv_fds(channel, 4096, 3)
+    if not request:
+        os._exit(1)
+    channel.close()
+    cpu, scratch = request.split(b"\0", 1)
+    resource.setrlimit(resource.RLIMIT_CPU, (int(cpu), int(cpu)))
+    for target, fd in enumerate(fds):
         os.dup2(fd, target)
     for fd in fds:
         os.close(fd)
-    if unshare == b"1" and _libc.unshare(0x10000000 | 0x40000000) != 0:
-        raise OSError(ctypes.get_errno(), "unshare(CLONE_NEWUSER|CLONE_NEWNET) failed")
-    if not scratch:
-        os._exit(0)
+    if failure is not None:  # fail the run before any line of the program
+        raise failure
     scratch = os.fsdecode(scratch)
     os.chdir(scratch)
     os.environ["HOME"] = os.environ["TMPDIR"] = scratch
@@ -291,10 +316,37 @@ def _enter_program(request, fds):
         setattr(sys, f"__{name}__", new)
 
 
-def _report(program, status_fd):
+def _wait(sock, ready, server, unshare):
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    _die_with(server)
+    waiter = os.getpid()
+    mine, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    program = os.fork()
+    if program == 0:
+        _die_with(waiter)
+        sock.close()
+        mine.close()
+        os.close(ready)
+        _enter_program(theirs, unshare)
+        return
+    theirs.close()
+    request, fds, _, _ = socket.recv_fds(sock, 4096, 4)
+    if not request:
+        os._exit(0)
     try:
-        os.write(status_fd, b"%d\n" % program)
-        os.write(status_fd, b"%d\n" % os.waitpid(program, 0)[1])
+        socket.send_fds(mine, [request], fds[:3])
+    except OSError:
+        pass  # the program process has died; its wait status says how
+    # Only now wake the server to fork the next pair: woken first, its
+    # forks delay this hand-over by about a millisecond.
+    sock.close()
+    os.write(ready, b"\0")
+    os.close(ready)
+    for fd in fds[:3]:
+        os.close(fd)
+    try:
+        os.write(fds[3], b"%d\n" % program)
+        os.write(fds[3], b"%d\n" % os.waitpid(program, 0)[1])
     finally:
         os._exit(0)
 
@@ -302,9 +354,11 @@ def _report(program, status_fd):
 def _serve(sock_fd, harness):
     if harness:
         _die_with(harness)
+    sock = socket.socket(fileno=sock_fd)
+    unshare = _probe()
+    sock.send(b"%d" % unshare)
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps the waiters
     server = os.getpid()
-    sock = socket.socket(fileno=sock_fd)
     # The first compile() sets up the compiler's state (about 2 ms); done
     # here, each program process inherits it.
     compile("pass", "<warm-up>", "exec")
@@ -313,28 +367,21 @@ def _serve(sock_fd, harness):
     # program's collections and its exit walk them.
     gc.freeze()
     while True:
-        request, fds, _, _ = socket.recv_fds(sock, 4096, 4)
-        if not request:
-            sys.exit(0)
+        ready, ready_w = os.pipe()
         try:
             waiter = os.fork()
         except OSError:
-            waiter = -1  # the harness reads an empty status
+            sys.exit(1)  # dropping the socket fails the queued requests
         if waiter == 0:
-            sock.close()
-            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-            _die_with(server)
-            waiter = os.getpid()
-            program = os.fork()
-            if program == 0:
-                _die_with(waiter)
-                _enter_program(request, fds)
-                return
-            for fd in fds[:3]:
-                os.close(fd)
-            _report(program, fds[3])
-        for fd in fds:
-            os.close(fd)
+            os.close(ready)
+            _wait(sock, ready_w, server, unshare)
+            return
+        os.close(ready_w)
+        # One byte: the waiter has taken a request. End of file: the
+        # harness closed its socket, or the waiter died.
+        if not os.read(ready, 1):
+            sys.exit(0)
+        os.close(ready)
 
 
 _serve(int(sys.argv[1]), int(sys.argv[2]))
@@ -358,21 +405,23 @@ class _Server:
                 stdout=subprocess.DEVNULL,
                 pass_fds=(theirs.fileno(),),
             )
+        # The server's first message: whether it can make namespaces.
+        self.netns = self.sock.recv(1) == b"1"
 
 
 _server: _Server | None = None
 _server_lock = threading.Lock()
 
 
-def _server_socket() -> socket.socket:
-    """This process's server socket, starting the server if it is not running."""
+def _running_server() -> _Server:
+    """This process's server, started if it is not running."""
     global _server
     with _server_lock:
         if _server is None or _server.proc.poll() is not None:
             if _server is not None:
                 _server.sock.close()
             _server = _Server()
-        return _server.sock
+        return _server
 
 
 def _forget_server() -> None:
@@ -401,7 +450,7 @@ def _run(request: bytes, timeout: float, output_cap: int) -> tuple[int, bool, li
     pipes = [os.pipe() for _ in range(3)]
     devnull = os.open(os.devnull, os.O_RDONLY)
     try:
-        socket.send_fds(_server_socket(), [request], [devnull] + [w for _, w in pipes])
+        socket.send_fds(_running_server().sock, [request], [devnull] + [w for _, w in pipes])
     except BaseException:
         for r, _ in pipes:
             os.close(r)
@@ -428,6 +477,8 @@ def _run(request: bytes, timeout: float, output_cap: int) -> tuple[int, bool, li
                         selector.unregister(key.fd)
                     elif key.fd == status_fd:
                         status += chunk
+                        if status.count(b"\n") == 2:  # all the waiter writes; no need to wait for its exit
+                            selector.unregister(status_fd)
                     else:
                         buf = kept[key.fd]
                         room = output_cap - len(buf)
@@ -461,18 +512,10 @@ def _kill_program(status_fd: int, status: bytearray) -> None:
         status += chunk
 
 
-_namespace_support: bool | None = None
-
-
 def _probe_namespace_support() -> bool:
-    """Whether unprivileged user+net namespaces work on this kernel."""
-    global _namespace_support
-    if _namespace_support is None:
-        try:
-            _namespace_support = _run(b"1\x001\x00", 30.0, 4096)[0] == 0
-        except Exception:
-            _namespace_support = False
-    return _namespace_support
+    """Whether unprivileged user+net namespaces work on this kernel, as this
+    process's server found when it started."""
+    return _running_server().netns
 
 
 def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
@@ -482,7 +525,7 @@ def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
         with open(os.path.join(scratch, "program.py"), "w", encoding="utf-8") as fh:
             fh.write(program)
         cpu = max(1, int(limits.per_run_timeout) + 2)
-        request = b"%d\0%d\0%s" % (cpu, _probe_namespace_support(), os.fsencode(scratch))
+        request = b"%d\0%s" % (cpu, os.fsencode(scratch))
         with _EXECUTION_SLOTS:
             exit_code, timed_out, (stdout, stderr), (stdout_cut, stderr_cut) = _run(
                 request, limits.per_run_timeout, limits.output_cap

@@ -9,7 +9,8 @@ with exponential backoff.
 ``MockLLM`` serves fixture-scripted responses for tests and offline runs:
 an ordered rule list where each rule may match on the request's phase tag
 and/or a text pattern, with a use budget. Requests that no rule matches
-raise immediately; silent improvisation would mask fixture bugs. A
+raise immediately; silent improvisation would mask fixture bugs. A fixture
+file is checked as it loads, and each pattern compiled once. A
 tournament plays each game against its own copy of the client, so use
 budgets and ``requests_log`` belong to one game.
 """
@@ -22,6 +23,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 from typing import Any, Sequence
 
 import requests
@@ -39,6 +41,15 @@ class TransportError(LLMError):
 
 class MockScriptExhausted(LLMError):
     """No fixture rule matched a mock request."""
+
+
+class FixtureError(LLMError):
+    """A mock fixture file that is not a usable fixture."""
+
+    def __init__(self, path: str | Path, reason: str) -> None:
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -144,15 +155,34 @@ class MockRule:
     pattern: str | None = None
     max_uses: int | None = 1  # None means unlimited
     uses: int = field(default=0, compare=False)
+    _regex: re.Pattern[str] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._regex = None if self.pattern is None else re.compile(self.pattern, re.IGNORECASE | re.DOTALL)
 
     def matches(self, tag: str, text: str) -> bool:
         if self.max_uses is not None and self.uses >= self.max_uses:
             return False
         if self.phase is not None and self.phase != tag:
             return False
-        if self.pattern is not None and not re.search(self.pattern, text, re.IGNORECASE | re.DOTALL):
+        if self._regex is not None and not self._regex.search(text):
             return False
         return True
+
+
+def _fixture_rule(raw: Any) -> MockRule:
+    """The rule a fixture entry describes; TypeError or re.error says why not."""
+    if not isinstance(raw, dict):
+        raise TypeError("not an object")
+    if not isinstance(raw.get("response"), str):
+        raise TypeError("no string 'response'")
+    for key in ("phase", "pattern"):
+        if not isinstance(raw.get(key), (str, NoneType)):
+            raise TypeError(f"'{key}' is neither a string nor null")
+    max_uses = raw.get("max_uses", 1)
+    if type(max_uses) not in (int, NoneType):
+        raise TypeError("'max_uses' is neither an integer nor null")
+    return MockRule(raw["response"], raw.get("phase"), raw.get("pattern"), max_uses)
 
 
 class MockLLM(LLMClient):
@@ -163,22 +193,30 @@ class MockLLM(LLMClient):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockLLM":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        """The client a fixture file scripts: a list of rules, or an object
+        with a ``rules`` list and an optional ``model``. Raises OSError if
+        the file cannot be read, and FixtureError, naming the file and the
+        rule, if it is not a fixture."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise FixtureError(path, f"not JSON: {exc}") from None
+        model = "mock"
         if isinstance(data, dict):
             model = data.get("model", "mock")
-            raw_rules = data["rules"]
-        else:
-            model = "mock"
-            raw_rules = data
-        rules = [
-            MockRule(
-                response=r["response"],
-                phase=r.get("phase"),
-                pattern=r.get("pattern"),
-                max_uses=r.get("max_uses", 1),
-            )
-            for r in raw_rules
-        ]
+            if not isinstance(model, str):
+                raise FixtureError(path, "'model' is not a string")
+            data = data.get("rules")
+        if not isinstance(data, list):
+            raise FixtureError(path, "no 'rules' list")
+        rules = []
+        for index, raw in enumerate(data):
+            try:
+                rules.append(_fixture_rule(raw))
+            except TypeError as exc:
+                raise FixtureError(path, f"rule {index}: {exc}") from None
+            except re.error as exc:
+                raise FixtureError(path, f"rule {index}: bad pattern: {exc}") from None
         return cls(rules, model=model)
 
     def complete(self, messages: Sequence[ChatMessage], temperature: float, tag: str) -> str:

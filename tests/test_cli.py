@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from avalonplay import cli
+from avalonplay import analyzer, cli
+from avalonplay.analyzer import analyze_record
 from avalonplay.cli import _onoff, build_parser, main
 from avalonplay.records import load_record
 
@@ -181,6 +183,28 @@ class TestRun:
         assert done.stdout == ""
         assert done.stderr == message.format(**paths) + "\n"
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+            ('{"rules": [{"phase": "x"}]}', "rule 0: no string 'response'"),
+            ('{"model": "m"}', "no 'rules' list"),
+            ('[{"response": "a"}, {"response": "b", "pattern": "("}]',
+             "rule 1: bad pattern: missing ), unterminated subpattern at position 0"),
+        ],
+        ids=["not-json", "rule-without-response", "no-rules", "bad-pattern"],
+    )
+    def test_bad_fixture_is_one_error_line(self, tmp_path, content, reason):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(content)
+        done = subprocess.run(
+            [sys.executable, "-m", "avalonplay.cli", "run", "--games", "1", "--just", "llm", "--mock-llm", str(fixture)],
+            capture_output=True, text=True, env=os.environ | {"PYTHONPATH": SRC},
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"bad fixture {fixture}: {reason}\n"
+
 
 class TestReplayCommand:
     @pytest.fixture()
@@ -257,6 +281,27 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(capsys, "analyze", str(tmp_path))
         assert code == 0
         assert json.loads(out)["summary"]["n_games"] == 2
+
+    def test_folds_one_record_at_a_time(self, capsys, monkeypatch, tmp_path):
+        run_cli(capsys, "run", "--games", "3", "--seed", "5", "--record-dir", str(tmp_path))
+        loaded = []
+        in_memory = []  # at each analysis, how many loaded records are still alive
+
+        def load(path):
+            record = load_record(path)
+            loaded.append(weakref.ref(record))
+            return record
+
+        def analyze(record):
+            in_memory.append(sum(ref() is not None for ref in loaded))
+            return analyze_record(record)
+
+        monkeypatch.setattr(cli, "load_record", load)
+        monkeypatch.setattr(analyzer, "analyze_record", analyze)
+        code, out, _ = run_cli(capsys, "analyze", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["summary"]["n_games"] == 3
+        assert in_memory == [1, 1, 1]
 
 
 class TestBadRecords:

@@ -422,6 +422,34 @@ def running(pid: int) -> bool:
         return False
 
 
+# Source text for harnesses and programs: `others(root, known, n)` waits up
+# to 30 s until at least `n` live processes below `root` are not in `known`,
+# and returns every live process below `root` that is not in `known`.
+DESCENDANTS = """
+import os, time
+def descendants(root):
+    children = {}
+    for entry in filter(str.isdigit, os.listdir('/proc')):
+        try:
+            stat = open(f'/proc/{entry}/stat').read().rsplit(')', 1)[1].split()
+        except OSError:
+            continue
+        if stat[0] != 'Z':
+            children.setdefault(int(stat[1]), []).append(int(entry))
+    found, todo = [], [root]
+    while todo:
+        below = children.get(todo.pop(), [])
+        found += below
+        todo += below
+    return found
+def others(root, known, n):
+    deadline = time.monotonic() + 30
+    while len(found := [pid for pid in descendants(root) if pid not in known]) < n and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return found
+"""
+
+
 def ends_soon(pid: int, seconds: float = 5.0) -> bool:
     deadline = time.monotonic() + seconds
     while running(pid):
@@ -478,40 +506,30 @@ class TestForkServer:
         assert ends_soon(child)
 
     def test_harness_exit_leaves_no_process_running(self):
-        harness = (
+        # The harness prints the program, its waiter and the server, then
+        # every other process below the server: the idle waiter and program.
+        harness = DESCENDANTS + (
             "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
             "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=5.0, output_cap=4096)\n"
             "program = \"import os\\nprint(os.getpid(), os.getppid(), open(f'/proc/{os.getppid()}/stat').read().split()[3])\"\n"
-            "print(execute_sandboxed(program, limits).stdout)\n"
+            "ran = [int(pid) for pid in execute_sandboxed(program, limits).stdout.split()]\n"
+            "print(*ran, *others(ran[2], ran, 2))\n"
         )
         pids = [int(pid) for pid in run_harness(harness).split()]
-        assert len(pids) == 3  # program, waiter, server
+        assert len(pids) >= 5  # program, waiter, server, idle waiter, idle program
         assert all(ends_soon(pid) for pid in pids)
 
     def test_a_killed_harness_leaves_no_process_running(self):
-        # The harness prints the server, waiter and program pids while a
-        # program sleeps, and is then killed without running any exit hook.
-        harness = (
-            "import os, threading, time\n"
+        # While a program sleeps, the harness prints the server and every
+        # process below it (the sleeping program and its waiter, the idle
+        # waiter and program), and is then killed without running any exit hook.
+        harness = DESCENDANTS + (
+            "import threading\n"
             "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
             "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=60.0, output_cap=4096)\n"
             f"server = int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n"
             "threading.Thread(target=execute_sandboxed, args=('import time; time.sleep(60)', limits), daemon=True).start()\n"
-            "def children(pid):\n"
-            "    found = []\n"
-            "    for entry in filter(str.isdigit, os.listdir('/proc')):\n"
-            "        try:\n"
-            "            stat = open(f'/proc/{entry}/stat').read()\n"
-            "        except OSError:\n"
-            "            continue\n"
-            "        if int(stat.rsplit(')', 1)[1].split()[1]) == pid:\n"
-            "            found.append(int(entry))\n"
-            "    return found\n"
-            "deadline = time.monotonic() + 30\n"
-            "while not (waiters := children(server)) or not (programs := children(waiters[0])):\n"
-            "    assert time.monotonic() < deadline\n"
-            "    time.sleep(0.01)\n"
-            "print(server, waiters[0], programs[0], flush=True)\n"
+            "print(server, *others(server, (), 4), flush=True)\n"
             "time.sleep(60)\n"
         )
         src = str(Path(avalonplay.__file__).parents[1])
@@ -524,7 +542,7 @@ class TestForkServer:
             proc.kill()
             proc.wait(timeout=60)
             proc.stdout.close()
-        assert len(pids) == 3  # server, waiter, program
+        assert len(pids) >= 5  # server, two waiters, two programs
         assert all(ends_soon(pid) for pid in pids)
 
     def test_a_killed_server_is_replaced(self):
@@ -535,13 +553,14 @@ class TestForkServer:
 
     def test_a_parallel_tournament_leaves_no_process_running(self, tmp_path):
         # Each program reports, on stderr, the pool worker that started its
-        # fork server, the server, its waiter and itself.
-        program = (
-            "import os, sys\n"
+        # fork server, the server, its waiter, itself, and every other
+        # process below the server, which includes the idle waiter and program.
+        program = DESCENDANTS + (
+            "import sys\n"
             "parent = lambda pid: int(open(f'/proc/{pid}/stat').read().rsplit(')', 1)[1].split()[1])\n"
             "waiter = os.getppid()\n"
             "server = parent(waiter)\n"
-            "print(parent(server), server, waiter, os.getpid(), file=sys.stderr)\n"
+            "print(parent(server), server, waiter, os.getpid(), *others(server, (waiter, os.getpid()), 2), file=sys.stderr)\n"
             "print(list(range(1, {n} + 1)))\n"
         )
         rules = [
@@ -569,9 +588,9 @@ class TestForkServer:
             for event in load_record(path).events
             for attempt in event.payload.get("codeact", {}).get("attempts", [])
         ]
-        assert reports and all(len(pids) == 4 for pids in reports)
+        assert reports and all(len(pids) >= 6 for pids in reports)
         servers: dict[str, set[str]] = {}
-        for worker, server, _, _ in reports:
+        for worker, server, *_ in reports:
             servers.setdefault(worker, set()).add(server)
         # Every worker started one server of its own.
         assert str(os.getpid()) not in servers
@@ -588,9 +607,32 @@ class TestForkServer:
         assert len({first, second, os.readlink("/proc/self/ns/net") + "\n"}) == 3
 
     def test_program_sees_the_cpu_limit(self):
-        result = execute_sandboxed("import resource\nprint(resource.getrlimit(resource.RLIMIT_CPU))", FAST)
-        cpu = int(FAST.per_run_timeout) + 2
-        assert result.stdout == f"({cpu}, {cpu})\n"
+        # Back to back, each run sees the limit of its own request, not one
+        # fixed when its process was forked ahead of it.
+        program = "import resource\nprint(resource.getrlimit(resource.RLIMIT_CPU))"
+        for limits in (FAST, DebugLoopConfig(max_attempts=1, per_run_timeout=3.0, output_cap=4096), FAST):
+            cpu = int(limits.per_run_timeout) + 2
+            assert execute_sandboxed(program, limits).stdout == f"({cpu}, {cpu})\n"
+
+    def test_a_program_that_cannot_enter_its_namespaces_never_runs(self):
+        if not codeact._probe_namespace_support():
+            pytest.skip("unprivileged user and network namespaces are not available")
+        # The server's probe succeeds, but each pre-forked program process's
+        # own unshare() fails (EINVAL).
+        harness = (
+            "import json\n"
+            "from avalonplay import codeact\n"
+            "entry = 'if unshare and _libc.unshare(_NAMESPACES) != 0:'\n"
+            "assert codeact._SERVER.count(entry) == 1\n"
+            "codeact._SERVER = codeact._SERVER.replace(entry, 'if unshare and _libc.unshare(-1) != 0:')\n"
+            "limits = codeact.DebugLoopConfig(max_attempts=1, per_run_timeout=5.0, output_cap=4096)\n"
+            "assert codeact._probe_namespace_support()\n"
+            "results = [codeact.execute_sandboxed(\"print('RAN')\", limits) for _ in range(2)]\n"
+            "print(json.dumps([[r.status.value, r.exit_code, r.stdout, r.stderr] for r in results]))\n"
+        )
+        for status, exit_code, stdout, stderr in json.loads(run_harness(harness)):
+            assert (status, exit_code, stdout) == (ExecStatus.ERROR.value, 1, "")
+            assert stderr.endswith("OSError: [Errno 22] unshare(CLONE_NEWUSER|CLONE_NEWNET) failed\n")
 
     @pytest.mark.parametrize(
         "program, error",

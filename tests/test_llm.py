@@ -7,6 +7,7 @@ import requests
 from avalonplay.llm import (
     API_KEY_ENV,
     ChatMessage,
+    FixtureError,
     HttpLLMClient,
     MockLLM,
     MockRule,
@@ -188,6 +189,18 @@ class TestMockRule:
         rule.uses = 10_000
         assert rule.matches("t", "x")
 
+    def test_pattern_is_compiled_once(self, monkeypatch):
+        rule = MockRule("r", pattern="selects 3", max_uses=None)
+
+        class NoRegexModule:
+            def __getattr__(self, name):
+                raise AssertionError(f"re.{name} was used while matching")
+
+        # Only the module under test loses `re`; pytest's own use of it is untouched.
+        monkeypatch.setattr("avalonplay.llm.re", NoRegexModule())
+        assert rule.matches("t", "The leader SELECTS 3 players.")
+        assert not rule.matches("t", "The leader selects 2 players.")
+
 
 class TestMockLLM:
     def test_first_unconsumed_match_wins_and_budget_advances(self):
@@ -243,6 +256,36 @@ class TestMockLLM:
         mock = MockLLM.from_file(path)
         assert mock.model == "scripted-7"
         assert len(mock.rules) == 1
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b"\xff\xfe", "not JSON: "),
+            ('{"model": "m"}', "no 'rules' list"),
+            ('{"rules": {"response": "a"}}', "no 'rules' list"),
+            ('{"model": 7, "rules": []}', "'model' is not a string"),
+            ('{"rules": [{"phase": "x"}]}', "rule 0: no string 'response'"),
+            ('[{"response": "a"}, "b"]', "rule 1: not an object"),
+            ('[{"response": "a", "phase": 3}]', "rule 0: 'phase' is neither a string nor null"),
+            ('[{"response": "a", "max_uses": true}]', "rule 0: 'max_uses' is neither an integer nor null"),
+            (
+                '[{"response": "a"}, {"response": "b", "pattern": "("}]',
+                "rule 1: bad pattern: missing ), unterminated subpattern at position 0",
+            ),
+        ],
+    )
+    def test_from_file_rejects_what_is_not_a_fixture(self, tmp_path, content, reason):
+        path = tmp_path / "rules.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(FixtureError) as caught:
+            MockLLM.from_file(path)
+        assert caught.value.path == path
+        assert caught.value.reason.startswith(reason)
+        assert str(caught.value) == f"{path}: {caught.value.reason}"
 
 
 class TestExchange:
