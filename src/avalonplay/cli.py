@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -51,6 +52,15 @@ def _at_least(low: int):
     return count
 
 
+def _finite(value: str) -> float:
+    """An argparse type: a float that is neither NaN nor infinite, which a
+    JSON record could not hold."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avalonplay",
@@ -64,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--just", choices=POLICIES, default="deduction", help="policy for just seats")
     run.add_argument("--evil", choices=POLICIES, default="scripted_evil", help="policy for evil seats")
     run.add_argument("--strategy", choices=STRATEGIES, default="base", help="prompting strategy for llm seats")
-    run.add_argument("--temperature", type=float, default=0.7, help="sampling temperature for text decisions")
+    run.add_argument("--temperature", type=_finite, default=0.7, help="sampling temperature for text decisions")
     run.add_argument("--llm-base-url", default=None, help="OpenAI-compatible chat completions base URL")
     run.add_argument("--llm-model", default=None, help="model name for the HTTP client")
     run.add_argument("--mock-llm", default=None, metavar="FIXTURE", help="JSON fixture of scripted model replies")

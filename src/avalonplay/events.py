@@ -50,13 +50,14 @@ class EventLogEntry:
         return "Moderator" if self.actor is None else f"Player {self.actor}"
 
     def to_dict(self) -> dict[str, Any]:
+        # `_value_` skips the `Enum.value` descriptor, as `GameEngine.emit` does.
         return {
             "seq": self.seq,
             "round": self.round,
             "attempt": self.attempt,
             "phase": self.phase,
             "actor": self.actor,
-            "kind": self.kind.value,
+            "kind": self.kind._value_,
             "text": self.text,
             "payload": self.payload,
             "visibility": self.visibility,

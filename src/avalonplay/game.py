@@ -286,12 +286,14 @@ class GameEngine:
         visibility: str = PUBLIC,
     ) -> EventLogEntry:
         """Append an event stamped with the next seq and the current round,
-        attempt and phase. Replay re-emits recorded audit events here."""
+        attempt and phase. Replay re-emits recorded audit events here.
+        The phase is read as `_value_`, which skips the `Enum.value`
+        descriptor: this runs for every event of every game."""
         entry = EventLogEntry(
             seq=len(self.events) + 1,
             round=self.state.round,
             attempt=self.state.attempt,
-            phase=self.state.phase.value,
+            phase=self.state.phase._value_,
             actor=actor,
             kind=kind,
             text=text,

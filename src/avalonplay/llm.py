@@ -139,11 +139,12 @@ class HttpLLMClient(LLMClient):
                 resp.raise_for_status()
                 data = resp.json()
                 return data["choices"][0]["message"]["content"]
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError) as exc:
+                # A body cut off mid-transfer passes like a dropped connection.
                 last_error = exc
                 continue
-            except (requests.HTTPError, KeyError, IndexError, ValueError) as exc:
-                # Client errors and malformed bodies will not improve on retry.
+            except (requests.HTTPError, requests.exceptions.ContentDecodingError, KeyError, IndexError, ValueError) as exc:
+                # Client errors and malformed or undecodable bodies will not improve on retry.
                 raise TransportError(f"unusable response from {self.base_url}: {exc}") from exc
         raise TransportError(f"request failed after {self.max_retries} attempts: {last_error}")
 

@@ -18,6 +18,11 @@ decision read from the record instead of asked of an agent. It stops
 where the recorded actions run out, so an aborted game's record replays
 up to the point where the game stopped.
 
+Header and outcome lines go through one `json.JSONEncoder`; each event
+line is one template in the key order of `EventLogEntry.to_dict`, with its
+strings quoted by the encoder's own `encode_basestring` and only a
+non-empty payload sent through the encoder, so its bytes are the encoder's.
+
 Three errors cover every bad record: `RecordFormatError` for a file that
 is not a well-formed record (naming the line), `RecordSchemaError` for a
 record from another schema or configuration, and `ReplayMismatch` for a
@@ -32,8 +37,9 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import zip_longest
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, NoReturn, TextIO
 
 from .agents import AgentSpec
 from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
@@ -43,11 +49,17 @@ from .knowledge import RoleAssignment
 
 SCHEMA_VERSION = 2
 
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON value")
+
+
 # One encoder and one decoder for every record line: `json.dumps` with a
 # keyword argument builds a new encoder for each, and `json.loads` adds a
-# call and its argument checks to each.
-_encode_line = json.JSONEncoder(ensure_ascii=False).encode
-_decode_line = json.JSONDecoder().decode
+# call and its argument checks to each. Neither takes NaN or the infinities,
+# which JSON has no numbers for.
+_encode_line = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+_decode_line = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
 class RecordFormatError(ValueError):
@@ -99,8 +111,8 @@ def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
     }
     outcome = record.outcome.to_dict() if record.outcome else None
     tail = {"type": "outcome", "aborted": record.aborted, "error": record.error, "outcome": outcome}
-    lines = [header, *(e.to_dict() for e in record.events), tail]
-    text = "\n".join(map(_encode_line, lines)) + "\n"
+    lines = [_encode_line(header), *map(_event_line, record.events), _encode_line(tail)]
+    text = "\n".join(lines) + "\n"
     if isinstance(destination, (str, Path)):
         path = Path(destination)
         partial = path.with_name(path.name + ".partial")
@@ -112,6 +124,16 @@ def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
             raise
     else:
         destination.write(text)
+
+
+def _event_line(e: EventLogEntry) -> str:
+    """`_encode_line(e.to_dict())`, for fields of the types in `_EVENT_FIELD_TYPES`."""
+    return (
+        f'{{"seq": {e.seq}, "round": {e.round}, "attempt": {e.attempt}, "phase": {_quote(e.phase)}, '
+        f'"actor": {"null" if e.actor is None else e.actor}, "kind": {_quote(e.kind._value_)}, '
+        f'"text": {_quote(e.text)}, "payload": {_encode_line(e.payload) if e.payload else "{}"}, '
+        f'"visibility": {_quote(e.visibility)}}}'
+    )
 
 
 def _config_hash(config: dict[str, Any]) -> str:

@@ -106,7 +106,9 @@ def run_game(
     # hands out the same tuple (which deduction seats memoise on).
     public_facts: tuple[PublicFact, ...] = ()
 
-    def observe(seat: int, **kw: Any) -> Observation:
+    def observe(seat: int | None, **kw: Any) -> Observation:
+        """What `seat` sees now. Seats without a memory all see the same
+        fields, so `seat` None builds the one observation they share."""
         nonlocal public_facts
         st = engine.state
         if len(public_facts) != len(st.quest_history):
@@ -122,7 +124,7 @@ def run_game(
         )
 
     def traces(reply: AgentReply) -> dict[str, Any]:
-        return _trace_payload(reply.trace, log_exchanges)
+        return _trace_payload(reply.trace, log_exchanges) if reply.trace else {}
 
     def decide(engine: GameEngine) -> tuple:
         st = engine.state
@@ -134,10 +136,14 @@ def run_game(
             seat = engine.assassin_seat
             reply = agents[seat].act(observe(seat))
             return seat, reply.action.target, traces(reply)
-        team = engine.current_team
+        team, threshold = engine.current_team, st.threshold()
+        # One observation for this step's memory-less seats; each seat with
+        # a memory gets its own, with the bundle built when it is asked.
+        shared = observe(None, proposed_team=team, threshold=threshold)
 
         def ask(seat: int) -> AgentReply:
-            return agents[seat].act(observe(seat, proposed_team=team, threshold=st.threshold()))
+            obs = observe(seat, proposed_team=team, threshold=threshold) if seat in memories else shared
+            return agents[seat].act(obs)
 
         if st.phase is Phase.DISCUSSION:
             speaker = engine.next_speaker()
@@ -146,7 +152,7 @@ def run_game(
         if st.phase is Phase.TEAM_VOTE:
             replies = {seat: ask(seat) for seat in ALL_SEATS}
             ballots = {seat: r.action.approve for seat, r in replies.items()}
-            payloads = {seat: {"reasoning": r.action.reasoning} | traces(r) for seat, r in replies.items()}
+            payloads = {seat: {"reasoning": r.action.reasoning, **traces(r)} for seat, r in replies.items()}
             return ballots, payloads
         # Quest execution: the team members' quest votes.
         return ({seat: ask(seat).action.approve for seat in sorted(team)},)

@@ -46,6 +46,16 @@ class TestArgumentHandling:
         assert exc.value.code == 2
         assert f"argument {option}: expected at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_temperature_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", f"--temperature={value}"])
+        assert exc.value.code == 2
+        assert f"argument --temperature: expected a finite number, got {value}" in capsys.readouterr().err
+
+    def test_finite_temperature_accepted(self):
+        assert build_parser().parse_args(["run", "--temperature", "1e-3"]).temperature == 0.001
+
     def test_zero_games_accepted(self):
         assert build_parser().parse_args(["run", "--games", "0"]).games == 0
 

@@ -146,6 +146,37 @@ class TestHttpClient:
         assert timeouts == [7.0] * 3
         assert no_sleep == [0.5, 1.0]
 
+    def test_truncated_bodies_retried_then_raised(self, monkeypatch, no_sleep):
+        def fake_post(*a, **k):
+            raise requests.exceptions.ChunkedEncodingError("Connection broken: IncompleteRead")
+
+        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        client = HttpLLMClient("http://x", model="m", max_retries=3, backoff=0.5)
+        with pytest.raises(TransportError, match="after 3 attempts: Connection broken"):
+            client.complete(MESSAGES, 0.0, "t")
+        assert no_sleep == [0.5, 1.0]
+
+    def test_truncated_body_then_a_reply(self, monkeypatch, no_sleep):
+        def truncated(*a, **k):
+            raise requests.exceptions.ChunkedEncodingError("Connection broken: IncompleteRead")
+
+        replies = iter([truncated, lambda *a, **k: ok_response("whole")])
+        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: next(replies)(*a, **k))
+        assert HttpLLMClient("http://x", model="m", backoff=0.5).complete(MESSAGES, 0.0, "t") == "whole"
+        assert no_sleep == [0.5]
+
+    def test_undecodable_body_fails_immediately(self, monkeypatch, no_sleep):
+        calls = []
+
+        def fake_post(*a, **k):
+            calls.append(1)
+            raise requests.exceptions.ContentDecodingError("Received response with content-encoding: gzip")
+
+        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        with pytest.raises(TransportError, match="unusable response from http://x: Received response"):
+            HttpLLMClient("http://x", model="m").complete(MESSAGES, 0.0, "t")
+        assert len(calls) == 1 and no_sleep == []
+
     def test_client_errors_fail_immediately(self, monkeypatch, no_sleep):
         calls = []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import io
@@ -6,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avalonplay.agents import AgentSpec
@@ -23,7 +24,8 @@ from avalonplay.records import (
     replay,
     write_record,
 )
-from avalonplay.records import _config_hash
+from avalonplay.events import EventKind, EventLogEntry
+from avalonplay.records import _config_hash, _encode_line, _event_line
 from avalonplay.runner import compute_metrics, run_game, seed_for_game
 from helpers import V1_RECORDS_DIR, V1_RULE_KEYS, budgeted_mock, run_codeact_e2e
 
@@ -141,6 +143,25 @@ class TestFormatErrors:
         rows = self.rows(record, tmp_path)[:-1]
         with pytest.raises(RecordFormatError, match="outcome"):
             load_record(self.write_lines(tmp_path, rows))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_non_finite_constant_names_the_line(self, record, tmp_path, value):
+        rows = self.rows(record, tmp_path)
+        header = json.loads(rows[0])
+        header["agents"]["1"]["temperature_text"] = value
+        rows[0] = json.dumps(header)  # NaN, Infinity or -Infinity
+        constant = json.dumps(value)
+        assert f'"temperature_text": {constant},' in rows[0]
+        with pytest.raises(RecordFormatError, match=f"line 1 is not valid JSON: {constant} is not a JSON value"):
+            load_record(self.write_lines(tmp_path, rows))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_non_finite_value_is_not_written(self, record, tmp_path, value):
+        spec = AgentSpec("deduction", temperature_text=value)
+        bad = dataclasses.replace(record, agents={**record.agents, 1: spec})
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write_record(bad, tmp_path / "game.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_header(self, record, tmp_path):
         rows = self.rows(record, tmp_path)[1:]
@@ -499,6 +520,67 @@ PINNED_CODEACT_EVENTS_DIGEST = "7426a9ba2e1fb643d8365f775bd202721972207cb3b66168
 # rule keys, the event `type` and `game_id` dropped and the config re-hashed.
 PINNED_BYTES_DIGEST = "559639d5a3a471cafb0c576b8a513188c3eb489938ebafd7dc41319b9f9dbae9"
 PINNED_CODEACT_BYTES_DIGEST = "6b1683413d8124731714571c7b841b03aab7c3515db5152cba43b1b16ba57887"
+
+
+# Mock-client llm `cot` just seats (each with a memory) against deduction
+# evil seats (none), as (game index, request budgets): three full games and
+# games aborted in a team vote and in a quest vote.
+MIXED_GAMES = ((0, {}), (1, {}), (2, {"team_vote": 6}), (3, {"quest_vote": 2}), (29, {}))
+
+
+class TestMixedPolicyPin:
+    """Seats with and without a memory acting in the same vote: the memory
+    seats each build their own prompt bundle, after the seats before them."""
+
+    @pytest.fixture(scope="class")
+    def mixed_records(self):
+        records = [
+            run_game(GameConfig(), LLM_COT, AgentSpec("deduction"), seed_for_game(43, i), client=budgeted_mock(budgets))
+            for i, budgets in MIXED_GAMES
+        ]
+        assert [r.aborted for r in records] == [False, False, True, True, False]
+        return records
+
+    def test_replayed_events_are_pinned(self, mixed_records):
+        assert _events_digest(mixed_records) == PINNED_MIXED_EVENTS_DIGEST
+
+    def test_record_bytes_are_pinned(self, mixed_records):
+        assert _bytes_digest(mixed_records) == PINNED_MIXED_BYTES_DIGEST
+
+
+PINNED_MIXED_EVENTS_DIGEST = "4cac9c3efee471d66a8b885c141a219451030faa59975f47ec9f694d5b0ecf73"
+PINNED_MIXED_BYTES_DIGEST = "37a2c3461b08af9872d6de725957ea83e2ff95c1f598aadbca6504c798c8241a"
+
+
+# JSON strings with the characters an encoder must escape, or may pass
+# through: quotes, backslashes, control characters, U+2028/U+2029 and
+# characters outside the basic plane.
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\U0001F600é/a ') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+EVENTS = st.builds(
+    EventLogEntry,
+    seq=st.integers(),
+    round=st.integers(),
+    attempt=st.integers(),
+    phase=JSON_TEXT,
+    actor=st.none() | st.integers(),
+    kind=st.sampled_from(EventKind),
+    text=JSON_TEXT,
+    payload=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4),
+    visibility=JSON_TEXT,
+)
+
+
+class TestEventLineTemplate:
+    @settings(max_examples=300)
+    @given(event=EVENTS)
+    @example(event=EventLogEntry(2**70, -(2**64), 10**30, 'a"\\b\n', None, EventKind.DISCUSSION, "\u2028\U0001F600\x00", {}, "p"))
+    def test_template_line_is_the_encoder_line(self, event):
+        assert _event_line(event) == _encode_line(event.to_dict())
 
 
 class TestCodeactRecords:
