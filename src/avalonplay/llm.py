@@ -13,10 +13,16 @@ raise immediately; silent improvisation would mask fixture bugs. A fixture
 file is checked as it loads, and each pattern compiled once. A
 tournament plays each game against its own copy of the client, so use
 budgets and ``requests_log`` belong to one game.
+
+Most fixture patterns are plain: literal text joined by ``.*`` or
+``.*?``. On an ASCII request such a pattern is matched by a few
+``str.find`` calls on the lowercased text instead of a case-insensitive
+regex search, with the same result (see ``_plain_segments``).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import re
@@ -149,6 +155,59 @@ class HttpLLMClient(LLMClient):
         raise TransportError(f"request failed after {self.max_retries} attempts: {last_error}")
 
 
+# Characters that are not literal in a regex outside a class.
+_REGEX_META = frozenset("\\.^$*+?{}[]()|")
+
+
+def _plain_segments(pattern: str) -> tuple[str, ...] | None:
+    """The lowercased literal runs of a plain pattern, in order, or None if
+    `pattern` is not plain.
+
+    A plain pattern is a sequence of ASCII literal characters other than
+    ``\\.^$*+?{}[]()|``, backslash escapes of ASCII characters that are
+    neither letters nor digits, and the wildcards ``.*`` and ``.*?``;
+    anything else (a quantifier after a literal, ``.*+``, ``.*??``, a
+    class, a group, ``|``, ``\\d``, ...) is not plain.
+
+    On an ASCII text the segments decide a case-insensitive, dot-matches-
+    newline search of the pattern exactly:
+
+    - Under DOTALL each ``.*`` spans anything, so the pattern matches iff
+      its segments occur in order without overlapping. Taking the leftmost
+      occurrence of each segment in turn finds such a chain whenever one
+      exists.
+    - For an ASCII text and ASCII literals, ``re``'s case-insensitive
+      comparison is ASCII lowercase equality. Its extra equivalences (such
+      as U+212A KELVIN SIGN with ``k``, U+017F LONG S with ``s``, U+0130
+      and U+0131 with ``i``) all need a non-ASCII text character, and a
+      non-ASCII text goes to the regex.
+    """
+    segments: list[str] = []
+    literal: list[str] = []
+    i, n = 0, len(pattern)
+    while i < n:
+        ch = pattern[i]
+        if ch == ".":
+            if pattern[i + 1 : i + 2] != "*":
+                return None
+            i += 3 if pattern[i + 2 : i + 3] == "?" else 2
+            segments.append("".join(literal))
+            literal = []
+            continue
+        if ch == "\\":
+            ch = pattern[i + 1 : i + 2]
+            if not ch or ch.isalnum() or not ch.isascii():
+                return None
+            i += 2
+        elif ch in _REGEX_META or not ch.isascii():
+            return None
+        else:
+            i += 1
+        literal.append(ch)
+    segments.append("".join(literal))
+    return tuple(s.lower() for s in segments if s)
+
+
 @dataclass
 class MockRule:
     response: str
@@ -157,17 +216,31 @@ class MockRule:
     max_uses: int | None = 1  # None means unlimited
     uses: int = field(default=0, compare=False)
     _regex: re.Pattern[str] | None = field(init=False, repr=False, compare=False)
+    _segments: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._regex = None if self.pattern is None else re.compile(self.pattern, re.IGNORECASE | re.DOTALL)
+        self._segments = None if self.pattern is None else _plain_segments(self.pattern)
 
     def matches(self, tag: str, text: str) -> bool:
+        return self._matches(tag, text, text.lower() if text.isascii() else None)
+
+    def _matches(self, tag: str, text: str, folded: str | None) -> bool:
+        """`matches`, given `folded`: the lowercased text if it is ASCII, else None."""
         if self.max_uses is not None and self.uses >= self.max_uses:
             return False
         if self.phase is not None and self.phase != tag:
             return False
-        if self._regex is not None and not self._regex.search(text):
-            return False
+        if self._regex is None:
+            return True
+        if folded is None or self._segments is None:
+            return self._regex.search(text) is not None
+        at = 0
+        for segment in self._segments:
+            at = folded.find(segment, at)
+            if at < 0:
+                return False
+            at += len(segment)
         return True
 
 
@@ -191,6 +264,14 @@ class MockLLM(LLMClient):
         self.model = model
         self.rules = list(rules)
         self.requests_log: list[dict[str, Any]] = []
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> "MockLLM":
+        """A copy with its own budgets and log that shares each rule's
+        compiled pattern and segments with this client."""
+        clone = copy.copy(self)
+        clone.rules = [copy.copy(rule) for rule in self.rules]
+        clone.requests_log = copy.deepcopy(self.requests_log, memo)
+        return clone
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockLLM":
@@ -229,8 +310,9 @@ class MockLLM(LLMClient):
                 "messages": [m.to_dict() for m in messages],
             }
         )
+        folded = text.lower() if text.isascii() else None
         for rule in self.rules:
-            if rule.matches(tag, text):
+            if rule._matches(tag, text, folded):
                 rule.uses += 1
                 return rule.response
         raise MockScriptExhausted(

@@ -79,45 +79,23 @@ def parse_team_selection(text: str, speaker: int | None, required_n: int) -> fro
     return frozenset(ids)
 
 
+_DECODER = json.JSONDecoder()
+
+
 def extract_json_objects(text: str) -> list[dict]:
-    """Balanced top-level JSON objects in the text, left to right."""
+    """Top-level JSON objects in the text, left to right: at each ``{``,
+    the object that starts there, if any; the scan goes on after it. An
+    object nested too deeply to decode counts as no object."""
     objects: list[dict] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] != "{":
-            i += 1
-            continue
-        depth = 0
-        in_string = False
-        escaped = False
-        for j in range(i, n):
-            ch = text[j]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    candidate = text[i : j + 1]
-                    try:
-                        parsed = json.loads(candidate)
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(parsed, dict):
-                        objects.append(parsed)
-                    i = j
-                    break
-        i += 1
+    i = text.find("{")
+    while i >= 0:
+        try:
+            obj, end = _DECODER.raw_decode(text, i)
+        except (json.JSONDecodeError, RecursionError):
+            end = i + 1
+        else:
+            objects.append(obj)
+        i = text.find("{", end)
     return objects
 
 

@@ -1,9 +1,15 @@
+import copy
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import requests
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from avalonplay.agents import AgentSpec
 from avalonplay.llm import (
     API_KEY_ENV,
     ChatMessage,
@@ -15,7 +21,10 @@ from avalonplay.llm import (
     TransportError,
     logged_complete,
 )
+from avalonplay.runner import TournamentConfig, run_tournament
 
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_FIXTURE = ROOT / "bench" / "fixtures" / "mock_llm.json"
 MESSAGES = (ChatMessage("system", "sys"), ChatMessage("user", "hello"))
 
 
@@ -233,6 +242,89 @@ class TestMockRule:
         assert not rule.matches("t", "The leader selects 2 players.")
 
 
+# Plain-pattern tokens: mixed-case letters, digits, escaped metacharacters
+# and the two wildcards. Texts are drawn from the same literals in either
+# case, with and without the non-ASCII characters that `re` treats as case
+# variants of ASCII letters (KELVIN SIGN, LONG S, dotted capital I, dotless
+# small i).
+PLAIN_TOKENS = ["a", "B", "k", "S", "i", "0", " ", r"\.", r"\*", r"\[", r"\\", r"\|", ".*", ".*?"]
+ASCII_PIECES = ["a", "A", "b", "B", "k", "K", "s", "S", "i", "I", "0", " ", ".", "*", "[", "\\", "|", "\n", "x"]
+CASE_VARIANTS = ["\u212a", "\u017f", "\u0130", "\u0131"]
+
+
+def joined(pieces, max_size=12):
+    return st.lists(st.sampled_from(pieces), max_size=max_size).map("".join)
+
+
+class TestPlainPatterns:
+    @pytest.mark.parametrize(
+        "pattern, segments",
+        [
+            ("", ()),
+            ("selects 3 players", ("selects 3 players",)),
+            (r"your turn, player 1\. Please discuss", ("your turn, player 1. please discuss",)),
+            ("'Player 4'.*your TURN.*?vote", ("'player 4'", "your turn", "vote")),
+            (r".*\[a\].*", ("[a]",)),
+        ],
+    )
+    def test_plain_patterns_keep_their_lowercased_segments(self, pattern, segments):
+        assert MockRule("r", pattern=pattern)._segments == segments
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["a*", "ab+", "a?", "a{2}", ".*+", ".+", "a.b", "[y]es", "(a)", "a|b", r"\d", r"\bword", "^a", "a$", "caf\u00e9"],
+    )
+    def test_other_patterns_are_not_plain(self, pattern):
+        assert MockRule("r", pattern=pattern)._segments is None
+
+    @given(joined(PLAIN_TOKENS, max_size=6), st.one_of(joined(ASCII_PIECES), joined(ASCII_PIECES + CASE_VARIANTS)))
+    @example("b.*a", "AB")  # segments in the wrong order
+    @example("a.*?a", "A")  # segments may not overlap
+    @example("S", "\u017f")  # LONG S is an `s` only to the regex
+    @example("k", "\u212a")
+    def test_plain_matching_equals_the_regex(self, pattern, text):
+        rule = MockRule("r", pattern=pattern, max_uses=None)
+        assert rule._segments is not None
+        assert rule.matches("t", text) == (re.search(pattern, text, re.IGNORECASE | re.DOTALL) is not None)
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [BENCH_FIXTURE, ROOT / "tests" / "fixtures" / "codeact_e2e.json", ROOT / "tests" / "fixtures" / "strategy_smoke.json"],
+        ids=lambda path: path.name,
+    )
+    def test_every_checked_in_fixture_pattern_is_plain(self, fixture):
+        patterned = [rule for rule in MockLLM.from_file(fixture).rules if rule.pattern is not None]
+        assert patterned
+        assert [rule.pattern for rule in patterned if rule._segments is None] == []
+
+    @pytest.mark.parametrize("strategy", ["base", "cot", "react", "codeact"])
+    def test_each_request_gets_the_first_rule_whose_regex_matches(self, strategy):
+        checked = []
+
+        class RegexChecked(MockLLM):
+            def complete(self, messages, temperature, tag):
+                text = "\n".join(m.content for m in messages)
+                expected = next(
+                    rule
+                    for rule in self.rules
+                    if (rule.max_uses is None or rule.uses < rule.max_uses)
+                    and rule.phase in (None, tag)
+                    and (rule.pattern is None or re.search(rule.pattern, text, re.IGNORECASE | re.DOTALL))
+                )
+                uses = [rule.uses for rule in self.rules]
+                response = super().complete(messages, temperature, tag)
+                consumed = [rule for rule, before in zip(self.rules, uses) if rule.uses != before]
+                assert consumed == [expected]
+                checked.append(text.isascii() and expected._segments is not None)
+                return response
+
+        client = RegexChecked(MockLLM.from_file(BENCH_FIXTURE).rules)
+        tc = TournamentConfig(n_games=4, base_seed=42, just_spec=AgentSpec(policy="llm", strategy=strategy, model="mock"))
+        run_tournament(tc, client=client)
+        # Every game played against a copy; the plain path chose the rules.
+        assert len(checked) > 40 and all(checked)
+
+
 class TestMockLLM:
     def test_first_unconsumed_match_wins_and_budget_advances(self):
         mock = MockLLM(
@@ -248,6 +340,25 @@ class TestMockLLM:
     def test_pattern_matches_joined_message_contents(self):
         mock = MockLLM([MockRule("matched", pattern="sys.*hello")])
         assert mock.complete(MESSAGES, 0.0, "any") == "matched"
+
+    def test_copies_have_their_own_budgets_and_log_and_share_patterns(self):
+        mock = MockLLM([MockRule("first", pattern="sys.*hello"), MockRule("rest", max_uses=None)])
+        assert mock.complete(MESSAGES, 0.0, "t") == "first"
+        clone = copy.deepcopy(mock)
+        assert clone.complete(MESSAGES, 0.0, "t") == "rest"
+        assert [r.uses for r in mock.rules] == [1, 0]
+        assert [r.uses for r in clone.rules] == [1, 1]
+        assert len(mock.requests_log) == 1 and len(clone.requests_log) == 2
+        assert clone.requests_log[0] == mock.requests_log[0] and clone.requests_log[0] is not mock.requests_log[0]
+        assert type(clone) is MockLLM and clone.model == mock.model
+        for original, copied in zip(mock.rules, clone.rules):
+            assert copied is not original
+            assert copied._regex is original._regex and copied._segments is original._segments
+
+    def test_non_ascii_requests_are_matched_by_the_regex(self):
+        # To `re`, LONG S is a case variant of `s`; to str.lower it is not.
+        mock = MockLLM([MockRule("regex", pattern="lost"), MockRule("other", max_uses=None)])
+        assert mock.complete((ChatMessage("user", "LO\u017fT"),), 0.0, "t") == "regex"
 
     def test_exhaustion_raises_with_context(self):
         mock = MockLLM([MockRule("only", phase="team_vote")])

@@ -1,3 +1,6 @@
+import json
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,6 +99,18 @@ class TestExtractJsonObjects:
 
     def test_plain_text(self):
         assert extract_json_objects("I think we should proceed.") == []
+
+    def test_too_deeply_nested_reply_is_a_vote_parse_error(self):
+        # Decoding this raises RecursionError, which must not escape as
+        # anything but "no usable vote object".
+        text = '{"reasoning": ' * 3000 + '"x"' + "}" * 3000
+        with pytest.raises(VoteParseError):
+            parse_vote(text)
+
+    def test_many_open_braces_scan_in_linear_time(self):
+        start = time.perf_counter()
+        assert extract_json_objects("{" * 20_000) == []
+        assert time.perf_counter() - start < 2.0
 
 
 class TestParseVote:
@@ -202,3 +217,49 @@ def test_property_vote_objects_survive_noise(noise, vote):
     reasoning, approve = parse_vote(noise + f'{{"reasoning": "r", "vote": "{vote}"}}')
     assert reasoning == "r"
     assert approve is (vote == "approve")
+
+
+def brace_scan_json_objects(text: str) -> list[dict]:
+    """Reference: balanced top-level brace spans, each passed to json.loads."""
+    objects: list[dict] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] != "{":
+            i += 1
+            continue
+        depth = 0
+        in_string = False
+        escaped = False
+        for j in range(i, n):
+            ch = text[j]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+                continue
+            if ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        parsed = json.loads(text[i : j + 1])
+                    except json.JSONDecodeError:
+                        break
+                    if isinstance(parsed, dict):
+                        objects.append(parsed)
+                    i = j
+                    break
+        i += 1
+    return objects
+
+
+@given(st.text(alphabet='{}":,\\ a1[]', max_size=120))
+def test_property_json_objects_match_the_brace_scan(text):
+    assert extract_json_objects(text) == brace_scan_json_objects(text)
