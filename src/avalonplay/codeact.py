@@ -13,15 +13,17 @@ harness process starts one fork server on its first run, as
 ``exit()``/``quit()``. A forked harness process starts a server of its own.
 The server probes once, at start, whether the kernel allows unprivileged
 user namespaces, and tells the harness. It compiles once, so programs
-inherit a warm compiler, and then keeps one waiter and its program process
-ready at all times: the program process has already started a session, set
-the core and file-size rlimits and, where the probe succeeded, detached into
-empty user and network namespaces; it fails its run, before any line of the
-program, if it could not. A run is one message on a ``SOCK_SEQPACKET``
-socket, passing the program's stdin (``/dev/null``), stdout, stderr and a
-status pipe. The ready waiter takes it, hands the request and the three
-streams to its program process, and wakes the server to fork the next
-waiter and program. The program process sets the CPU rlimit the request
+inherit a warm compiler, and then keeps one program process ready at all
+times: that process has already started a session, set the core and
+file-size rlimits and, where the probe succeeded, detached into empty user
+and network namespaces; it fails its run, before any line of the program,
+if it could not. A run is one message on a ``SOCK_SEQPACKET`` socket,
+passing the program's stdin (``/dev/null``), stdout, stderr and a status
+pipe. The server takes one run at a time: it hands the request and the
+three streams to the ready program process, forks the next one while this
+one runs, reports the program's pid and then its wait status on the status
+pipe, and only then takes the next request. So runs from several threads
+are served in turn. The program process sets the CPU rlimit the request
 names, moves to the scratch directory, takes ``PATH``, ``HOME`` and
 ``TMPDIR`` as its whole environment, and runs a small bootstrap that
 installs a Python audit hook blocking socket use, process creation, and
@@ -32,16 +34,15 @@ program ends as ``python program.py`` would (exit status, uncaught
 exception, death by ``SIGINT``, non-daemon threads, ``atexit`` handlers,
 module-level finalizers, standard streams flushed), then calls ``os._exit``
 instead of tearing the interpreter down; other files left open are not
-flushed. The waiter reports the program's pid and then its wait status on
-the status pipe. The caller reads the three pipes in its own thread until
-the program's streams close and the status is complete, or the wall-clock
+flushed. The caller reads the three pipes in its own thread until the
+program's streams close and the status is complete, or the wall-clock
 timeout passes; a timeout kills the program's process group, and output
 past a byte cap is read and dropped.
 
 Nothing outlives the harness: at the end of file on its socket (an
-``atexit`` hook closes it and waits) the ready waiter exits, and then the
-server; each waiter and program process dies with its parent
-(``PR_SET_PDEATHSIG``), as does a server started from the main thread.
+``atexit`` hook closes it and waits) the server exits; each program
+process dies with the server (``PR_SET_PDEATHSIG``), as does a server
+started from the main thread.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ from .llm import ChatMessage, LLMClient, logged_complete
 from .memory import LeaderMemory
 from .parsing import ParseError, extract_program, parse_team_selection
 from .templates import render
-
-# Bound on simultaneously running sandboxed children, shared process-wide.
-_EXECUTION_SLOTS = threading.BoundedSemaphore(8)
 
 _BRACKETED_INTS = re.compile(r"\[\s*\d+(?:\s*,\s*\d+)*\s*\]")
 
@@ -248,22 +246,24 @@ os._exit(_status)
 # The fork server's own code, run as `python -I -S -B -c _SERVER <socket fd>
 # <harness pid or 0>` with _BOOTSTRAP appended. The server first probes once
 # whether a child can enter fresh user and network namespaces, and sends its
-# verdict, b"1" or b"0", on the socket. From then on it keeps one waiter and
-# its program process ready. The program process has started its session,
-# set the core and file-size rlimits and, if the probe succeeded, entered
-# fresh namespaces; it blocks on a socket of its own from the waiter. The
-# waiter blocks on the harness socket, where a request is one message,
+# verdict, b"1" or b"0", on the socket. From then on it keeps one program
+# process ready. That process has started its session, set the core and
+# file-size rlimits and, if the probe succeeded, entered fresh namespaces;
+# it blocks on a socket of its own from the server. The server serves one
+# request at a time from the harness socket, where a request is one message,
 # b"<cpu seconds>\0<scratch path>", with four descriptors: stdin, stdout,
-# stderr and the status pipe. The waiter that takes a request hands the
-# request and the three streams to its program; writes a byte on its pipe to
-# the server, which then forks the next waiter; writes the program's pid and
-# then its wait status to the status pipe; and exits. Only a program process
-# returns from _serve(), and so goes on into _BOOTSTRAP.
+# stderr and the status pipe. It hands the request and the three streams to
+# the ready program; forks the next program, while this one runs; writes the
+# program's pid and then its wait status to the status pipe; and closes it.
+# At the end of file on the harness socket, even while a program runs, the
+# server exits, and its program processes die with it. Only a program
+# process returns from _serve(), and so goes on into _BOOTSTRAP.
 _SERVE = r"""
 import ctypes
 import gc
 import os
 import resource
+import select
 import signal
 import socket
 import sys
@@ -316,39 +316,20 @@ def _enter_program(channel, unshare):
         setattr(sys, f"__{name}__", new)
 
 
-def _wait(sock, ready, server, unshare):
-    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-    _die_with(server)
-    waiter = os.getpid()
-    mine, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-    program = os.fork()
-    if program == 0:
-        _die_with(waiter)
-        sock.close()
-        mine.close()
-        os.close(ready)
-        _enter_program(theirs, unshare)
-        return
-    theirs.close()
-    request, fds, _, _ = socket.recv_fds(sock, 4096, 4)
-    if not request:
-        os._exit(0)
-    try:
-        socket.send_fds(mine, [request], fds[:3])
-    except OSError:
-        pass  # the program process has died; its wait status says how
-    # Only now wake the server to fork the next pair: woken first, its
-    # forks delay this hand-over by about a millisecond.
-    sock.close()
-    os.write(ready, b"\0")
-    os.close(ready)
-    for fd in fds[:3]:
-        os.close(fd)
-    try:
-        os.write(fds[3], b"%d\n" % program)
-        os.write(fds[3], b"%d\n" % os.waitpid(program, 0)[1])
-    finally:
-        os._exit(0)
+def _report(status, program, sock):
+    # The program's pid, then, once it has ended, its wait status. Should
+    # the harness close its socket first, the server exits at once, and the
+    # program dies with it.
+    os.write(status, b"%d\n" % program)
+    ended = os.pidfd_open(program)
+    poller = select.poll()
+    poller.register(ended, select.POLLIN)
+    poller.register(sock, select.POLLRDHUP)
+    if any(fd != ended for fd, _ in poller.poll()):
+        sys.exit(0)
+    os.close(ended)
+    os.write(status, b"%d\n" % os.waitpid(program, 0)[1])
+    os.close(status)
 
 
 def _serve(sock_fd, harness):
@@ -357,7 +338,6 @@ def _serve(sock_fd, harness):
     sock = socket.socket(fileno=sock_fd)
     unshare = _probe()
     sock.send(b"%d" % unshare)
-    signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps the waiters
     server = os.getpid()
     # The first compile() sets up the compiler's state (about 2 ms); done
     # here, each program process inherits it.
@@ -366,22 +346,35 @@ def _serve(sock_fd, harness):
     # each program process instead of being copied page by page as the
     # program's collections and its exit walk them.
     gc.freeze()
+    running = status = None  # the program now running, and its status pipe
     while True:
-        ready, ready_w = os.pipe()
+        mine, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         try:
-            waiter = os.fork()
+            program = os.fork()
         except OSError:
             sys.exit(1)  # dropping the socket fails the queued requests
-        if waiter == 0:
-            os.close(ready)
-            _wait(sock, ready_w, server, unshare)
+        if program == 0:
+            _die_with(server)
+            sock.close()
+            mine.close()
+            if status is not None:  # held open, it would keep the caller reading
+                os.close(status)
+            _enter_program(theirs, unshare)
             return
-        os.close(ready_w)
-        # One byte: the waiter has taken a request. End of file: the
-        # harness closed its socket, or the waiter died.
-        if not os.read(ready, 1):
-            sys.exit(0)
-        os.close(ready)
+        theirs.close()
+        if running is not None:
+            _report(status, running, sock)
+        request, fds, _, _ = socket.recv_fds(sock, 4096, 4)
+        if not request:
+            sys.exit(0)  # the harness closed its socket
+        try:
+            socket.send_fds(mine, [request], fds[:3])
+        except OSError:
+            pass  # the program process has died; its wait status says how
+        mine.close()
+        for fd in fds[:3]:
+            os.close(fd)
+        running, status = program, fds[3]
 
 
 _serve(int(sys.argv[1]), int(sys.argv[2]))
@@ -465,7 +458,7 @@ def _run(request: bytes, timeout: float, output_cap: int) -> tuple[int, bool, li
     # program never blocks on a full pipe.
     kept = {out: bytearray(), err: bytearray()}
     truncated = {out: False, err: False}
-    status = bytearray()  # b"<pid>\n<wait status>\n", once the waiter has both
+    status = bytearray()  # b"<pid>\n<wait status>\n", once the server has both
     try:
         with selectors.DefaultSelector() as selector:
             for fd in (out, err, status_fd):
@@ -477,7 +470,7 @@ def _run(request: bytes, timeout: float, output_cap: int) -> tuple[int, bool, li
                         selector.unregister(key.fd)
                     elif key.fd == status_fd:
                         status += chunk
-                        if status.count(b"\n") == 2:  # all the waiter writes; no need to wait for its exit
+                        if status.count(b"\n") == 2:  # all the server writes; no need to wait for it to close
                             selector.unregister(status_fd)
                     else:
                         buf = kept[key.fd]
@@ -526,10 +519,9 @@ def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
             fh.write(program)
         cpu = max(1, int(limits.per_run_timeout) + 2)
         request = b"%d\0%s" % (cpu, os.fsencode(scratch))
-        with _EXECUTION_SLOTS:
-            exit_code, timed_out, (stdout, stderr), (stdout_cut, stderr_cut) = _run(
-                request, limits.per_run_timeout, limits.output_cap
-            )
+        exit_code, timed_out, (stdout, stderr), (stdout_cut, stderr_cut) = _run(
+            request, limits.per_run_timeout, limits.output_cap
+        )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     if timed_out:

@@ -80,6 +80,9 @@ def parse_team_selection(text: str, speaker: int | None, required_n: int) -> fro
 
 
 _DECODER = json.JSONDecoder()
+# A JSON object opens with "{", any JSON whitespace, then '"' or "}"; the
+# decoder rejects any other "{" at once, so only these are decoded.
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
 
 
 def extract_json_objects(text: str) -> list[dict]:
@@ -87,15 +90,16 @@ def extract_json_objects(text: str) -> list[dict]:
     the object that starts there, if any; the scan goes on after it. An
     object nested too deeply to decode counts as no object."""
     objects: list[dict] = []
-    i = text.find("{")
-    while i >= 0:
+    start = _OBJECT_START.search(text)
+    while start:
+        i = start.start()
         try:
             obj, end = _DECODER.raw_decode(text, i)
         except (json.JSONDecodeError, RecursionError):
             end = i + 1
         else:
             objects.append(obj)
-        i = text.find("{", end)
+        start = _OBJECT_START.search(text, end)
     return objects
 
 

@@ -221,11 +221,17 @@ class MetricsCounts:
 
 
 def counts_from_record(record: GameRecord) -> MetricsCounts:
-    """One game's tallies. `record` comes from `run_game`, or was loaded
-    and then passed through `replay`, which checks every field read here."""
-    c = MetricsCounts(n_games=1, n_aborted=int(record.aborted))
+    """One game's tallies; an aborted game counts only as aborted. `record`
+    comes from `run_game`, or was loaded and then passed through `replay`,
+    which checks every field read here."""
     if record.aborted:
-        return c
+        return MetricsCounts(n_games=1, n_aborted=1)
+    return _tally(record)
+
+
+def _tally(record: GameRecord) -> MetricsCounts:
+    """One game's tallies from its outcome and events, aborted or not."""
+    c = MetricsCounts(n_games=1)
     outcome = record.outcome
     if outcome is not None:
         c.just_overall_wins = int(outcome.overall_winner is Side.JUST)
@@ -407,16 +413,17 @@ def _run_one(
         path = Path(tc.record_dir) / f"{record.game_id}.jsonl"
         write_record(record, path)
     outcome = record.outcome
+    played = _tally(record)
     summary = GameSummary(
         index=index,
         game_id=record.game_id,
         aborted=record.aborted,
         quest_winner=outcome.quest_winner.value if outcome else None,
         overall_winner=outcome.overall_winner.value if outcome else None,
-        rounds_played=sum(1 for e in record.events if e.kind is EventKind.QUEST_RESULT),
+        rounds_played=played.quests_run,
         record_path=str(path) if path else None,
     )
-    return summary, counts_from_record(record)
+    return summary, counts_from_record(record) if record.aborted else played
 
 
 def run_tournament(

@@ -394,9 +394,8 @@ class TestSelfDebugLoop:
         assert d["parsed_ids"] == []
 
 
-# A program that prints the pid of its fork server: its parent is the waiter,
-# and the waiter's parent is the server.
-PRINT_SERVER_PID = "import os\nprint(open(f'/proc/{os.getppid()}/stat').read().split()[3])\n"
+# A program that prints the pid of its fork server, which is its parent.
+PRINT_SERVER_PID = "import os\nprint(os.getppid())\n"
 
 
 def run_harness(code: str) -> str:
@@ -431,7 +430,8 @@ def descendants(root):
     children = {}
     for entry in filter(str.isdigit, os.listdir('/proc')):
         try:
-            stat = open(f'/proc/{entry}/stat').read().rsplit(')', 1)[1].split()
+            with open(f'/proc/{entry}/stat') as fh:
+                stat = fh.read().rsplit(')', 1)[1].split()
         except OSError:
             continue
         if stat[0] != 'Z':
@@ -457,6 +457,33 @@ def ends_soon(pid: int, seconds: float = 5.0) -> bool:
             return False
         time.sleep(0.02)
     return True
+
+
+def killed_harness_pids(start_server: str) -> list[int]:
+    """Run a harness whose first run, `start_server`, sets `server` to its
+    fork server's pid. While a second program sleeps, the harness prints the
+    server and every process below it (the sleeping program and the idle
+    program), and is then killed without running any exit hook. Returns the
+    printed pids."""
+    harness = DESCENDANTS + (
+        "import threading\n"
+        "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
+        "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=60.0, output_cap=4096)\n"
+        + start_server
+        + "threading.Thread(target=execute_sandboxed, args=('import time; time.sleep(60)', limits), daemon=True).start()\n"
+        "print(server, *others(server, (), 2), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    src = str(Path(avalonplay.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", harness], stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    try:
+        return [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
 
 
 class TestForkServer:
@@ -506,43 +533,64 @@ class TestForkServer:
         assert ends_soon(child)
 
     def test_harness_exit_leaves_no_process_running(self):
-        # The harness prints the program, its waiter and the server, then
-        # every other process below the server: the idle waiter and program.
+        # The harness prints the program and the server, then every other
+        # process below the server: the idle program.
         harness = DESCENDANTS + (
             "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
             "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=5.0, output_cap=4096)\n"
-            "program = \"import os\\nprint(os.getpid(), os.getppid(), open(f'/proc/{os.getppid()}/stat').read().split()[3])\"\n"
+            "program = \"import os\\nprint(os.getpid(), os.getppid())\"\n"
             "ran = [int(pid) for pid in execute_sandboxed(program, limits).stdout.split()]\n"
-            "print(*ran, *others(ran[2], ran, 2))\n"
+            "print(*ran, *others(ran[1], ran, 1))\n"
         )
         pids = [int(pid) for pid in run_harness(harness).split()]
-        assert len(pids) >= 5  # program, waiter, server, idle waiter, idle program
+        assert len(pids) >= 3  # program, server, idle program
         assert all(ends_soon(pid) for pid in pids)
 
     def test_a_killed_harness_leaves_no_process_running(self):
-        # While a program sleeps, the harness prints the server and every
-        # process below it (the sleeping program and its waiter, the idle
-        # waiter and program), and is then killed without running any exit hook.
-        harness = DESCENDANTS + (
-            "import threading\n"
-            "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
-            "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=60.0, output_cap=4096)\n"
-            f"server = int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n"
-            "threading.Thread(target=execute_sandboxed, args=('import time; time.sleep(60)', limits), daemon=True).start()\n"
-            "print(server, *others(server, (), 4), flush=True)\n"
-            "time.sleep(60)\n"
+        pids = killed_harness_pids(f"server = int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n")
+        assert len(pids) >= 3  # server, the sleeping program, the idle program
+        assert all(ends_soon(pid) for pid in pids)
+
+    def test_an_idle_server_forks_one_process_per_run(self):
+        # Between runs the server's only child is the program process it has
+        # made ready, and the next run is that process.
+        scan: dict = {}
+        exec(DESCENDANTS, scan)
+        program = "import os\nprint(os.getpid(), os.getppid())\n"
+        ran, server = map(int, execute_sandboxed(program, FAST).stdout.split())
+        for _ in range(3):
+            idle = scan["descendants"](server)
+            assert len(idle) == 1 and idle[0] != ran
+            ran, parent = map(int, execute_sandboxed(program, FAST).stdout.split())
+            assert (ran, parent) == (idle[0], server)
+
+    def test_timed_out_runs_return_promptly(self):
+        # Each program reports the process forked to run after it, then
+        # spins until its run times out. That process must not hold the
+        # status pipe of the run before it open, or the caller, reading
+        # that pipe to its end after the kill, would wait for the next run.
+        limits = DebugLoopConfig(max_attempts=1, per_run_timeout=1.0, output_cap=4096)
+        program = DESCENDANTS + "print(*others(os.getppid(), (os.getpid(),), 1), flush=True)\nwhile True:\n    pass\n"
+        for _ in range(2):
+            results = []
+            run = threading.Thread(target=lambda: results.append(execute_sandboxed(program, limits)), daemon=True)
+            run.start()
+            run.join(timeout=limits.per_run_timeout + 1.0)
+            assert [r.status for r in results] == [ExecStatus.TIMEOUT]
+            assert len(results[0].stdout.split()) == 1
+
+    def test_a_killed_harness_that_started_its_server_from_a_thread_leaves_no_process_running(self):
+        # Only the end of file on its socket ends a server started from a
+        # thread other than the main one, and it comes while the server is
+        # waiting for a sleeping program.
+        pids = killed_harness_pids(
+            "first = []\n"
+            f"starter = threading.Thread(target=lambda: first.append(execute_sandboxed({PRINT_SERVER_PID!r}, limits)))\n"
+            "starter.start()\n"
+            "starter.join()\n"
+            "server = int(first[0].stdout)\n"
         )
-        src = str(Path(avalonplay.__file__).parents[1])
-        proc = subprocess.Popen(
-            [sys.executable, "-c", harness], stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}
-        )
-        try:
-            pids = [int(pid) for pid in proc.stdout.readline().split()]
-        finally:
-            proc.kill()
-            proc.wait(timeout=60)
-            proc.stdout.close()
-        assert len(pids) >= 5  # server, two waiters, two programs
+        assert len(pids) >= 3  # server, the sleeping program, the idle program
         assert all(ends_soon(pid) for pid in pids)
 
     def test_a_killed_server_is_replaced(self):
@@ -553,14 +601,13 @@ class TestForkServer:
 
     def test_a_parallel_tournament_leaves_no_process_running(self, tmp_path):
         # Each program reports, on stderr, the pool worker that started its
-        # fork server, the server, its waiter, itself, and every other
-        # process below the server, which includes the idle waiter and program.
+        # fork server, the server, itself, and every other process below the
+        # server, which includes the idle program.
         program = DESCENDANTS + (
             "import sys\n"
             "parent = lambda pid: int(open(f'/proc/{pid}/stat').read().rsplit(')', 1)[1].split()[1])\n"
-            "waiter = os.getppid()\n"
-            "server = parent(waiter)\n"
-            "print(parent(server), server, waiter, os.getpid(), *others(server, (waiter, os.getpid()), 2), file=sys.stderr)\n"
+            "server = os.getppid()\n"
+            "print(parent(server), server, os.getpid(), *others(server, (os.getpid(),), 1), file=sys.stderr)\n"
             "print(list(range(1, {n} + 1)))\n"
         )
         rules = [
@@ -588,7 +635,7 @@ class TestForkServer:
             for event in load_record(path).events
             for attempt in event.payload.get("codeact", {}).get("attempts", [])
         ]
-        assert reports and all(len(pids) >= 6 for pids in reports)
+        assert reports and all(len(pids) >= 4 for pids in reports)
         servers: dict[str, set[str]] = {}
         for worker, server, *_ in reports:
             servers.setdefault(worker, set()).add(server)

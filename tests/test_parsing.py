@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avalonplay import parsing
 from avalonplay.parsing import (
     InvalidPlayerRef,
     NoPlayersFound,
@@ -111,6 +112,20 @@ class TestExtractJsonObjects:
         start = time.perf_counter()
         assert extract_json_objects("{" * 20_000) == []
         assert time.perf_counter() - start < 2.0
+
+    def test_decodes_only_where_an_object_can_start(self, monkeypatch):
+        decoder, starts = parsing._DECODER, []
+
+        class Counting:
+            def raw_decode(self, text, i):
+                starts.append(i)
+                return decoder.raw_decode(text, i)
+
+        monkeypatch.setattr(parsing, "_DECODER", Counting())
+        text = "{" * 1000 + "{ x" * 1000 + '{ \t\n\r"a": 1} {"b" {}'
+        assert extract_json_objects(text) == [{"a": 1}, {}]
+        objects = 1000 + 3 * 1000
+        assert starts == [objects, objects + 13, objects + 18]
 
 
 class TestParseVote:
@@ -263,3 +278,23 @@ def brace_scan_json_objects(text: str) -> list[dict]:
 @given(st.text(alphabet='{}":,\\ a1[]', max_size=120))
 def test_property_json_objects_match_the_brace_scan(text):
     assert extract_json_objects(text) == brace_scan_json_objects(text)
+
+
+def every_brace_json_objects(text: str) -> list[dict]:
+    """Reference: the object that starts at each ``{``, trying every one."""
+    objects: list[dict] = []
+    i = text.find("{")
+    while i >= 0:
+        try:
+            obj, end = json.JSONDecoder().raw_decode(text, i)
+        except (json.JSONDecodeError, RecursionError):
+            end = i + 1
+        else:
+            objects.append(obj)
+        i = text.find("{", end)
+    return objects
+
+
+@given(st.text(alphabet='{}":,\\ \t\n\ra1[]', max_size=120))
+def test_property_json_objects_match_trying_every_brace(text):
+    assert extract_json_objects(text) == every_brace_json_objects(text)

@@ -360,6 +360,21 @@ class TestTournament:
         serial = digest(1)
         assert [digest(4) for _ in range(20)] == [serial] * 20
 
+    def test_an_aborted_game_reports_its_quests_but_counts_only_as_aborted(self, tmp_path):
+        # No rule answers a four-seat selection, so a game whose just seat
+        # leads a four-seat quest aborts after three quests.
+        rules = [rule for rule in approving_rules() if rule.pattern != r"select 4 team members"]
+        config = TournamentConfig(
+            n_games=6, base_seed=3, just_spec=AgentSpec("llm"), evil_spec=SCRIPTED, record_dir=str(tmp_path)
+        )
+        result = run_tournament(config, client=MockLLM(rules))
+        aborted = [s for s in result.summaries if s.aborted]
+        assert aborted and all(s.rounds_played == 3 for s in aborted)
+        records = [load_record(path) for path in sorted(tmp_path.glob("*.jsonl"))]
+        assert result.report == compute_metrics(records)
+        assert result.counts.n_aborted == len(aborted)
+        assert result.counts.quests_run == sum(s.rounds_played for s in result.summaries if not s.aborted)
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_the_callers_client_is_untouched(self, parallelism):
         client = MockLLM(approving_rules())
