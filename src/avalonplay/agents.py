@@ -12,6 +12,8 @@ Four families:
   prompting strategies (base, cot, react, codeact), with one reprompt on
   a parse failure and a legal fallback after that.
 
+Every policy returns all it decides in its reply: the action, a trace
+for the record and, when it fell back, an audit note that the runner logs.
 All non-LLM policies are pure functions of (observation, seeded stream),
 so games built from them replay bit-identically.
 """
@@ -38,7 +40,7 @@ from .deduction import (
 from .game import ALL_SEATS, Phase, Side
 from .knowledge import KnowledgeView
 from .llm import ChatMessage, LLMClient, logged_complete
-from .memory import LeaderMemory, PublicFact
+from .memory import PublicFact
 from .parsing import ParseError, parse_team_selection, parse_vote
 from .prompts import PromptBundle
 from .templates import render
@@ -85,6 +87,8 @@ Action = SelectTeam | Discuss | TeamVote | QuestVote | Assassinate
 class AgentReply:
     action: Action
     trace: dict[str, Any] = field(default_factory=dict)
+    # A fallback's note for the engine's audit log: (reason, detail, payload).
+    audit: tuple[str, str, dict[str, Any]] | None = None
 
 
 @dataclass(frozen=True)
@@ -134,27 +138,13 @@ class AgentSpec:
         return cls(**data)
 
 
-ErrorSink = Callable[[int, str, str, dict[str, Any]], None]
-
-
-def _no_error_sink(seat: int, reason: str, detail: str, payload: dict[str, Any]) -> None:
-    return None
-
-
 class Agent:
     """One seat's decision maker for a single game."""
 
-    def __init__(
-        self,
-        seat: int,
-        view: KnowledgeView,
-        rng: random.Random,
-        on_error: ErrorSink = _no_error_sink,
-    ) -> None:
+    def __init__(self, seat: int, view: KnowledgeView, rng: random.Random) -> None:
         self.seat = seat
         self.view = view
         self.rng = rng
-        self.on_error = on_error
         # (the last public-facts tuple seen, the mask of its history constraints)
         self._history_memo: tuple[tuple[PublicFact, ...] | None, int] = (None, 0)
 
@@ -284,13 +274,8 @@ class DeductionAgent(Agent):
             team, deduced = self._deduction_team(obs)
             if deduced:
                 return AgentReply(SelectTeam(team))
-            self.on_error(
-                self.seat,
-                "contradiction_fallback",
-                "belief state had no consistent world; selected a random legal team",
-                {"team": sorted(team)},
-            )
-            return AgentReply(SelectTeam(team), trace={"fallback": True})
+            note = "belief state had no consistent world; selected a random legal team"
+            return AgentReply(SelectTeam(team), {"fallback": True}, ("contradiction_fallback", note, {"team": sorted(team)}))
         if phase is Phase.DISCUSSION:
             # Either side speaks as a just seat would vote.
             if self._backs_proposal(obs, Side.JUST) is False:
@@ -299,13 +284,8 @@ class DeductionAgent(Agent):
         if phase is Phase.TEAM_VOTE:
             approve = self._backs_proposal(obs, self.view.side)
             if approve is None:
-                approve = True
-                self.on_error(
-                    self.seat,
-                    "contradiction_fallback",
-                    "belief state had no consistent world; voted approve",
-                    {},
-                )
+                note = "belief state had no consistent world; voted approve"
+                return AgentReply(self._ballot(True), audit=("contradiction_fallback", note, {}))
             return AgentReply(self._ballot(approve))
         return self._act_shared(obs)
 
@@ -330,20 +310,10 @@ def build_strategy_prompt(strategy: str, bundle: PromptBundle) -> list[ChatMessa
 
 
 class LLMAgent(Agent):
-    def __init__(
-        self,
-        seat: int,
-        view: KnowledgeView,
-        rng: random.Random,
-        client: LLMClient,
-        spec: AgentSpec,
-        on_error: ErrorSink = _no_error_sink,
-        debug_config: DebugLoopConfig | None = None,
-    ) -> None:
-        super().__init__(seat, view, rng, on_error)
+    def __init__(self, seat: int, view: KnowledgeView, rng: random.Random, client: LLMClient, spec: AgentSpec) -> None:
+        super().__init__(seat, view, rng)
         self.client = client
         self.spec = spec
-        self.debug_config = debug_config or DebugLoopConfig()
 
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase
@@ -409,7 +379,7 @@ class LLMAgent(Agent):
         trace: dict[str, Any] | None = None,
     ) -> AgentReply:
         """Ask, and reprompt once on a ParseError. After two failed parses
-        the action is `fallback()`, reported as a parse_fallback with
+        the action is `fallback()`, with a parse_fallback audit note of
         `detail` and `payload(action)`."""
         trace = {} if trace is None else trace
         exchanges = trace.setdefault("exchanges", [])
@@ -432,36 +402,29 @@ class LLMAgent(Agent):
                 return AgentReply(action, trace)
         action = fallback()
         trace["fallback"] = True
-        self.on_error(self.seat, "parse_fallback", detail, payload(action))
-        return AgentReply(action, trace)
+        return AgentReply(action, trace, ("parse_fallback", detail, payload(action)))
 
     def _select_team_codeact(self, obs: Observation) -> AgentReply:
-        prompt = build_code_prompt(LeaderMemory(self.view.private_facts, obs.public_facts), obs.team_size)
-        outcome = self_debug_loop(
-            self.client,
-            prompt,
-            self.debug_config,
-            lambda: self._deduction_team(obs)[0],
-            temperature=self.spec.temperature_code,
-        )
+        n = obs.team_size
+        prompt = build_code_prompt(self.view.private_facts, obs.public_facts, n)
+        outcome = self_debug_loop(self.client, prompt, n, DebugLoopConfig(), self.spec.temperature_code)
         trace = {
-            "required_n": obs.team_size,
+            "required_n": n,
             "exchanges": outcome.exchanges,
             "codeact": {
                 "attempts_used": outcome.attempts_used,
                 "fell_back": outcome.fell_back,
-                "attempts": [a.to_dict() for a in outcome.attempts],
+                "attempts": outcome.attempts,
             },
         }
-        if outcome.fell_back:
-            trace["fallback"] = True
-            self.on_error(
-                self.seat,
-                "codeact_fallback",
-                "no generated program produced a usable team; used deduction instead",
-                {"team": sorted(outcome.team), "attempts": outcome.attempts_used},
-            )
-        return AgentReply(SelectTeam(outcome.team), trace)
+        if outcome.team is not None:
+            return AgentReply(SelectTeam(outcome.team), trace)
+        team = self._deduction_team(obs)[0]
+        trace["fallback"] = True
+        note = "no generated program produced a usable team; used deduction instead"
+        return AgentReply(
+            SelectTeam(team), trace, ("codeact_fallback", note, {"team": sorted(team), "attempts": outcome.attempts_used})
+        )
 
 
 def make_agent(
@@ -469,17 +432,16 @@ def make_agent(
     seat: int,
     view: KnowledgeView,
     rng: random.Random,
-    on_error: ErrorSink = _no_error_sink,
     client: LLMClient | None = None,
 ) -> Agent:
     if spec.policy == "random":
-        return RandomAgent(seat, view, rng, on_error)
+        return RandomAgent(seat, view, rng)
     if spec.policy == "scripted_evil":
-        return ScriptedEvilAgent(seat, view, rng, on_error)
+        return ScriptedEvilAgent(seat, view, rng)
     if spec.policy == "deduction":
-        return DeductionAgent(seat, view, rng, on_error)
+        return DeductionAgent(seat, view, rng)
     if spec.policy == "llm":
         if client is None:
             raise ValueError("llm policy requires a client")
-        return LLMAgent(seat, view, rng, client, spec, on_error)
+        return LLMAgent(seat, view, rng, client, spec)
     raise ValueError(f"unknown policy {spec.policy!r}")

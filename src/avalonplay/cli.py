@@ -100,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_client(args: argparse.Namespace) -> LLMClient | None:
     needs_llm = "llm" in (args.just, args.evil)
     if args.mock_llm:
+        if args.llm_base_url or args.llm_model:
+            raise SystemExit("--mock-llm cannot be combined with --llm-base-url or --llm-model")
         try:
             return MockLLM.from_file(args.mock_llm)
         except OSError as exc:

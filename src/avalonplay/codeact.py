@@ -4,8 +4,9 @@ A leader on the just side can answer a team-selection request with a
 program instead of prose. The program is generated at temperature 0,
 executed in a sandboxed child process, and its printed output parsed into
 a team. Failures (crash, timeout, unusable output) are fed back to the
-model verbatim for revision, up to a bounded number of attempts; after
-that the caller's fallback supplies the team.
+model verbatim for revision, up to a bounded number of attempts. The loop
+returns its whole record, each attempt in the form records embed, with no
+team when no program gave a usable one; the caller then picks the team.
 
 Sandboxing is process-level, and each program gets a fresh process. Each
 harness process starts one fork server on its first run, as
@@ -59,12 +60,13 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 from .llm import ChatMessage, LLMClient, logged_complete
-from .memory import LeaderMemory
+from .knowledge import PrivateFact
+from .memory import PublicFact
 from .parsing import ParseError, extract_program, parse_team_selection
 from .templates import render
 
@@ -98,12 +100,6 @@ class DebugLoopConfig:
 
 
 @dataclass(frozen=True)
-class CodePrompt:
-    team_n: int
-    text: str
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
     status: ExecStatus
     stdout: str
@@ -123,21 +119,23 @@ class ExecutionResult:
         }
 
 
-def build_code_prompt(leader_memory: LeaderMemory, team_n: int) -> CodePrompt:
-    """Fill the code-generation template with the leader's information."""
-    private = "\n".join(f.text for f in leader_memory.private_facts)
+def build_code_prompt(
+    private_facts: tuple[PrivateFact, ...], public_facts: tuple[PublicFact, ...], team_n: int
+) -> str:
+    """The code-generation template filled with a leader's private facts and
+    the public quest history it acts on."""
+    private = "\n".join(f.text for f in private_facts)
     if not private:
         private = "(no private information)"
-    public = "\n".join(f.render() for f in leader_memory.public_facts)
+    public = "\n".join(f.render() for f in public_facts)
     if not public:
         public = "(no quest results yet)"
-    text = render(
+    return render(
         "codeact_template",
         PRIVATE_INFORMATION=private,
         PUBLIC_INFORMATION=public,
         TEAM_NUMBER=team_n,
     )
-    return CodePrompt(team_n=team_n, text=text)
 
 
 # The program process's entry point, run at the top level of the server's
@@ -561,64 +559,49 @@ def parse_final_team(result: ExecutionResult, required_n: int) -> frozenset[int]
 
 
 @dataclass
-class DebugAttempt:
-    response: str
-    program: str
-    result: ExecutionResult | None
-    issue: str | None
-    parsed_ids: list[int] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "response": self.response,
-            "program": self.program,
-            "result": self.result.to_dict() if self.result else None,
-            "issue": self.issue,
-            "parsed_ids": self.parsed_ids,
-        }
-
-
-@dataclass
 class DebugLoopOutcome:
-    team: frozenset[int]
-    attempts_used: int
-    fell_back: bool
-    attempts: list[DebugAttempt]
+    """The team of the first program whose output parsed, or None if no
+    program gave one; every attempt, in the form records embed; and the
+    raw exchanges."""
+
+    team: frozenset[int] | None
+    attempts: list[dict[str, Any]]
     exchanges: list[dict[str, Any]]
+
+    @property
+    def attempts_used(self) -> int:
+        return len(self.attempts)
+
+    @property
+    def fell_back(self) -> bool:
+        return self.team is None
 
 
 def self_debug_loop(
     llm: LLMClient,
-    prompt: CodePrompt,
+    prompt: str,
+    team_n: int,
     limits: DebugLoopConfig,
-    fallback_team: Callable[[], frozenset[int]],
     temperature: float = 0.0,
 ) -> DebugLoopOutcome:
-    """Generate, run, and revise programs until one yields a usable team."""
-    conversation: list[ChatMessage] = [ChatMessage("user", prompt.text)]
-    attempts: list[DebugAttempt] = []
+    """Generate, run, and revise programs until one yields a team of `team_n`."""
+    conversation: list[ChatMessage] = [ChatMessage("user", prompt)]
+    attempts: list[dict[str, Any]] = []
     exchanges: list[dict[str, Any]] = []
-    for attempt_no in range(1, limits.max_attempts + 1):
+    for _ in range(limits.max_attempts):
         response = logged_complete(llm, conversation, temperature, "code_generation", exchanges)
         program = extract_program(response)
         result = execute_sandboxed(program, limits)
-        attempt = DebugAttempt(response=response, program=program, result=result, issue=None)
+        attempt = {"response": response, "program": program, "result": result.to_dict(), "issue": None, "parsed_ids": []}
         attempts.append(attempt)
         if result.status is ExecStatus.OK:
             try:
-                team = parse_final_team(result, prompt.team_n)
-                return DebugLoopOutcome(
-                    team=team,
-                    attempts_used=attempt_no,
-                    fell_back=False,
-                    attempts=attempts,
-                    exchanges=exchanges,
-                )
+                return DebugLoopOutcome(parse_final_team(result, team_n), attempts, exchanges)
             except ParseError as exc:
-                attempt.issue = f"unusable output: {exc}"
-                attempt.parsed_ids = list(exc.ids)
+                attempt["issue"] = f"unusable output: {exc}"
+                attempt["parsed_ids"] = list(exc.ids)
         else:
-            attempt.issue = f"execution {result.status.value}"
+            attempt["issue"] = f"execution {result.status.value}"
         conversation = conversation + [
             ChatMessage("assistant", response),
             ChatMessage(
@@ -626,17 +609,11 @@ def self_debug_loop(
                 render(
                     "codeact_revise",
                     program=program,
-                    issue=attempt.issue,
+                    issue=attempt["issue"],
                     stdout=result.stdout or "(empty)",
                     stderr=result.stderr or "(empty)",
-                    TEAM_NUMBER=prompt.team_n,
+                    TEAM_NUMBER=team_n,
                 ),
             ),
         ]
-    return DebugLoopOutcome(
-        team=fallback_team(),
-        attempts_used=limits.max_attempts,
-        fell_back=True,
-        attempts=attempts,
-        exchanges=exchanges,
-    )
+    return DebugLoopOutcome(None, attempts, exchanges)

@@ -4,7 +4,8 @@ The HTTP client posts to ``{base_url}/chat/completions`` with the usual
 ``{model, messages, temperature}`` body, reads the API key from the
 ``AVALON_LLM_API_KEY`` environment variable, and retries transient
 transport failures (HTTP 429 and 5xx, honouring a numeric ``Retry-After``)
-with exponential backoff.
+with exponential backoff. A reply whose content is not text that encodes
+as UTF-8 is unusable and is not retried.
 
 ``MockLLM`` serves fixture-scripted responses for tests and offline runs:
 an ordered rule list where each rule may match on the request's phase tag
@@ -143,14 +144,17 @@ class HttpLLMClient(LLMClient):
                     retry_after = int(wait) if wait.isdecimal() else None
                     continue
                 resp.raise_for_status()
-                data = resp.json()
-                return data["choices"][0]["message"]["content"]
+                content = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"the content is {type(content).__name__}, not text")
+                content.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
+                return content
             except (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError) as exc:
                 # A body cut off mid-transfer passes like a dropped connection.
                 last_error = exc
                 continue
-            except (requests.HTTPError, requests.exceptions.ContentDecodingError, KeyError, IndexError, ValueError) as exc:
-                # Client errors and malformed or undecodable bodies will not improve on retry.
+            except (requests.HTTPError, requests.exceptions.ContentDecodingError, LookupError, TypeError, ValueError) as exc:
+                # Client errors and malformed, undecodable or non-text bodies will not improve on retry.
                 raise TransportError(f"unusable response from {self.base_url}: {exc}") from exc
         raise TransportError(f"request failed after {self.max_retries} attempts: {last_error}")
 
@@ -245,7 +249,7 @@ class MockRule:
 
 
 def _fixture_rule(raw: Any) -> MockRule:
-    """The rule a fixture entry describes; TypeError or re.error says why not."""
+    """The rule a fixture entry describes; TypeError, ValueError or re.error says why not."""
     if not isinstance(raw, dict):
         raise TypeError("not an object")
     if not isinstance(raw.get("response"), str):
@@ -256,6 +260,13 @@ def _fixture_rule(raw: Any) -> MockRule:
     max_uses = raw.get("max_uses", 1)
     if type(max_uses) not in (int, NoneType):
         raise TypeError("'max_uses' is neither an integer nor null")
+    if max_uses is not None and max_uses < 0:
+        raise ValueError("'max_uses' is negative")
+    for key in ("response", "pattern"):
+        try:
+            (raw.get(key) or "").encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"'{key}' does not encode as UTF-8: {exc}") from None
     return MockRule(raw["response"], raw.get("phase"), raw.get("pattern"), max_uses)
 
 
@@ -295,7 +306,7 @@ class MockLLM(LLMClient):
         for index, raw in enumerate(data):
             try:
                 rules.append(_fixture_rule(raw))
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise FixtureError(path, f"rule {index}: {exc}") from None
             except re.error as exc:
                 raise FixtureError(path, f"rule {index}: bad pattern: {exc}") from None

@@ -5,11 +5,6 @@ plus a sliding window of the most recent k visible events (k = 15 by
 default). Whether a discussion line counts as key information is decided
 by a fixed, auditable pattern list; moderator notes, proposals, ballot
 results, and quest results always do.
-
-A code-writing leader additionally gets a per-decision `LeaderMemory`:
-its own private facts plus the public quest history of the observation
-it acts on. It is never carried over between decisions, so it cannot
-drift from the engine's records.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from functools import lru_cache
 
 from .events import EventKind, EventLogEntry
 from .game import QuestOutcome, sabotage_clause
-from .knowledge import PrivateFact
 from .templates import join_players, load_template, render
 
 DEFAULT_WINDOW = 15
@@ -112,12 +106,6 @@ class PublicFact:
             result="success" if self.success else "failure",
             sabotage_clause=clause,
         )
-
-
-@dataclass(frozen=True)
-class LeaderMemory:
-    private_facts: tuple[PrivateFact, ...]
-    public_facts: tuple[PublicFact, ...]
 
 
 def public_facts_from_history(

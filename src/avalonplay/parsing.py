@@ -90,7 +90,9 @@ def extract_json_objects(text: str) -> list[dict]:
     the object that starts there, if any; the scan goes on after it. An
     object nested too deeply to decode counts as no object."""
     objects: list[dict] = []
-    start = _OBJECT_START.search(text)
+    # An object ends at a "}", so none starts after the last one.
+    last = text.rfind("}") + 1
+    start = _OBJECT_START.search(text, 0, last)
     while start:
         i = start.start()
         try:
@@ -99,7 +101,7 @@ def extract_json_objects(text: str) -> list[dict]:
             end = i + 1
         else:
             objects.append(obj)
-        start = _OBJECT_START.search(text, end)
+        start = _OBJECT_START.search(text, end, last)
     return objects
 
 

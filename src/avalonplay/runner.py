@@ -91,7 +91,6 @@ def run_game(
             p,
             views[p],
             random.Random(subseed(game_seed, f"agent/{p}")),
-            on_error=engine.log_agent_error,
             client=client,
         )
         for p in ALL_SEATS
@@ -123,6 +122,13 @@ def run_game(
             **kw,
         )
 
+    def act(seat: int, obs: Observation) -> AgentReply:
+        """`seat`'s reply to `obs`, with its audit note, if any, logged."""
+        reply = agents[seat].act(obs)
+        if reply.audit is not None:
+            engine.log_agent_error(seat, *reply.audit)
+        return reply
+
     def traces(reply: AgentReply) -> dict[str, Any]:
         return _trace_payload(reply.trace, log_exchanges) if reply.trace else {}
 
@@ -130,11 +136,11 @@ def run_game(
         st = engine.state
         if st.phase is Phase.TEAM_SELECTION:
             leader = st.leader
-            reply = agents[leader].act(observe(leader, team_size=st.team_size()))
+            reply = act(leader, observe(leader, team_size=st.team_size()))
             return reply.action.members, reply.trace.get("final_text"), traces(reply)
         if st.phase is Phase.ASSASSINATION:
             seat = engine.assassin_seat
-            reply = agents[seat].act(observe(seat))
+            reply = act(seat, observe(seat))
             return seat, reply.action.target, traces(reply)
         team, threshold = engine.current_team, st.threshold()
         # One observation for this step's memory-less seats; each seat with
@@ -143,7 +149,7 @@ def run_game(
 
         def ask(seat: int) -> AgentReply:
             obs = observe(seat, proposed_team=team, threshold=threshold) if seat in memories else shared
-            return agents[seat].act(obs)
+            return act(seat, obs)
 
         if st.phase is Phase.DISCUSSION:
             speaker = engine.next_speaker()

@@ -21,7 +21,6 @@ from avalonplay.agents import (
     make_agent,
 )
 from avalonplay.agents import _backs_team
-from avalonplay.codeact import DebugLoopConfig
 from avalonplay.deduction import live_worlds, success_counts, success_probability
 from avalonplay.game import GameConfig, GameEngine, Phase, Side
 from avalonplay.knowledge import RoleAssignment, knowledge_for
@@ -157,10 +156,7 @@ class TestDeductionAgent:
         assert dirty.action.approve
 
     def test_contradictory_beliefs_fall_back_with_an_error_report(self):
-        errors = []
-        agent = DeductionAgent(
-            1, view(1), random.Random(0), on_error=lambda *a: errors.append(a)
-        )
+        agent = DeductionAgent(1, view(1), random.Random(0))
         impossible = (
             PublicFact(1, frozenset({1, 2}), False, None),  # >=1 evil in {1,2}
         )
@@ -168,7 +164,8 @@ class TestDeductionAgent:
         reply = agent.act(obs(Phase.TEAM_SELECTION, team_size=2, public_facts=impossible))
         assert len(reply.action.members) == 2
         assert reply.trace == {"fallback": True}
-        assert errors[0][1] == "contradiction_fallback"
+        assert reply.audit[0] == "contradiction_fallback"
+        assert reply.audit[2] == {"team": sorted(reply.action.members)}
 
     def test_discussion_reflects_assessment(self):
         agent = DeductionAgent(1, view(1), random.Random(0))
@@ -227,9 +224,9 @@ class TestStrategyPrompt:
 
 
 class TestLLMAgent:
-    def agent(self, rules, seat=1, strategy="base", **kwargs):
+    def agent(self, rules, seat=1, strategy="base"):
         spec = AgentSpec(policy="llm", strategy=strategy)
-        return LLMAgent(seat, view(seat), random.Random(0), MockLLM(rules), spec, **kwargs)
+        return LLMAgent(seat, view(seat), random.Random(0), MockLLM(rules), spec)
 
     def test_requires_bundle(self):
         agent = self.agent([MockRule("x", max_uses=None)])
@@ -269,16 +266,14 @@ class TestLLMAgent:
         assert "could not be used" in retry_request[3]["content"]
 
     def test_double_failure_falls_back_to_random_team(self):
-        errors = []
         agent = self.agent(
             [MockRule("no help at all", phase="team_selection", max_uses=None)],
         )
-        agent.on_error = lambda *a: errors.append(a)
         reply = agent.act(obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=3))
         assert len(reply.action.members) == 3
         assert reply.trace["fallback"] is True
         assert len(reply.trace["raw_attempts"]) == 2
-        assert errors[0][1] == "parse_fallback"
+        assert reply.audit[0] == "parse_fallback"
 
     def test_vote_success_and_fallback(self):
         good = self.agent(
@@ -287,12 +282,11 @@ class TestLLMAgent:
         reply = good.act(obs(Phase.TEAM_VOTE, bundle=bundle(), proposed_team=frozenset({1, 2})))
         assert reply.action == TeamVote(reasoning="Fine.", approve=False)
 
-        errors = []
+        assert reply.audit is None
         bad = self.agent([MockRule("nope", phase="team_vote", max_uses=None)])
-        bad.on_error = lambda *a: errors.append(a)
         fallback = bad.act(obs(Phase.TEAM_VOTE, bundle=bundle(), proposed_team=frozenset({1, 2})))
         assert fallback.action == TeamVote(reasoning="", approve=True)
-        assert errors[0][1] == "parse_fallback"
+        assert fallback.audit[0] == "parse_fallback"
 
     def test_quest_vote_fallback_is_side_correct(self):
         evil = self.agent([MockRule("???", phase="quest_vote", max_uses=None)], seat=5)
@@ -310,7 +304,6 @@ class TestLLMAgent:
         agent = self.agent(
             [MockRule("```python\nprint([2, 3])\n```", phase="code_generation")],
             strategy="codeact",
-            debug_config=DebugLoopConfig(max_attempts=2, per_run_timeout=5.0),
         )
         reply = agent.act(obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=2))
         assert reply.action.members == frozenset({2, 3})
@@ -329,7 +322,6 @@ class TestLLMAgent:
                 [MockRule("I cannot write code.", phase="code_generation", max_uses=None)],
                 seat=seat,
                 strategy="codeact",
-                debug_config=DebugLoopConfig(max_attempts=1),
             )
             reply = agent.act(
                 obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=3, public_facts=facts)
@@ -341,18 +333,20 @@ class TestLLMAgent:
             assert all(f.render() in prompt for f in facts)
 
     def test_codeact_exhaustion_uses_deduction_and_reports(self):
-        errors = []
         agent = self.agent(
             [MockRule("I cannot write code.", phase="code_generation", max_uses=None)],
             strategy="codeact",
-            debug_config=DebugLoopConfig(max_attempts=2, per_run_timeout=5.0),
         )
-        agent.on_error = lambda *a: errors.append(a)
         reply = agent.act(obs(Phase.TEAM_SELECTION, bundle=bundle(), team_size=4))
         # Merlin's deduction fallback picks the four seats it knows are just.
         assert reply.action.members == frozenset({1, 2, 3, 4})
         assert reply.trace["codeact"]["fell_back"] is True
-        assert errors[0][1] == "codeact_fallback"
+        assert reply.trace["fallback"] is True
+        assert reply.audit == (
+            "codeact_fallback",
+            "no generated program produced a usable team; used deduction instead",
+            {"team": [1, 2, 3, 4], "attempts": 3},
+        )
 
     def test_evil_codeact_leader_uses_the_text_path(self):
         agent = self.agent(

@@ -201,8 +201,11 @@ class TestRun:
             ('{"model": "m"}', "no 'rules' list"),
             ('[{"response": "a"}, {"response": "b", "pattern": "("}]',
              "rule 1: bad pattern: missing ), unterminated subpattern at position 0"),
+            ('[{"response": "I agree \\ud800"}]',
+             "rule 0: 'response' does not encode as UTF-8: "
+             "'utf-8' codec can't encode character '\\ud800' in position 8: surrogates not allowed"),
         ],
-        ids=["not-json", "rule-without-response", "no-rules", "bad-pattern"],
+        ids=["not-json", "rule-without-response", "no-rules", "bad-pattern", "lone-surrogate"],
     )
     def test_bad_fixture_is_one_error_line(self, tmp_path, content, reason):
         fixture = tmp_path / "fixture.json"
@@ -214,6 +217,20 @@ class TestRun:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == f"bad fixture {fixture}: {reason}\n"
+
+    @pytest.mark.parametrize("http_option", [["--llm-model", "gpt-4o"], ["--llm-base-url", "http://127.0.0.1:9"]])
+    def test_mock_llm_with_an_http_option_is_one_error_line(self, tmp_path, http_option):
+        """The mock answers every request, so a model or URL given with it
+        would only mislabel the records."""
+        done = subprocess.run(
+            [sys.executable, "-m", "avalonplay.cli", "run", "--games", "1", "--just", "llm",
+             "--mock-llm", str(MOCK_FIXTURE), *http_option, "--record-dir", str(tmp_path)],
+            capture_output=True, text=True, env=os.environ | {"PYTHONPATH": SRC},
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "--mock-llm cannot be combined with --llm-base-url or --llm-model\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReplayCommand:

@@ -21,6 +21,7 @@ from avalonplay.llm import (
     TransportError,
     logged_complete,
 )
+from avalonplay.records import load_record
 from avalonplay.runner import TournamentConfig, run_tournament
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,6 +208,31 @@ class TestHttpClient:
         )
         with pytest.raises(TransportError, match="unusable response"):
             HttpLLMClient("http://x", model="m").complete(MESSAGES, 0.0, "t")
+
+    # None, a number, a list, and text holding a lone surrogate (which a JSON
+    # "\ud800" escape decodes to): none of them can be a reply.
+    @pytest.mark.parametrize("content", [None, 5, ["a"], "fine \ud800"], ids=["null", "number", "list", "lone-surrogate"])
+    def test_content_that_is_not_text_fails_immediately(self, monkeypatch, no_sleep, content):
+        calls = []
+
+        def fake_post(*a, **k):
+            calls.append(1)
+            return ok_response(content)
+
+        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        with pytest.raises(TransportError, match="^unusable response from http://x: "):
+            HttpLLMClient("http://x", model="m").complete(MESSAGES, 0.0, "t")
+        assert len(calls) == 1 and no_sleep == []
+
+    @pytest.mark.parametrize("content", [None, "fine \ud800"], ids=["null", "lone-surrogate"])
+    def test_content_that_is_not_text_aborts_the_game(self, monkeypatch, no_sleep, tmp_path, content):
+        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: ok_response(content))
+        tc = TournamentConfig(n_games=1, just_spec=AgentSpec("llm"), record_dir=str(tmp_path))
+        (summary,) = run_tournament(tc, HttpLLMClient("http://x", model="m")).summaries
+        assert summary.aborted
+        record = load_record(summary.record_path)
+        assert record.aborted and record.error.startswith("TransportError: unusable response from http://x: ")
+
 
 class TestMockRule:
     def test_phase_gating(self):
@@ -411,6 +437,9 @@ class TestMockLLM:
             ('[{"response": "a"}, "b"]', "rule 1: not an object"),
             ('[{"response": "a", "phase": 3}]', "rule 0: 'phase' is neither a string nor null"),
             ('[{"response": "a", "max_uses": true}]', "rule 0: 'max_uses' is neither an integer nor null"),
+            ('[{"response": "a", "max_uses": -1}]', "rule 0: 'max_uses' is negative"),
+            ('[{"response": "a \\ud800"}]', "rule 0: 'response' does not encode as UTF-8: "),
+            ('[{"response": "a"}, {"response": "b", "pattern": "\\udc00x"}]', "rule 1: 'pattern' does not encode as UTF-8: "),
             (
                 '[{"response": "a"}, {"response": "b", "pattern": "("}]',
                 "rule 1: bad pattern: missing ), unterminated subpattern at position 0",

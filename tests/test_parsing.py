@@ -113,6 +113,15 @@ class TestExtractJsonObjects:
         assert extract_json_objects("{" * 20_000) == []
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("opener", ['{"a": ', '{"a": [', '{"'])
+    def test_objects_that_never_close_scan_in_linear_time(self, opener):
+        # Each opener would fail to decode only after a long recursion or a
+        # newline count from the start of the text; with no "}" after it,
+        # none is decoded at all.
+        start = time.perf_counter()
+        assert extract_json_objects(opener * 20_000) == []
+        assert time.perf_counter() - start < 0.1
+
     def test_decodes_only_where_an_object_can_start(self, monkeypatch):
         decoder, starts = parsing._DECODER, []
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from avalonplay.agents import AgentSpec
 from avalonplay.analyzer import analyze_record
 from avalonplay.cli import main
 from avalonplay.game import GameConfig, Phase
+from avalonplay.llm import LLMClient
 from avalonplay.records import (
     GameRecord,
     RecordFormatError,
@@ -795,3 +797,69 @@ class TestTamperedRecords:
                 break
         with pytest.raises(ReplayMismatch, match=f"seq {data['seq']} "):
             _replay_text("\n".join(rows))
+
+
+class HashClient(LLMClient):
+    """Answers each request by the sha256 of its tag and messages: a third
+    of the answers parse as nothing (and run as a program that prints no
+    team, the same on every Python version), the rest a ballot, a team of one to five seats (often the
+    wrong size), a remark or a program that prints a team."""
+
+    model = "hash"
+
+    def complete(self, messages, temperature, tag):
+        key = json.dumps([tag] + [m.to_dict() for m in messages]).encode("utf-8")
+        h = hashlib.sha256(key).digest()
+        if h[0] % 3 == 0:
+            return f'print("Let me think about this ({h[1]}) before I answer.")'
+        seats = sorted({1 + b % 7 for b in h[2 : 3 + h[1] % 5]})
+        team = ", ".join(map(str, seats))
+        if tag in ("team_vote", "quest_vote"):
+            vote = "approve" if h[1] % 2 else "reject"
+            return json.dumps({"reasoning": f"Seat {seats[0]} worries me.", "vote": vote})
+        if tag == "discussion":
+            return f'Player {seats[0]} said "trust me"\nbut I am not sure.'
+        if tag == "code_generation":
+            return f"Here is my program:\n```python\nteam = [{team}]\nprint(team)\n```"
+        return f"I choose players [{team}]."
+
+
+# Every strategy for the just seats, against llm seats of the same strategy,
+# scripted_evil and deduction, four games each.
+AUDIT_GAMES = tuple(
+    (strategy, evil, i)
+    for strategy in ("base", "cot", "react", "codeact")
+    for evil in ("llm", "scripted_evil", "deduction")
+    for i in range(4)
+)
+
+
+class TestAuditEventPin:
+    """Where agent-written audit events (parse, codeact and contradiction
+    fallbacks) and the engine's quest vote overrides land in full games,
+    with every raw exchange in the record."""
+
+    @pytest.fixture(scope="class")
+    def audit_records(self):
+        records = []
+        for strategy, evil, i in AUDIT_GAMES:
+            just = AgentSpec("llm", strategy=strategy, model="hash")
+            evil_spec = just if evil == "llm" else AgentSpec(evil)
+            records.append(
+                run_game(GameConfig(), just, evil_spec, seed_for_game(47, i), client=HashClient(), log_exchanges=True)
+            )
+        return records
+
+    def test_every_audit_reason_occurs(self, audit_records):
+        reasons = Counter(
+            e.payload["reason"] for r in audit_records for e in r.events if e.kind is EventKind.AGENT_ERROR
+        )
+        assert not any(r.aborted for r in audit_records)
+        assert {"parse_fallback", "codeact_fallback", "quest_vote_override"} <= set(reasons), reasons
+
+    def test_record_bytes_are_pinned(self, audit_records):
+        assert _bytes_digest(audit_records) == PINNED_AUDIT_BYTES_DIGEST
+
+
+# Computed before agents returned their audit notes in their replies.
+PINNED_AUDIT_BYTES_DIGEST = "28b3df3f11d0ff8f5ef59102b74bcbc3cbfb6218b270884a0b143d6b24f19602"
