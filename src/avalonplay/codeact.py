@@ -11,25 +11,30 @@ team when no program gave a usable one; the caller then picks the team.
 Sandboxing is process-level, and each program gets a fresh process. Each
 harness process starts one fork server on its first run, as
 ``python -I -S -B -c``, so programs get the standard library only and no
-``exit()``/``quit()``. A forked harness process starts a server of its own.
-The server probes once, at start, whether the kernel allows unprivileged
-user namespaces, and tells the harness. It compiles once, so programs
-inherit a warm compiler, and then keeps one program process ready at all
-times: that process has already started a session, set the core and
-file-size rlimits and, where the probe succeeded, detached into empty user
-and network namespaces; it fails its run, before any line of the program,
-if it could not. A run is one message on a ``SOCK_SEQPACKET`` socket,
-passing the program's stdin (``/dev/null``), stdout, stderr and a status
-pipe. The server takes one run at a time: it hands the request and the
-three streams to the ready program process, forks the next one while this
-one runs, reports the program's pid and then its wait status on the status
-pipe, and only then takes the next request. So runs from several threads
-are served in turn. The program process sets the CPU rlimit the request
-names, moves to the scratch directory, takes ``PATH``, ``HOME`` and
-``TMPDIR`` as its whole environment, and runs a small bootstrap that
-installs a Python audit hook blocking socket use, process creation, and
-filesystem writes outside the scratch directory, then compiles and runs
-``program.py`` under that relative name, so tracebacks read
+``exit()``/``quit()``, and makes one base directory for it with
+``tempfile.mkdtemp``. A forked harness process starts a server of its own.
+The server defines the guard, a Python audit hook blocking socket use,
+process creation, and filesystem writes outside a program's scratch
+directory, once, so every program process inherits it. It probes once, at
+start, whether the kernel allows unprivileged user namespaces, and tells
+the harness. It compiles once, so programs inherit a warm compiler, and
+then keeps one program process ready at all times. Before its run is
+requested, that process has started a session, set the core rlimit and,
+where the probe succeeded, detached into empty user and network namespaces
+(it fails its run, before any line of the program, if it could not). It has
+also made its own scratch directory (mode 0700) under the base directory,
+moved into it, taken ``PATH``, ``HOME`` and ``TMPDIR`` as its whole
+environment and ``/dev/null`` as its stdin. A run is one message on a
+``SOCK_SEQPACKET`` socket, naming the CPU limit and passing the program's
+stdout, stderr, a ``memfd`` holding the program's text, and a status pipe.
+The server takes one run at a time: it hands the request to the ready
+program process, forks the next one while this one runs, reports the
+program's pid on the status pipe, reaps the program, removes its scratch
+directory, reports its wait status, and only then takes the next request.
+So runs from several threads are served in turn, and the harness does no
+filesystem work per run. The program process writes ``program.py``, sets
+the CPU and file-size rlimits, installs the guard, and compiles and runs
+the program under that relative name, so tracebacks read
 ``File "program.py"`` with no scratch path and no bootstrap frame. The
 program ends as ``python program.py`` would (exit status, uncaught
 exception, death by ``SIGINT``, non-daemon threads, ``atexit`` handlers,
@@ -41,9 +46,10 @@ timeout passes; a timeout kills the program's process group, and output
 past a byte cap is read and dropped.
 
 Nothing outlives the harness: at the end of file on its socket (an
-``atexit`` hook closes it and waits) the server exits; each program
-process dies with the server (``PR_SET_PDEATHSIG``), as does a server
-started from the main thread.
+``atexit`` hook closes it and waits, and a dead harness's socket closes
+too) the server kills and reaps its program processes, removes the base
+directory and exits. Each program process dies with the server
+(``PR_SET_PDEATHSIG``).
 """
 
 from __future__ import annotations
@@ -138,21 +144,44 @@ def build_code_prompt(
     )
 
 
-# The program process's entry point, run at the top level of the server's
-# `-c` text in the scratch directory: install the guard (the second
-# containment layer behind the network namespace), then run program.py as
-# __main__. The excepthook drops the top-level frame, so a traceback starts
-# at program.py. The program then ends as Py_RunMain ends one, minus the
-# interpreter's teardown, which would walk and copy the server's heap.
-_BOOTSTRAP = r'''
+# The fork server's own code, run as `python -I -S -B -c _SERVER <socket fd>
+# <base directory>` with _BOOTSTRAP appended. It defines the guard (the
+# second containment layer behind the network namespace) and the exit
+# helpers once, so every program process inherits them. It probes once
+# whether a child can enter fresh user and network namespaces, and sends its
+# verdict, b"1" or b"0", on the socket. From then on it keeps one program
+# process ready. Before its request arrives, that process has started its
+# session, set the core rlimit, entered fresh namespaces if the probe
+# succeeded, made its own scratch directory (mode 0700) under the base
+# directory, moved into it, and set its environment, argv and stdin (the
+# server's /dev/null); it blocks on a socket of its own from the server. The
+# server serves one request at a time from the harness socket, where a
+# request is one message, b"<cpu seconds>", with four descriptors: stdout,
+# stderr, a file holding the program's UTF-8 text, and the status pipe. It
+# hands the first three to the ready program, which writes program.py from
+# the text; forks the next program while this one runs; writes the program's
+# pid to the status pipe; reaps the program and removes its scratch
+# directory; writes its wait status; and closes the pipe. At the end of file
+# on the harness socket, even while a program runs, the server kills and
+# reaps its programs, removes the base directory and exits. Only a program
+# process returns from _serve(), with the program's text, and so goes on
+# into _BOOTSTRAP.
+_SERVE = r'''
 import atexit
+import ctypes
 import gc
 import os
+import resource
+import select
 import signal
+import socket
 import sys
 
-_SCRATCH = os.path.realpath(os.getcwd())
+_libc = ctypes.CDLL(None, use_errno=True)
+_libc.unshare.argtypes = (ctypes.c_int,)
+_NAMESPACES = 0x10000000 | 0x40000000  # CLONE_NEWUSER | CLONE_NEWNET
 _WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+_SCRATCH = None  # a program process's scratch directory, as a real path
 
 
 def _inside(path):
@@ -205,13 +234,171 @@ def _exit_status(code):
     return 1
 
 
+def _die_with(parent):
+    _libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _probe():
+    child = os.fork()
+    if child == 0:
+        os._exit(_libc.unshare(_NAMESPACES) != 0)
+    return os.waitpid(child, 0)[1] == 0
+
+
+def _reopen(name, fd, mode):
+    old = getattr(sys, name)
+    new = open(fd, mode, 1 if old.line_buffering else -1, old.encoding, old.errors, "\n", closefd=False)
+    setattr(sys, name, new)
+    setattr(sys, f"__{name}__", new)
+
+
+def _enter_program(channel, unshare, scratch):
+    # Up to the request, this runs while the run before it is still going.
+    global _SCRATCH
+    os.setsid()
+    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+    failure = None
+    if unshare and _libc.unshare(_NAMESPACES) != 0:
+        failure = OSError(ctypes.get_errno(), "unshare(CLONE_NEWUSER|CLONE_NEWNET) failed")
+    try:
+        os.mkdir(scratch, 0o700)
+        os.chdir(scratch)
+    except OSError as exc:
+        failure = failure or exc
+    os.environ["HOME"] = os.environ["TMPDIR"] = scratch
+    sys.argv[:] = ["program.py"]
+    _SCRATCH = os.path.realpath(scratch)
+    _reopen("stdin", 0, "r")
+    request, fds, _, _ = socket.recv_fds(channel, 64, 3)
+    if not request:
+        os._exit(1)
+    channel.close()
+    resource.setrlimit(resource.RLIMIT_CPU, (int(request), int(request)))
+    stdout, stderr, text = fds
+    for target, fd in ((1, stdout), (2, stderr)):
+        os.dup2(fd, target)
+        os.close(fd)
+    if failure is not None:  # fail the run before any line of the program
+        raise failure
+    with open(text, "rb") as fh:
+        source = fh.read()
+    with open("program.py", "xb") as fh:
+        fh.write(source)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024 * 1024, 64 * 1024 * 1024))
+    _reopen("stdout", 1, "w")
+    _reopen("stderr", 2, "w")
+    return source
+
+
+def _remove_tree(path):
+    import shutil  # only once a program has left more than program.py, or at exit
+
+    shutil.rmtree(path, ignore_errors=True)
+
+
+def _report(sock, programs, program, scratch, status):
+    # The program's pid, then, once it has ended and its scratch directory
+    # is gone, its wait status. Should the harness close its socket first,
+    # the server shuts down at once.
+    os.write(status, b"%d\n" % program)
+    ended = os.pidfd_open(program)
+    poller = select.poll()
+    poller.register(ended, select.POLLIN)
+    poller.register(sock, select.POLLRDHUP)
+    if any(fd != ended for fd, _ in poller.poll()):
+        sys.exit(0)
+    os.close(ended)
+    wait_status = os.waitpid(program, 0)[1]
+    programs.remove(program)
+    try:
+        os.unlink(scratch + "/program.py")
+        os.rmdir(scratch)
+    except OSError:  # the program left more behind, or took program.py away
+        _remove_tree(scratch)
+    os.write(status, b"%d\n" % wait_status)
+    os.close(status)
+
+
+def _shut_down(programs, base):
+    for program in programs:
+        try:
+            os.killpg(program, signal.SIGKILL)
+        except ProcessLookupError:  # not yet the leader of its own group
+            os.kill(program, signal.SIGKILL)
+    for program in programs:
+        os.waitpid(program, 0)
+    _remove_tree(base)
+
+
+def _serve(sock_fd, base):
+    sock = socket.socket(fileno=sock_fd)
+    server = os.getpid()
+    programs = []  # the program processes not yet reaped
+    try:
+        unshare = _probe()
+        sock.send(b"%d" % unshare)
+        # The first compile() sets up the compiler's state (about 2 ms); done
+        # here, each program process inherits it.
+        compile("pass", "<warm-up>", "exec")
+        # Out of the collector's reach, the server's objects stay shared with
+        # each program process instead of being copied page by page as the
+        # program's collections and its exit walk them.
+        gc.freeze()
+        running = None  # the program now running, its scratch directory and status pipe
+        forked = 0
+        while True:
+            forked += 1
+            scratch = f"{base}/{forked}"
+            mine, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+            try:
+                program = os.fork()
+            except OSError:
+                sys.exit(1)  # dropping the socket fails the queued requests
+            if program == 0:
+                _die_with(server)
+                sock.close()
+                mine.close()
+                if running is not None:  # held open, its status pipe would keep the caller reading
+                    os.close(running[2])
+                return _enter_program(theirs, unshare, scratch)
+            programs.append(program)
+            theirs.close()
+            if running is not None:
+                _report(sock, programs, *running)
+            request, fds, _, _ = socket.recv_fds(sock, 64, 4)
+            if not request:
+                sys.exit(0)  # the harness closed its socket
+            try:
+                socket.send_fds(mine, [request], fds[:3])
+            except OSError:
+                pass  # the program process has died; its wait status says how
+            mine.close()
+            for fd in fds[:3]:
+                os.close(fd)
+            running = (program, scratch, fds[3])
+    finally:
+        if os.getpid() == server:  # not in a program process leaving _serve()
+            _shut_down(programs, base)
+
+
+_program = _serve(int(sys.argv[1]), sys.argv[2])
+'''
+
+# The program process's code after _serve() returns it the program's text, at
+# the top level of the server's `-c` text in the scratch directory: install
+# the guard, then run program.py as __main__. The text is compiled as a
+# text-mode read of program.py would give it. The excepthook drops the
+# top-level frame, so a traceback starts at program.py. The program then ends
+# as Py_RunMain ends one, minus the interpreter's teardown, which would walk
+# and copy the server's heap.
+_BOOTSTRAP = r"""
 sys.addaudithook(_hook)
 sys.excepthook = _excepthook
-sys.argv[0] = "program.py"
 _interrupted = False
 try:
-    with open("program.py", encoding="utf-8") as _source:
-        _code = compile(_source.read(), "program.py", "exec")
+    _code = compile(_program.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), "program.py", "exec")
     exec(_code, {"__name__": "__main__", "__file__": "program.py"})
     _status = 0
 except SystemExit as _stop:
@@ -239,165 +426,40 @@ if _interrupted:  # die by SIGINT, as CPython does
     os.kill(os.getpid(), signal.SIGINT)
     _status = 128 + signal.SIGINT  # still alive: SIGINT is blocked
 os._exit(_status)
-'''.lstrip()
-
-# The fork server's own code, run as `python -I -S -B -c _SERVER <socket fd>
-# <harness pid or 0>` with _BOOTSTRAP appended. The server first probes once
-# whether a child can enter fresh user and network namespaces, and sends its
-# verdict, b"1" or b"0", on the socket. From then on it keeps one program
-# process ready. That process has started its session, set the core and
-# file-size rlimits and, if the probe succeeded, entered fresh namespaces;
-# it blocks on a socket of its own from the server. The server serves one
-# request at a time from the harness socket, where a request is one message,
-# b"<cpu seconds>\0<scratch path>", with four descriptors: stdin, stdout,
-# stderr and the status pipe. It hands the request and the three streams to
-# the ready program; forks the next program, while this one runs; writes the
-# program's pid and then its wait status to the status pipe; and closes it.
-# At the end of file on the harness socket, even while a program runs, the
-# server exits, and its program processes die with it. Only a program
-# process returns from _serve(), and so goes on into _BOOTSTRAP.
-_SERVE = r"""
-import ctypes
-import gc
-import os
-import resource
-import select
-import signal
-import socket
-import sys
-
-_libc = ctypes.CDLL(None, use_errno=True)
-_libc.unshare.argtypes = (ctypes.c_int,)
-_NAMESPACES = 0x10000000 | 0x40000000  # CLONE_NEWUSER | CLONE_NEWNET
-
-
-def _die_with(parent):
-    _libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _probe():
-    child = os.fork()
-    if child == 0:
-        os._exit(_libc.unshare(_NAMESPACES) != 0)
-    return os.waitpid(child, 0)[1] == 0
-
-
-def _enter_program(channel, unshare):
-    os.setsid()
-    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
-    resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024 * 1024, 64 * 1024 * 1024))
-    failure = None
-    if unshare and _libc.unshare(_NAMESPACES) != 0:
-        failure = OSError(ctypes.get_errno(), "unshare(CLONE_NEWUSER|CLONE_NEWNET) failed")
-    request, fds, _, _ = socket.recv_fds(channel, 4096, 3)
-    if not request:
-        os._exit(1)
-    channel.close()
-    cpu, scratch = request.split(b"\0", 1)
-    resource.setrlimit(resource.RLIMIT_CPU, (int(cpu), int(cpu)))
-    for target, fd in enumerate(fds):
-        os.dup2(fd, target)
-    for fd in fds:
-        os.close(fd)
-    if failure is not None:  # fail the run before any line of the program
-        raise failure
-    scratch = os.fsdecode(scratch)
-    os.chdir(scratch)
-    os.environ["HOME"] = os.environ["TMPDIR"] = scratch
-    sys.argv[:] = ["program.py"]
-    for name, fd, mode in (("stdin", 0, "r"), ("stdout", 1, "w"), ("stderr", 2, "w")):
-        old = getattr(sys, name)
-        new = open(fd, mode, 1 if old.line_buffering else -1, old.encoding, old.errors, "\n", closefd=False)
-        setattr(sys, name, new)
-        setattr(sys, f"__{name}__", new)
-
-
-def _report(status, program, sock):
-    # The program's pid, then, once it has ended, its wait status. Should
-    # the harness close its socket first, the server exits at once, and the
-    # program dies with it.
-    os.write(status, b"%d\n" % program)
-    ended = os.pidfd_open(program)
-    poller = select.poll()
-    poller.register(ended, select.POLLIN)
-    poller.register(sock, select.POLLRDHUP)
-    if any(fd != ended for fd, _ in poller.poll()):
-        sys.exit(0)
-    os.close(ended)
-    os.write(status, b"%d\n" % os.waitpid(program, 0)[1])
-    os.close(status)
-
-
-def _serve(sock_fd, harness):
-    if harness:
-        _die_with(harness)
-    sock = socket.socket(fileno=sock_fd)
-    unshare = _probe()
-    sock.send(b"%d" % unshare)
-    server = os.getpid()
-    # The first compile() sets up the compiler's state (about 2 ms); done
-    # here, each program process inherits it.
-    compile("pass", "<warm-up>", "exec")
-    # Out of the collector's reach, the server's objects stay shared with
-    # each program process instead of being copied page by page as the
-    # program's collections and its exit walk them.
-    gc.freeze()
-    running = status = None  # the program now running, and its status pipe
-    while True:
-        mine, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        try:
-            program = os.fork()
-        except OSError:
-            sys.exit(1)  # dropping the socket fails the queued requests
-        if program == 0:
-            _die_with(server)
-            sock.close()
-            mine.close()
-            if status is not None:  # held open, it would keep the caller reading
-                os.close(status)
-            _enter_program(theirs, unshare)
-            return
-        theirs.close()
-        if running is not None:
-            _report(status, running, sock)
-        request, fds, _, _ = socket.recv_fds(sock, 4096, 4)
-        if not request:
-            sys.exit(0)  # the harness closed its socket
-        try:
-            socket.send_fds(mine, [request], fds[:3])
-        except OSError:
-            pass  # the program process has died; its wait status says how
-        mine.close()
-        for fd in fds[:3]:
-            os.close(fd)
-        running, status = program, fds[3]
-
-
-_serve(int(sys.argv[1]), int(sys.argv[2]))
-"""
+""".lstrip()
 _SERVER = _SERVE + _BOOTSTRAP
 
 
 class _Server:
     def __init__(self) -> None:
         self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        # PR_SET_PDEATHSIG fires when the thread that started the server
-        # ends, so a server started from any other thread relies on the end
-        # of file on its socket alone.
-        harness = os.getpid() if threading.current_thread() is threading.main_thread() else 0
-        with theirs:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", "-B", "-c", _SERVER, str(theirs.fileno()), str(harness)],
-                cwd="/",
-                env={"PATH": "/usr/bin:/bin"},
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL,
-                pass_fds=(theirs.fileno(),),
-            )
+        # Each program process makes its scratch directory in this one.
+        self.base = tempfile.mkdtemp(prefix="codeact-")
+        try:
+            # The server's stdin, /dev/null read-only, is every program's.
+            with theirs, open(os.devnull, "rb") as devnull:
+                self.proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-B", "-c", _SERVER, str(theirs.fileno()), self.base],
+                    cwd="/",
+                    env={"PATH": "/usr/bin:/bin"},
+                    stdin=devnull,
+                    stdout=subprocess.DEVNULL,
+                    pass_fds=(theirs.fileno(),),
+                )
+        except BaseException:
+            self.sock.close()
+            shutil.rmtree(self.base, ignore_errors=True)
+            raise
         # The server's first message: whether it can make namespaces.
         self.netns = self.sock.recv(1) == b"1"
+
+    def stop(self) -> None:
+        """Close the socket, at whose end of file the server removes its
+        directory and exits; wait for it, and remove the directory should
+        the server have died first."""
+        self.sock.close()
+        self.proc.wait()
+        shutil.rmtree(self.base, ignore_errors=True)
 
 
 _server: _Server | None = None
@@ -410,7 +472,7 @@ def _running_server() -> _Server:
     with _server_lock:
         if _server is None or _server.proc.poll() is not None:
             if _server is not None:
-                _server.sock.close()
+                _server.stop()
             _server = _Server()
         return _server
 
@@ -425,29 +487,33 @@ def _forget_server() -> None:
 
 @atexit.register
 def _stop_server() -> None:
-    """The server exits at the end of file on its socket; wait for it."""
     if _server is not None:
-        _server.sock.close()
-        _server.proc.wait()
+        _server.stop()
 
 
 os.register_at_fork(after_in_child=_forget_server)
 
 
-def _run(request: bytes, timeout: float, output_cap: int) -> tuple[int, bool, list[bytearray], list[bool]]:
-    """Have the server run one request; return the program's exit code,
-    whether it timed out, and its stdout and stderr, each with whether it
-    passed the cap."""
+def _run(
+    request: bytes, source: bytes, timeout: float, output_cap: int
+) -> tuple[int, bool, list[bytearray], list[bool]]:
+    """Have the server run one request on the program text `source`; return
+    the program's exit code, whether it timed out, and its stdout and
+    stderr, each with whether it passed the cap."""
     pipes = [os.pipe() for _ in range(3)]
-    devnull = os.open(os.devnull, os.O_RDONLY)
+    text = os.memfd_create("program.py")
     try:
-        socket.send_fds(_running_server().sock, [request], [devnull] + [w for _, w in pipes])
+        with open(text, "wb", closefd=False) as fh:
+            fh.write(source)
+            fh.seek(0)  # the program process reads the text from here
+        (_, out_w), (_, err_w), (_, status_w) = pipes
+        socket.send_fds(_running_server().sock, [request], [out_w, err_w, text, status_w])
     except BaseException:
         for r, _ in pipes:
             os.close(r)
         raise
     finally:
-        os.close(devnull)
+        os.close(text)
         for _, w in pipes:
             os.close(w)
     out, err, status_fd = (r for r, _ in pipes)
@@ -511,17 +577,11 @@ def _probe_namespace_support() -> bool:
 
 def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
     """Run one program in a fresh scratch sandbox and capture its output."""
-    scratch = tempfile.mkdtemp(prefix="codeact-")
-    try:
-        with open(os.path.join(scratch, "program.py"), "w", encoding="utf-8") as fh:
-            fh.write(program)
-        cpu = max(1, int(limits.per_run_timeout) + 2)
-        request = b"%d\0%s" % (cpu, os.fsencode(scratch))
-        exit_code, timed_out, (stdout, stderr), (stdout_cut, stderr_cut) = _run(
-            request, limits.per_run_timeout, limits.output_cap
-        )
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    source = program.encode("utf-8")
+    cpu = max(1, int(limits.per_run_timeout) + 2)
+    exit_code, timed_out, (stdout, stderr), (stdout_cut, stderr_cut) = _run(
+        b"%d" % cpu, source, limits.per_run_timeout, limits.output_cap
+    )
     if timed_out:
         status = ExecStatus.TIMEOUT
     elif exit_code != 0:

@@ -412,14 +412,14 @@ def _run_one(
             seed_info={"base_seed": tc.base_seed, "game_index": index},
             log_exchanges=tc.log_exchanges,
         )
+        path = None
+        if tc.record_dir:
+            path = Path(tc.record_dir) / f"{record.game_id}.jsonl"
+            write_record(record, path)
+        played = _tally(record)
     except Exception as exc:
         raise GameFailed(f"game index {index} (game seed {game_seed}): {type(exc).__name__}: {exc}") from exc
-    path = None
-    if tc.record_dir:
-        path = Path(tc.record_dir) / f"{record.game_id}.jsonl"
-        write_record(record, path)
     outcome = record.outcome
-    played = _tally(record)
     summary = GameSummary(
         index=index,
         game_id=record.game_id,

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -171,6 +172,60 @@ class TestSandbox:
         import os
 
         assert not os.path.exists(scratch)
+
+    def test_a_program_larger_than_the_socket_buffer_runs(self):
+        a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with a, b:
+            buffer = a.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        program = "# " + "x" * (1 << 20) + "\nimport os\nprint(os.path.getsize('program.py'))\n"
+        assert len(program) > max(buffer, 1 << 20)
+        result = execute_sandboxed(program, FAST)
+        assert (result.status, result.stdout) == (ExecStatus.OK, f"{len(program)}\n")
+
+    @pytest.mark.parametrize(
+        "program, printed",
+        [
+            # Line ends, in a string literal too, come out as a text-mode read gives them.
+            ('print(repr("""a\r\nb\rc"""))\r\nprint(2)\r\n', "'a\\nb\\nc'\n2\n"),
+            # The text is decoded as UTF-8, whatever its coding cookie says.
+            ("# -*- coding: latin-1 -*-\nprint('é', len('é'))\n", "é 1\n"),
+        ],
+        ids=["crlf", "latin-1-cookie"],
+    )
+    def test_program_py_holds_the_utf8_text(self, program, printed):
+        reads_itself = program + "print(open('program.py', 'rb').read().hex())\n"
+        result = execute_sandboxed(reads_itself, FAST)
+        assert result.status is ExecStatus.OK, result.stderr
+        assert result.stdout == printed + reads_itself.encode("utf-8").hex() + "\n"
+
+    def test_each_run_gets_its_own_private_scratch_directory(self):
+        program = "import os, stat\nprint(os.getcwd(), oct(stat.S_IMODE(os.stat('.').st_mode)))"
+        (first, first_mode), (second, second_mode) = (
+            execute_sandboxed(program, FAST).stdout.split() for _ in range(2)
+        )
+        assert first != second
+        assert first_mode == second_mode == "0o700"
+
+    def test_a_symlinked_tmpdir_still_lets_a_program_write_in_its_directory(self, tmp_path):
+        # The guard compares real paths, so the scratch directory's path
+        # through the symlink is inside it too.
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        harness = (
+            "import json\n"
+            "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
+            "limits = DebugLoopConfig(max_attempts=1, per_run_timeout=5.0, output_cap=4096)\n"
+            "program = \"import os\\nopen('inside.txt', 'w').write('ok')\\n\"\n"
+            "program += \"print(os.environ['TMPDIR'], sorted(os.listdir()))\"\n"
+            "result = execute_sandboxed(program, limits)\n"
+            "print(json.dumps([result.status.value, result.stdout, result.stderr]))\n"
+        )
+        status, stdout, stderr = json.loads(run_harness(harness, TMPDIR=str(tmp_path / "link")))
+        assert status == ExecStatus.OK.value, stderr
+        scratch, listing = stdout.split(" ", 1)
+        assert scratch.startswith(str(tmp_path / "link") + os.sep)
+        assert listing == "['inside.txt', 'program.py']\n"
+        assert list((tmp_path / "real").iterdir()) == []
 
 
 class TestSandboxOutputIsDeterministic:
@@ -388,15 +443,16 @@ class TestSelfDebugLoop:
 PRINT_SERVER_PID = "import os\nprint(os.getppid())\n"
 
 
-def run_harness(code: str) -> str:
-    """Run `code` in a fresh interpreter that imports the package; its stdout."""
+def run_harness(code: str, **env: str) -> str:
+    """Run `code` in a fresh interpreter that imports the package, with `env`
+    added to its environment; its stdout."""
     src = str(Path(avalonplay.__file__).parents[1])
     child = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, **env},
     )
     assert child.returncode == 0, child.stderr
     return child.stdout
@@ -449,12 +505,12 @@ def ends_soon(pid: int, seconds: float = 5.0) -> bool:
     return True
 
 
-def killed_harness_pids(start_server: str) -> list[int]:
-    """Run a harness whose first run, `start_server`, sets `server` to its
-    fork server's pid. While a second program sleeps, the harness prints the
-    server and every process below it (the sleeping program and the idle
-    program), and is then killed without running any exit hook. Returns the
-    printed pids."""
+def killed_harness_pids(start_server: str, tmpdir: Path) -> list[int]:
+    """Run a harness, with `tmpdir` as its TMPDIR, whose first run,
+    `start_server`, sets `server` to its fork server's pid. While a second
+    program sleeps, the harness prints the server and every process below it
+    (the sleeping program and the idle program), and is then killed without
+    running any exit hook. Returns the printed pids."""
     harness = DESCENDANTS + (
         "import threading\n"
         "from avalonplay.codeact import DebugLoopConfig, execute_sandboxed\n"
@@ -466,7 +522,10 @@ def killed_harness_pids(start_server: str) -> list[int]:
     )
     src = str(Path(avalonplay.__file__).parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-c", harness], stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}
+        [sys.executable, "-c", harness],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmpdir)},
     )
     try:
         return [int(pid) for pid in proc.stdout.readline().split()]
@@ -522,7 +581,7 @@ class TestForkServer:
         # The child's server ends with the child that started it.
         assert ends_soon(child)
 
-    def test_harness_exit_leaves_no_process_running(self):
+    def test_harness_exit_leaves_no_process_running(self, tmp_path):
         # The harness prints the program and the server, then every other
         # process below the server: the idle program.
         harness = DESCENDANTS + (
@@ -532,14 +591,18 @@ class TestForkServer:
             "ran = [int(pid) for pid in execute_sandboxed(program, limits).stdout.split()]\n"
             "print(*ran, *others(ran[1], ran, 1))\n"
         )
-        pids = [int(pid) for pid in run_harness(harness).split()]
+        pids = [int(pid) for pid in run_harness(harness, TMPDIR=str(tmp_path)).split()]
         assert len(pids) >= 3  # program, server, idle program
         assert all(ends_soon(pid) for pid in pids)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_a_killed_harness_leaves_no_process_running(self):
-        pids = killed_harness_pids(f"server = int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n")
+    def test_a_killed_harness_leaves_no_process_running(self, tmp_path):
+        pids = killed_harness_pids(
+            f"server = int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n", tmp_path
+        )
         assert len(pids) >= 3  # server, the sleeping program, the idle program
         assert all(ends_soon(pid) for pid in pids)
+        assert list(tmp_path.iterdir()) == []
 
     def test_an_idle_server_forks_one_process_per_run(self):
         # Between runs the server's only child is the program process it has
@@ -569,25 +632,31 @@ class TestForkServer:
             assert [r.status for r in results] == [ExecStatus.TIMEOUT]
             assert len(results[0].stdout.split()) == 1
 
-    def test_a_killed_harness_that_started_its_server_from_a_thread_leaves_no_process_running(self):
-        # Only the end of file on its socket ends a server started from a
-        # thread other than the main one, and it comes while the server is
-        # waiting for a sleeping program.
+    def test_a_killed_harness_that_started_its_server_from_a_thread_leaves_no_process_running(self, tmp_path):
+        # The end of file on its socket comes while the server is waiting
+        # for a sleeping program, after the thread that started it has ended.
         pids = killed_harness_pids(
             "first = []\n"
             f"starter = threading.Thread(target=lambda: first.append(execute_sandboxed({PRINT_SERVER_PID!r}, limits)))\n"
             "starter.start()\n"
             "starter.join()\n"
-            "server = int(first[0].stdout)\n"
+            "server = int(first[0].stdout)\n",
+            tmp_path,
         )
         assert len(pids) >= 3  # server, the sleeping program, the idle program
         assert all(ends_soon(pid) for pid in pids)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_killed_server_is_replaced(self):
-        server = int(execute_sandboxed(PRINT_SERVER_PID, FAST).stdout)
-        os.kill(server, signal.SIGKILL)
-        assert ends_soon(server)
-        assert int(execute_sandboxed(PRINT_SERVER_PID, FAST).stdout) != server
+        # Each program prints its server and the server's base directory.
+        program = PRINT_SERVER_PID + "print(os.path.dirname(os.getcwd()))\n"
+        server, base = execute_sandboxed(program, FAST).stdout.split()
+        os.kill(int(server), signal.SIGKILL)
+        assert ends_soon(int(server))
+        replacement, new_base = execute_sandboxed(program, FAST).stdout.split()
+        assert replacement != server and new_base != base
+        # The dead server could not remove its directory; the harness did.
+        assert not os.path.exists(base)
 
     def test_a_parallel_tournament_leaves_no_process_running(self, tmp_path):
         # Each program reports, on stderr, the pool worker that started its

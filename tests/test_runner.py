@@ -403,6 +403,21 @@ class TestTournament:
             assert "RuntimeError: agent bug" in str(info.value.__cause__)
         assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
+    def test_a_record_that_cannot_be_encoded_is_named(self, tmp_path):
+        class SurrogateLLM(MockLLM):
+            def complete(self, messages, temperature, tag):
+                reply = super().complete(messages, temperature, tag)
+                return reply + " \ud800" if tag == "discussion" else reply
+
+        config = TournamentConfig(
+            n_games=2, base_seed=3, just_spec=AgentSpec("llm"), evil_spec=SCRIPTED, record_dir=str(tmp_path)
+        )
+        with pytest.raises(GameFailed) as info:
+            run_tournament(config, client=SurrogateLLM(approving_rules()))
+        assert str(info.value).startswith(f"game index 0 (game seed {seed_for_game(3, 0)}): UnicodeEncodeError: ")
+        assert isinstance(info.value.__cause__, UnicodeEncodeError)
+        assert list(tmp_path.iterdir()) == []  # neither a record nor a partial file
+
     def test_deduction_beats_random_on_team_accuracy(self):
         deduction = run_tournament(TournamentConfig(n_games=60, base_seed=33)).report
         baseline = run_tournament(
