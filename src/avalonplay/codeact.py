@@ -29,27 +29,30 @@ environment and ``/dev/null`` as its stdin. A run is one message on a
 stdout, stderr, a ``memfd`` holding the program's text, and a status pipe.
 The server takes one run at a time: it hands the request to the ready
 program process, forks the next one while this one runs, reports the
-program's pid on the status pipe, reaps the program, removes its scratch
-directory, reports its wait status, and only then takes the next request.
-So runs from several threads are served in turn, and the harness does no
-filesystem work per run. The program process writes ``program.py``, sets
-the CPU and file-size rlimits, installs the guard, and compiles and runs
-the program under that relative name, so tracebacks read
-``File "program.py"`` with no scratch path and no bootstrap frame. The
-program ends as ``python program.py`` would (exit status, uncaught
+program's pid on the status pipe, reaps the program, reports its wait
+status, removes its scratch directory, says so with an empty line, and only
+then takes the next request. So runs from several threads are served in
+turn, and the harness does no filesystem work per run. The program process
+writes ``program.py``, sets the CPU and file-size rlimits, installs the
+guard, and compiles and runs the program under that relative name, so
+tracebacks read ``File "program.py"`` with no scratch path and no bootstrap
+frame. The program ends as ``python program.py`` would (exit status, uncaught
 exception, death by ``SIGINT``, non-daemon threads, ``atexit`` handlers,
 module-level finalizers, standard streams flushed), then calls ``os._exit``
 instead of tearing the interpreter down; other files left open are not
 flushed. The caller reads the three pipes in its own thread until the
 program's streams close and the status is complete, or the wall-clock
 timeout passes; a timeout kills the program's process group, and output
-past a byte cap is read and dropped.
+past a byte cap is read and dropped. It then waits, outside the timeout,
+for the status pipe's empty line, so the scratch directory is gone when the
+run returns.
 
 Nothing outlives the harness: at the end of file on its socket (an
 ``atexit`` hook closes it and waits, and a dead harness's socket closes
 too) the server kills and reaps its program processes, removes the base
-directory and exits. Each program process dies with the server
-(``PR_SET_PDEATHSIG``).
+directory and exits. A child forked from the harness, even while the
+server is starting, closes its copy of that socket. Each program process
+dies with the server (``PR_SET_PDEATHSIG``).
 """
 
 from __future__ import annotations
@@ -160,12 +163,12 @@ def build_code_prompt(
 # stderr, a file holding the program's UTF-8 text, and the status pipe. It
 # hands the first three to the ready program, which writes program.py from
 # the text; forks the next program while this one runs; writes the program's
-# pid to the status pipe; reaps the program and removes its scratch
-# directory; writes its wait status; and closes the pipe. At the end of file
-# on the harness socket, even while a program runs, the server kills and
-# reaps its programs, removes the base directory and exits. Only a program
-# process returns from _serve(), with the program's text, and so goes on
-# into _BOOTSTRAP.
+# pid to the status pipe; reaps the program; writes its wait status; removes
+# its scratch directory; writes an empty line; and closes the pipe. At the
+# end of file on the harness socket, even while a program runs, the server
+# kills and reaps its programs, removes the base directory and exits. Only a
+# program process returns from _serve(), with the program's text, and so
+# goes on into _BOOTSTRAP.
 _SERVE = r'''
 import atexit
 import ctypes
@@ -173,6 +176,7 @@ import gc
 import os
 import resource
 import select
+import shutil
 import signal
 import socket
 import sys
@@ -213,6 +217,10 @@ def _hook(event, args):
         wants_write = any(c in mode for c in "wax+") or (not mode and flags & _WRITE_FLAGS)
         if wants_write and not _inside(path):
             raise PermissionError("writes outside the sandbox scratch directory are disabled")
+    elif event in ("os.chmod", "os.chown"):  # a descriptor's file is named under /proc
+        path = args[0]
+        if not _inside(f"/proc/self/fd/{path}" if isinstance(path, int) else path):
+            raise PermissionError("filesystem changes outside the sandbox scratch directory are disabled")
     elif event in ("os.remove", "os.rename", "os.rmdir", "os.mkdir", "os.link", "os.symlink", "os.truncate"):
         for candidate in args:
             if isinstance(candidate, (str, bytes, os.PathLike)) and not _inside(candidate):
@@ -292,16 +300,10 @@ def _enter_program(channel, unshare, scratch):
     return source
 
 
-def _remove_tree(path):
-    import shutil  # only once a program has left more than program.py, or at exit
-
-    shutil.rmtree(path, ignore_errors=True)
-
-
 def _report(sock, programs, program, scratch, status):
-    # The program's pid, then, once it has ended and its scratch directory
-    # is gone, its wait status. Should the harness close its socket first,
-    # the server shuts down at once.
+    # The program's pid, then, once it has ended, its wait status, and an
+    # empty line once its scratch directory is gone. Should the harness close
+    # its socket first, the server shuts down at once.
     os.write(status, b"%d\n" % program)
     ended = os.pidfd_open(program)
     poller = select.poll()
@@ -312,12 +314,9 @@ def _report(sock, programs, program, scratch, status):
     os.close(ended)
     wait_status = os.waitpid(program, 0)[1]
     programs.remove(program)
-    try:
-        os.unlink(scratch + "/program.py")
-        os.rmdir(scratch)
-    except OSError:  # the program left more behind, or took program.py away
-        _remove_tree(scratch)
     os.write(status, b"%d\n" % wait_status)
+    shutil.rmtree(scratch, ignore_errors=True)
+    os.write(status, b"\n")
     os.close(status)
 
 
@@ -329,7 +328,7 @@ def _shut_down(programs, base):
             os.kill(program, signal.SIGKILL)
     for program in programs:
         os.waitpid(program, 0)
-    _remove_tree(base)
+    shutil.rmtree(base, ignore_errors=True)
 
 
 def _serve(sock_fd, base):
@@ -432,7 +431,9 @@ _SERVER = _SERVE + _BOOTSTRAP
 
 class _Server:
     def __init__(self) -> None:
+        global _starting
         self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        _starting = self  # so a child forked before _server is set closes self.sock too
         # Each program process makes its scratch directory in this one.
         self.base = tempfile.mkdtemp(prefix="codeact-")
         try:
@@ -463,26 +464,32 @@ class _Server:
 
 
 _server: _Server | None = None
+_starting: _Server | None = None  # a server being started, until _server holds it
 _server_lock = threading.Lock()
 
 
 def _running_server() -> _Server:
     """This process's server, started if it is not running."""
-    global _server
+    global _server, _starting
     with _server_lock:
         if _server is None or _server.proc.poll() is not None:
             if _server is not None:
                 _server.stop()
-            _server = _Server()
+            try:
+                _server = _Server()
+            finally:
+                _starting = None
         return _server
 
 
 def _forget_server() -> None:
-    """In a forked child: drop the parent's server, so the child starts its own."""
-    global _server, _server_lock
-    if _server is not None:
-        _server.sock.close()
-    _server, _server_lock = None, threading.Lock()
+    """In a forked child: drop the parent's server, or the one it was
+    starting, so the child starts its own and holds no copy of its socket."""
+    global _server, _starting, _server_lock
+    for server in (_server, _starting):
+        if server is not None:
+            server.sock.close()
+    _server, _starting, _server_lock = None, None, threading.Lock()
 
 
 @atexit.register
@@ -522,7 +529,7 @@ def _run(
     # program never blocks on a full pipe.
     kept = {out: bytearray(), err: bytearray()}
     truncated = {out: False, err: False}
-    status = bytearray()  # b"<pid>\n<wait status>\n", once the server has both
+    status = bytearray()  # b"<pid>\n<wait status>\n\n", the last line once the scratch directory is gone
     try:
         with selectors.DefaultSelector() as selector:
             for fd in (out, err, status_fd):
@@ -534,7 +541,7 @@ def _run(
                         selector.unregister(key.fd)
                     elif key.fd == status_fd:
                         status += chunk
-                        if status.count(b"\n") == 2:  # all the server writes; no need to wait for it to close
+                        if status.count(b"\n") == 2:  # the program has ended and been reaped
                             selector.unregister(status_fd)
                     else:
                         buf = kept[key.fd]
@@ -545,6 +552,10 @@ def _run(
         timed_out = status.count(b"\n") < 2
         if timed_out:
             _kill_program(status_fd, status)
+        # Waiting for the scratch directory to go is not the program's time,
+        # so it is outside the deadline.
+        while status.count(b"\n") < 3 and (chunk := os.read(status_fd, 64)):
+            status += chunk
         for fd in (out, err, status_fd):
             os.close(fd)
     try:
@@ -556,7 +567,7 @@ def _run(
 
 
 def _kill_program(status_fd: int, status: bytearray) -> None:
-    """Kill the program's process group, and read the rest of its status."""
+    """Kill the program's process group, once the server has named it."""
     while b"\n" not in status and (chunk := os.read(status_fd, 64)):
         status += chunk
     if b"\n" in status:
@@ -565,8 +576,6 @@ def _kill_program(status_fd: int, status: bytearray) -> None:
             os.killpg(pid, signal.SIGKILL)
         except ProcessLookupError:  # not yet the leader of its own group
             os.kill(pid, signal.SIGKILL)
-    while chunk := os.read(status_fd, 64):
-        status += chunk
 
 
 def _probe_namespace_support() -> bool:

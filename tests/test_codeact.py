@@ -126,6 +126,31 @@ class TestSandbox:
         assert "WROTE_OUTSIDE" not in result.stdout
         assert "DENIED_OUTSIDE" in result.stdout
 
+    def test_mode_and_owner_changes_outside_scratch_blocked(self):
+        # A program that took the write bit off the base directory, or a
+        # sibling's scratch directory, would make later runs fail.
+        program = (
+            "import os\n"
+            "os.chmod('program.py', 0o600)\n"
+            "changes = (\n"
+            "    lambda: os.chmod('..', 0o500),\n"
+            "    lambda: os.chmod(os.open('..', os.O_RDONLY), 0o500),\n"
+            "    lambda: os.chown('..', -1, -1),\n"
+            ")\n"
+            "for change in changes:\n"
+            "    try:\n"
+            "        change()\n"
+            "        print('CHANGED')\n"
+            "    except PermissionError:\n"
+            "        print('DENIED')\n"
+        )
+        result = execute_sandboxed(program, FAST)
+        assert (result.status, result.stdout) == (ExecStatus.OK, "DENIED\nDENIED\nDENIED\n"), result.stderr
+        # The process forked for the next run made its directory while the
+        # program ran; the one after makes its own afterwards.
+        for _ in range(2):
+            assert execute_sandboxed("print([1, 2])", FAST).stdout == "[1, 2]\n"
+
     def test_process_creation_blocked(self):
         program = (
             "import subprocess\n"
@@ -172,6 +197,23 @@ class TestSandbox:
         import os
 
         assert not os.path.exists(scratch)
+
+    def test_removing_what_a_program_left_is_not_charged_to_its_timeout(self):
+        # The program leaves many files and ends shortly before its deadline.
+        # The server reports its wait status before it removes them, and the
+        # harness waits for that removal outside the deadline.
+        limits = DebugLoopConfig(max_attempts=1, per_run_timeout=4.0, output_cap=4096)
+        end = time.monotonic() + limits.per_run_timeout - 0.05
+        program = (
+            "import os, time\n"
+            "for i in range(20000):\n"
+            "    open(f'f{i}', 'w').close()\n"
+            f"time.sleep(max(0.0, {end!r} - time.monotonic()))\n"
+            "print(os.getcwd())\n"
+        )
+        result = execute_sandboxed(program, limits)
+        assert result.status is ExecStatus.OK, result.stderr
+        assert not os.path.exists(result.stdout.strip())
 
     def test_a_program_larger_than_the_socket_buffer_runs(self):
         a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
@@ -603,6 +645,67 @@ class TestForkServer:
         assert len(pids) >= 3  # server, the sleeping program, the idle program
         assert all(ends_soon(pid) for pid in pids)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_harness_that_forked_while_its_server_started_leaves_no_process_running(self, tmp_path):
+        # The child forked while the server starts outlives the killed
+        # harness; it must not hold the harness's end of the server's socket.
+        forked = tmp_path / "forked"
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        pids = killed_harness_pids(
+            "from avalonplay import codeact\n"
+            "popen = codeact.subprocess.Popen\n"
+            "def forking_popen(*args, **kwargs):\n"
+            "    proc = popen(*args, **kwargs)\n"
+            "    child = os.fork()\n"
+            "    if child == 0:\n"
+            "        time.sleep(60)\n"
+            "        os._exit(0)\n"
+            f"    open({str(forked)!r}, 'w').write(str(child))\n"
+            "    return proc\n"
+            "codeact.subprocess.Popen = forking_popen\n"
+            "codeact._probe_namespace_support()  # starts the server\n"
+            "codeact.subprocess.Popen = popen\n"
+            f"server = int(execute_sandboxed({PRINT_SERVER_PID!r}, limits).stdout)\n",
+            tmpdir,
+        )
+        try:
+            assert len(pids) >= 3  # server, the sleeping program, the idle program
+            assert all(ends_soon(pid) for pid in pids)
+            assert list(tmpdir.iterdir()) == []
+        finally:
+            os.kill(int(forked.read_text()), signal.SIGKILL)
+
+    def test_a_child_forked_during_a_run_holds_it_no_longer_than_its_timeout(self):
+        # The first run starts the server, and a child forked then holds
+        # copies of the run's pipes. The run still ends by its deadline: it
+        # waits for the status pipe's last line, not for the pipe to close.
+        harness = (
+            "import json, os, time\n"
+            "from avalonplay import codeact\n"
+            "limits = codeact.DebugLoopConfig(max_attempts=1, per_run_timeout=1.0, output_cap=4096)\n"
+            "popen = codeact.subprocess.Popen\n"
+            "forked = []\n"
+            "def forking_popen(*args, **kwargs):\n"
+            "    proc = popen(*args, **kwargs)\n"
+            "    forked.append(os.fork())\n"
+            "    if forked[0] == 0:\n"
+            "        for fd in (1, 2):  # so the harness's output ends with it\n"
+            "            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)\n"
+            "        time.sleep(30)\n"
+            "        os._exit(0)\n"
+            "    return proc\n"
+            "codeact.subprocess.Popen = forking_popen\n"
+            "t0 = time.monotonic()\n"
+            "result = codeact.execute_sandboxed('print(1)', limits)\n"
+            "print(json.dumps([forked[0], time.monotonic() - t0, result.status.value, result.stdout]))\n"
+        )
+        child, elapsed, status, stdout = json.loads(run_harness(harness))
+        try:
+            assert elapsed < 1.0 + 1.0
+            assert (status, stdout) == (ExecStatus.OK.value, "1\n")
+        finally:
+            os.kill(child, signal.SIGKILL)
 
     def test_an_idle_server_forks_one_process_per_run(self):
         # Between runs the server's only child is the program process it has
