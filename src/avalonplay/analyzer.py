@@ -73,6 +73,14 @@ def _claim_rules() -> dict[str, re.Pattern[str]]:
     return rules
 
 
+@lru_cache(maxsize=1)
+def _any_claim() -> re.Pattern[str]:
+    """One alternation of the claim patterns, with their flag: it finds a
+    match in a text iff one of them does, so a text it does not match
+    holds no claim to check."""
+    return re.compile("|".join(f"(?:{rule.pattern})" for rule in _claim_rules().values()), re.IGNORECASE)
+
+
 def _seats(value: Any, what: str) -> list[int]:
     """`value`, if it is a list of integers."""
     for seat in _checked(value, (list,), what):
@@ -97,6 +105,10 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
             )
         )
 
+    # A ballot's finding depends only on its reasoning and on whether its
+    # `approve` is true, false or no bool at all (which no rule matches), so
+    # each distinct pair in a record is judged once.
+    mismatched: dict[tuple[bool | None, str], bool] = {}
     for event in record.events:
         payload = event.payload
         try:
@@ -131,14 +143,18 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
             elif event.kind is EventKind.BALLOT_RESULT and event.visibility.startswith("private:"):
                 reasoning = _checked(payload.get("reasoning"), (str, NoneType), "reasoning") or ""
                 approve = payload["approve"]
-                for rule_vote, pattern in _vote_mismatch_rules():
-                    if approve is rule_vote and pattern.search(reasoning):
-                        add(
-                            event,
-                            "VoteReasoningMismatch",
-                            f"voted {'approve' if approve else 'reject'} while reasoning {reasoning!r}",
-                        )
-                        break
+                key = (approve if type(approve) is bool else None, reasoning)
+                if key not in mismatched:
+                    mismatched[key] = any(
+                        approve is rule_vote and pattern.search(reasoning)
+                        for rule_vote, pattern in _vote_mismatch_rules()
+                    )
+                if mismatched[key]:
+                    add(
+                        event,
+                        "VoteReasoningMismatch",
+                        f"voted {'approve' if approve else 'reject'} while reasoning {reasoning!r}",
+                    )
             elif event.kind is EventKind.AGENT_ERROR and payload.get("reason") == "parse_fallback":
                 add(event, "ParseFallbackUsed", _checked(payload.get("detail", "parse fallback"), (str,), "detail"))
         except TypeError as exc:  # from `_checked`: every trace field above is checked before it is used
@@ -148,7 +164,10 @@ def check_structural(record: GameRecord) -> list[ConsistencyFinding]:
 
 def check_claims(record: GameRecord) -> list[ConsistencyFinding]:
     rules = _claim_rules()
+    any_claim = _any_claim().search
     quests: list[tuple[int, int, frozenset[int], bool]] = []  # (seq, round, team, success)
+    by_round: dict[int, tuple[int, int, frozenset[int], bool]] = {}  # the last quest of each round
+    quested: set[int] = set()  # every seat on some quest
     findings: list[ConsistencyFinding] = []
 
     def add(event: EventLogEntry, detail: str, contradicts: int | None) -> None:
@@ -166,13 +185,14 @@ def check_claims(record: GameRecord) -> list[ConsistencyFinding]:
     for event in record.events:
         if event.kind is EventKind.QUEST_RESULT:
             payload = event.payload
-            quests.append((event.seq, payload["round"], frozenset(payload["team"]), payload["success"]))
+            quest = (event.seq, payload["round"], frozenset(payload["team"]), payload["success"])
+            quests.append(quest)
+            by_round[quest[1]] = quest
+            quested.update(quest[2])
             continue
-        if event.kind is not EventKind.DISCUSSION:
+        if event.kind is not EventKind.DISCUSSION or not any_claim(event.text):
             continue
         text = event.text
-        by_round = {q[1]: q for q in quests}
-        quested = {p for q in quests for p in q[2]}
         for match in rules["on_round"].finditer(text):
             player, rnd = int(match.group(1)), int(match.group(2))
             quest = by_round.get(rnd)

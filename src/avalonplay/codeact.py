@@ -585,8 +585,15 @@ def _probe_namespace_support() -> bool:
 
 
 def execute_sandboxed(program: str, limits: DebugLoopConfig) -> ExecutionResult:
-    """Run one program in a fresh scratch sandbox and capture its output."""
-    source = program.encode("utf-8")
+    """Run one program in a fresh scratch sandbox and capture its output.
+
+    A text that is not UTF-8 (a lone surrogate) cannot be a program file, so
+    it is an `error` result with no exit code, and nothing runs."""
+    try:
+        source = program.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return ExecutionResult(status=ExecStatus.ERROR, stdout="", stderr=f"the program text is not UTF-8: {exc}",
+                               exit_code=None)
     cpu = max(1, int(limits.per_run_timeout) + 2)
     exit_code, timed_out, (stdout, stderr), (stdout_cut, stderr_cut) = _run(
         b"%d" % cpu, source, limits.per_run_timeout, limits.output_cap

@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
-from itertools import zip_longest
+from itertools import product, zip_longest
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Any, Callable, NoReturn, TextIO
@@ -59,7 +59,8 @@ def _reject_constant(name: str) -> NoReturn:
 # call and its argument checks to each. Neither takes NaN or the infinities,
 # which JSON has no numbers for.
 _encode_line = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-_decode_line = json.JSONDecoder(parse_constant=_reject_constant).decode
+_decoder = json.JSONDecoder(parse_constant=_reject_constant)
+_decode_line = _decoder.decode
 
 
 class RecordFormatError(ValueError):
@@ -143,13 +144,23 @@ def _config_hash(config: dict[str, Any]) -> str:
 
 def _parse_lines(raw: str, source: str) -> list[tuple[int, dict[str, Any]]]:
     rows: list[tuple[int, dict[str, Any]]] = []
+    raw_decode = _decoder.raw_decode
     for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
+        # A written line is one JSON value from its first character to its
+        # last, which `raw_decode` parses without `decode`'s two whitespace
+        # scans. Any other line goes through `decode`: it parses one with
+        # whitespace around its value, and raises its own error for the rest.
         try:
-            obj = _decode_line(line)
-        except ValueError as exc:  # JSONDecodeError, or an over-long integer
-            raise RecordFormatError(f"{source}: line {lineno} is not valid JSON: {exc}") from exc
+            obj, end = raw_decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):
+            try:
+                obj = _decode_line(line)
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer
+                raise RecordFormatError(f"{source}: line {lineno} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise RecordFormatError(f"{source}: line {lineno} is not a JSON object")
         rows.append((lineno, obj))
@@ -169,6 +180,14 @@ _EVENT_FIELD_TYPES = {
     "payload": (dict,),
     "visibility": (str,),
 }
+# An event line as `write_record` writes it: every key, in the order of
+# `_EVENT_FIELD_TYPES` and of `EventLogEntry`'s fields, with values of one
+# of the type rows the key types allow (two: the actor is a seat or null)
+# and a known kind. `load_record` builds such a line's event positionally,
+# without checking key by key.
+_EVENT_KEYS = tuple(_EVENT_FIELD_TYPES)
+_EVENT_VALUE_TYPES = frozenset(product(*_EVENT_FIELD_TYPES.values()))
+_EVENT_KINDS = {kind._value_: kind for kind in EventKind}
 
 
 # The JSON type of each `GameConfig` toggle is the type of its default (a
@@ -278,7 +297,16 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     events: list[EventLogEntry] = []
     outcome_row: dict[str, Any] | None = None
     for lineno, row in rows[1:]:
-        if "type" not in row:
+        values = tuple(row.values())
+        if (
+            outcome_row is None
+            and tuple(row) == _EVENT_KEYS
+            and tuple(map(type, values)) in _EVENT_VALUE_TYPES
+            and (kind := _EVENT_KINDS.get(values[5])) is not None
+        ):
+            seq, round_, attempt, phase, actor, _, text, payload, visibility = values
+            event = EventLogEntry(seq, round_, attempt, phase, actor, kind, text, payload, visibility)
+        elif "type" not in row:
             if outcome_row is not None:
                 raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
             try:
@@ -291,15 +319,16 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
                 event = EventLogEntry.from_dict(row)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc
-            if events and event.seq <= events[-1].seq:
-                raise RecordFormatError(f"{name}: line {lineno}: event seq {event.seq} out of order")
-            events.append(event)
         elif row["type"] == "outcome":
             if outcome_row is not None:
                 raise RecordFormatError(f"{name}: line {lineno}: duplicate outcome line")
             outcome_row, outcome_lineno = row, lineno
+            continue
         else:
             raise RecordFormatError(f"{name}: line {lineno}: unknown type {row['type']!r}")
+        if events and event.seq <= events[-1].seq:
+            raise RecordFormatError(f"{name}: line {lineno}: event seq {event.seq} out of order")
+        events.append(event)
     if outcome_row is None:
         raise RecordFormatError(f"{name}: missing outcome line")
 
@@ -381,16 +410,18 @@ def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | No
     stops where the recorded game stopped, aborted or not.
     """
     events = record.events
+    phases = [_action_phase(event) for event in events]
+    end = len(events)
     at = 0
 
     def decide(engine: GameEngine) -> tuple | None:
         nonlocal at
-        while at < len(events) and (phase := _action_phase(events[at])) is None:
+        while at < end and (phase := phases[at]) is None:
             event = events[at]
             if event.visibility == AUDIT:
                 engine.emit(event.kind, event.text, event.actor, event.payload, AUDIT)
             at += 1
-        if at == len(events) or phase is not engine.state.phase:
+        if at == end or phase is not engine.state.phase:
             return None
         event = events[at]
         try:
@@ -399,7 +430,7 @@ def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | No
                 return _action_args(event)
             ballots: dict[int, bool] = {}
             payloads: dict[int, dict[str, Any]] = {}
-            while at < len(events) and _action_phase(events[at]) is Phase.TEAM_VOTE:
+            while at < end and phases[at] is Phase.TEAM_VOTE:
                 event = events[at]
                 voter = _checked(event.actor, (int,), "the voter")
                 ballots[voter] = _checked(event.payload["approve"], (bool,), "approve")
@@ -438,6 +469,21 @@ def _same_json(a: Any, b: Any) -> bool:
     return a == b
 
 
+def _same_event(want: EventLogEntry, got: EventLogEntry) -> bool:
+    """`want == got`, with the payloads compared by `_same_json` alone."""
+    return (
+        want.seq == got.seq
+        and want.round == got.round
+        and want.attempt == got.attempt
+        and want.phase == got.phase
+        and want.actor == got.actor
+        and want.kind == got.kind
+        and want.text == got.text
+        and want.visibility == got.visibility
+        and _same_json(want.payload, got.payload)
+    )
+
+
 def replay(record: GameRecord) -> GameEngine:
     """Re-drive the rules engine from recorded actions and verify the log.
 
@@ -457,10 +503,9 @@ def replay(record: GameRecord) -> GameEngine:
         # be an honest transcript of a real game.
         raise ReplayMismatch(f"{record.game_id}: recorded action rejected on replay: {exc}") from exc
 
-    # Past the end of the shorter log, one side is None. `==` takes true, 1
-    # and 1.0 for one value, so the payloads are compared again by type.
+    # Past the end of the shorter log, one side is None.
     for want, got in zip_longest(record.events, engine.events):
-        if not (want == got and _same_json(want.payload, got.payload)):
+        if want is None or got is None or not _same_event(want, got):
             raise ReplayMismatch(
                 f"{record.game_id}: seq {(want or got).seq} differs:\n"
                 f"  recorded: {want and want.to_dict()}\n"

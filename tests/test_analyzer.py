@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
 import io
 import json
+import re
 from fractions import Fraction
+from itertools import cycle
 from pathlib import Path
 
 import pytest
 
+from avalonplay import analyzer
 from avalonplay.agents import AgentSpec
 from avalonplay.analyzer import (
     FINDING_KINDS,
@@ -21,7 +26,7 @@ from avalonplay.cli import main
 from avalonplay.llm import MockLLM
 from avalonplay.records import GameRecord, RecordFormatError, load_record, replay, write_record
 from avalonplay.runner import compute_metrics, run_game, seed_for_game
-from helpers import canonical_roles
+from helpers import V1_RECORDS_DIR, budgeted_mock, canonical_roles, run_codeact_e2e
 
 
 def make_record(events):
@@ -176,6 +181,20 @@ class TestStructural:
             ]
         )
         assert [f.kind for f in check_structural(record)] == ["VoteReasoningMismatch"]
+
+    def test_each_ballot_of_a_repeated_reasoning_is_judged_by_its_own_vote(self):
+        # `approve` must be true itself: 1 equals True but is no bool, so no rule matches it.
+        ballots = [(True, "I oppose this."), (1, "I oppose this."), (True, "I oppose this."), (False, "I oppose this.")]
+        record = make_record(
+            [
+                event(i + 1, EventKind.BALLOT_RESULT, "ballot", actor=i + 1, visibility=private_to(i + 1),
+                      payload={"approve": approve, "reasoning": reasoning}, phase="team_vote")
+                for i, (approve, reasoning) in enumerate(ballots)
+            ]
+        )
+        findings = check_structural(record)
+        assert [(f.seq, f.kind) for f in findings] == [(1, "VoteReasoningMismatch"), (3, "VoteReasoningMismatch")]
+        assert findings[0].detail == findings[1].detail == "voted approve while reasoning 'I oppose this.'"
 
     def test_consistent_ballots_not_flagged(self):
         record = make_record(
@@ -442,3 +461,89 @@ class TestMalformedTraces:
         assert captured.out == ""
         assert captured.err.startswith("bad record: ") and captured.err.count("\n") == 1
         assert where in captured.err
+
+
+# Claims that some of the five patterns match only as `re.IGNORECASE` folds
+# case: the long s 'ſ' matches 's', and the Kelvin sign 'K' matches 'k'.
+UNICODE_CLAIMS = (
+    "Player 3 waſ on the round-1 queſt.",
+    "PLAYER 2 WAS NOT ON THE ROUND-1 QUEST, oK?",
+    "The round-1 queſt ſucceeded.",
+    "The round-2 quest FAILED.",
+    "Player 6, who haſ not been on a quest, ſhould go.",
+    "Player 1 haſ been on a quest.",
+    "Keep player 4 out: player 4 was on the round-2 quest.",
+    "Player 5 hasn't been on a quest.",
+)
+
+
+def _with_claims(record):
+    """`record` with every third utterance replaced by the next of `UNICODE_CLAIMS`."""
+    events = list(record.events)
+    spots = [i for i, e in enumerate(events) if e.kind is EventKind.DISCUSSION][::3]
+    for i, text in zip(spots, cycle(UNICODE_CLAIMS)):
+        events[i] = dataclasses.replace(events[i], text=text)
+    return dataclasses.replace(record, events=events)
+
+
+def _audit_corpus() -> list[str]:
+    """Record texts: deduction games, three of them speaking `UNICODE_CLAIMS`;
+    mock cot/react games, one aborted; two codeact games; the schema 1 files."""
+    deduction = [
+        run_game(GameConfig(), AgentSpec("deduction"), AgentSpec("scripted_evil"), seed_for_game(43, i))
+        for i in range(6)
+    ]
+    cot, react = AgentSpec("llm", strategy="cot", model="mock"), AgentSpec("llm", strategy="react", model="mock")
+    codeact = AgentSpec("llm", strategy="codeact", model="mock")
+    games = [
+        *deduction[:3],
+        *map(_with_claims, deduction[3:]),
+        *(run_game(GameConfig(), cot, react, seed_for_game(31, i), client=budgeted_mock(b))
+          for i, b in ((0, {}), (2, {"discussion": 9}), (29, {}))),
+        run_game(GameConfig(), codeact, AgentSpec("scripted_evil"), seed_for_game(3, 0),
+                 client=MockLLM.from_file(MOCK_FIXTURE)),
+        run_codeact_e2e()[0],
+    ]
+    texts = []
+    for game in games:
+        out = io.StringIO()
+        write_record(game, out)
+        texts.append(out.getvalue())
+    return texts + [path.read_text(encoding="utf-8") for path in sorted(V1_RECORDS_DIR.glob("*.jsonl"))]
+
+
+class TestAuditPin:
+    """What `replay`, `metrics` and `analyze` read from a corpus: each record
+    loaded and replayed, its findings, and the metrics and summary over all."""
+
+    @pytest.fixture(scope="class")
+    def audited(self):
+        records = []
+        for text in _audit_corpus():
+            record = load_record(io.StringIO(text))
+            replay(record)
+            records.append(record)
+        return records
+
+    def test_audit_output_is_pinned(self, audited):
+        findings = [analyze_record(record) for record in audited]
+        out = [
+            [[f.to_dict() for f in found] for found in findings],
+            compute_metrics(audited).to_json(),
+            summarize([f for found in findings for f in found], audited).to_json(),
+        ]
+        assert sum(record.aborted for record in audited) == 2
+        assert hashlib.sha256(json.dumps(out).encode("utf-8")).hexdigest() == PINNED_AUDIT_DIGEST
+
+    def test_claim_prefilter_keeps_every_finding(self, audited, monkeypatch):
+        filtered = [check_claims(record) for record in audited]
+        # The five patterns run on every utterance when the prefilter passes all.
+        monkeypatch.setattr(analyzer, "_any_claim", lambda: re.compile(""))
+        assert [check_claims(record) for record in audited] == filtered
+        spoken = [{e.seq: e.text for e in record.events} for record in audited]
+        folded = [f for texts, found in zip(spoken, filtered) for f in found if "ſ" in texts[f.seq]]
+        assert len(folded) >= 3
+
+
+# The same at every change that keeps the analyzer's output.
+PINNED_AUDIT_DIGEST = "1e1eb5e411a710518b35c57adacde0c84f27d4d981737bbb26abfef89c29ed02"

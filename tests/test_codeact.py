@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -26,11 +27,11 @@ from avalonplay.codeact import (
 )
 from avalonplay.game import GameConfig
 from avalonplay.knowledge import PrivateFact, FactKind
-from avalonplay.llm import MockLLM, MockRule
+from avalonplay.llm import LLMClient, MockLLM, MockRule
 from avalonplay.memory import PublicFact
 from avalonplay.parsing import ParseError, WrongSize
 from avalonplay.records import load_record
-from avalonplay.runner import TournamentConfig, run_tournament
+from avalonplay.runner import GameFailed, TournamentConfig, run_tournament, seed_for_game
 
 FAST = DebugLoopConfig(max_attempts=3, per_run_timeout=10.0, output_cap=4096)
 
@@ -479,6 +480,60 @@ class TestSelfDebugLoop:
         assert d["result"]["status"] == "ok"
         assert d["issue"] is None
         assert d["parsed_ids"] == []
+
+
+class SurrogateProgramLLM(LLMClient):
+    """Answers every request of a codeact game with scripted evil seats.
+    Each team selection's first program holds a lone surrogate, which is no
+    UTF-8 text; its revision prints the lowest seats."""
+
+    def __init__(self, revisions: list[str]) -> None:
+        self.revisions = revisions  # each revision request's last message, shared by the game's copies
+
+    def complete(self, messages, temperature, tag):
+        if tag == "code_generation":
+            if len(messages) == 1:
+                return '```python\nprint("\ud800")\n```'
+            self.revisions.append(messages[-1].content)
+            n = int(re.search(r"selects (\d) players", messages[0].content).group(1))
+            return f"```python\nprint({list(range(1, n + 1))})\n```"
+        if tag == "discussion":
+            return "Nothing to add."
+        return '{"reasoning": "Fine.", "vote": "approve"}'
+
+    def __deepcopy__(self, memo):
+        return SurrogateProgramLLM(self.revisions)
+
+
+class TestProgramTextNotUtf8:
+    def test_is_an_error_result_and_nothing_runs(self):
+        result = execute_sandboxed('print("\ud800")\nprint([1, 2])', FAST)
+        assert result.status is ExecStatus.ERROR
+        assert result.stdout == "" and result.exit_code is None
+        assert result.stderr.startswith("the program text is not UTF-8: ")
+        result.stderr.encode("utf-8")
+
+    def test_the_next_attempt_runs(self):
+        revisions: list[str] = []
+        config = TournamentConfig(
+            n_games=1, base_seed=3, just_spec=AgentSpec("llm", strategy="codeact"),
+            evil_spec=AgentSpec("scripted_evil"),
+        )
+        assert run_tournament(config, client=SurrogateProgramLLM(revisions)).report.n_aborted == 0
+        assert revisions
+        for revision in revisions:
+            assert "Problem:\nexecution error\n" in revision
+            assert "Standard error:\nthe program text is not UTF-8: " in revision
+
+    def test_a_record_of_it_cannot_be_encoded_and_names_the_game(self, tmp_path):
+        config = TournamentConfig(
+            n_games=1, base_seed=3, just_spec=AgentSpec("llm", strategy="codeact"),
+            evil_spec=AgentSpec("scripted_evil"), record_dir=str(tmp_path),
+        )
+        with pytest.raises(GameFailed) as info:
+            run_tournament(config, client=SurrogateProgramLLM([]))
+        assert str(info.value).startswith(f"game index 0 (game seed {seed_for_game(3, 0)}): UnicodeEncodeError: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 # A program that prints the pid of its fork server, which is its parent.

@@ -863,3 +863,133 @@ class TestAuditEventPin:
 
 # Computed before agents returned their audit notes in their replies.
 PINNED_AUDIT_BYTES_DIGEST = "28b3df3f11d0ff8f5ef59102b74bcbc3cbfb6218b270884a0b143d6b24f19602"
+
+
+# ----- loader fast path -------------------------------------------------------
+
+# The line each loader case edits: a private ballot (seq 11), whose actor and
+# payload are both set.
+EDITED_LINE = 12
+RETYPED_VALUES = (("int", 7), ("float", 1.5), ("bool", True), ("string", "x"), ("null", None))
+
+
+def _loader_cases(rows: list[str]) -> dict[str, str]:
+    """Record texts by case id: `rows` with line `EDITED_LINE` edited."""
+    line = rows[EDITED_LINE - 1]
+    event = json.loads(line)
+    assert list(event) == ["seq", "round", "attempt", "phase", "actor", "kind", "text", "payload", "visibility"]
+    assert event["visibility"].startswith("private:") and event["payload"] and event["actor"] is not None
+    edits = {f"{key}={label}": json.dumps({**event, key: value}) for key in event for label, value in RETYPED_VALUES}
+    swap = {"phase": "text", "text": "phase"}
+    edits |= {
+        "reversed-keys": json.dumps(dict(reversed(event.items()))),
+        # Two keys whose values have one type, in each other's places.
+        "swapped-keys": json.dumps({swap.get(k, k): event[swap.get(k, k)] for k in event}),
+        "renamed-key": json.dumps({("colour" if k == "visibility" else k): v for k, v in event.items()}),
+        "no-payload": json.dumps({k: v for k, v in event.items() if k != "payload"}),
+        "no-visibility": json.dumps({k: v for k, v in event.items() if k != "visibility"}),
+        "extra-key": json.dumps({**event, "colour": "red"}),
+        "unknown-kind": json.dumps({**event, "kind": "mystery"}),
+        "nan": json.dumps({**event, "payload": {**event["payload"], "approve": float("nan")}}),
+        "text-after": line + " x",
+        "object-after": line + " {}",
+        "leading-space": " " + line,
+        "trailing-space": line + " ",
+    }
+    return {
+        case: "\n".join([*rows[: EDITED_LINE - 1], edited, *rows[EDITED_LINE:]]) + "\n"
+        for case, edited in edits.items()
+    }
+
+
+# What each case loads to, as the loader that checked every line key by key
+# gave it: an error's text, or the fields of the edited event that differ
+# from the written game's ({} for the same record).
+LOADER_OUTCOMES = {
+    "seq=int": "<stream>: line 12: event seq 7 out of order",
+    "seq=float": "<stream>: line 12: bad event: TypeError('seq should be int, got 1.5')",
+    "seq=bool": "<stream>: line 12: bad event: TypeError('seq should be int, got True')",
+    "seq=string": "<stream>: line 12: bad event: TypeError(\"seq should be int, got 'x'\")",
+    "seq=null": "<stream>: line 12: bad event: TypeError('seq should be int, got None')",
+    "round=int": {"round": 7},
+    "round=float": "<stream>: line 12: bad event: TypeError('round should be int, got 1.5')",
+    "round=bool": "<stream>: line 12: bad event: TypeError('round should be int, got True')",
+    "round=string": "<stream>: line 12: bad event: TypeError(\"round should be int, got 'x'\")",
+    "round=null": "<stream>: line 12: bad event: TypeError('round should be int, got None')",
+    "attempt=int": {"attempt": 7},
+    "attempt=float": "<stream>: line 12: bad event: TypeError('attempt should be int, got 1.5')",
+    "attempt=bool": "<stream>: line 12: bad event: TypeError('attempt should be int, got True')",
+    "attempt=string": "<stream>: line 12: bad event: TypeError(\"attempt should be int, got 'x'\")",
+    "attempt=null": "<stream>: line 12: bad event: TypeError('attempt should be int, got None')",
+    "phase=int": "<stream>: line 12: bad event: TypeError('phase should be str, got 7')",
+    "phase=float": "<stream>: line 12: bad event: TypeError('phase should be str, got 1.5')",
+    "phase=bool": "<stream>: line 12: bad event: TypeError('phase should be str, got True')",
+    "phase=string": {"phase": "x"},
+    "phase=null": "<stream>: line 12: bad event: TypeError('phase should be str, got None')",
+    "actor=int": {"actor": 7},
+    "actor=float": "<stream>: line 12: bad event: TypeError('actor should be int or NoneType, got 1.5')",
+    "actor=bool": "<stream>: line 12: bad event: TypeError('actor should be int or NoneType, got True')",
+    "actor=string": "<stream>: line 12: bad event: TypeError(\"actor should be int or NoneType, got 'x'\")",
+    "actor=null": {"actor": None},
+    "kind=int": "<stream>: line 12: bad event: TypeError('kind should be str, got 7')",
+    "kind=float": "<stream>: line 12: bad event: TypeError('kind should be str, got 1.5')",
+    "kind=bool": "<stream>: line 12: bad event: TypeError('kind should be str, got True')",
+    "kind=string": "<stream>: line 12: bad event: ValueError(\"'x' is not a valid EventKind\")",
+    "kind=null": "<stream>: line 12: bad event: TypeError('kind should be str, got None')",
+    "text=int": "<stream>: line 12: bad event: TypeError('text should be str, got 7')",
+    "text=float": "<stream>: line 12: bad event: TypeError('text should be str, got 1.5')",
+    "text=bool": "<stream>: line 12: bad event: TypeError('text should be str, got True')",
+    "text=string": {"text": "x"},
+    "text=null": "<stream>: line 12: bad event: TypeError('text should be str, got None')",
+    "payload=int": "<stream>: line 12: bad event: TypeError('payload should be dict, got 7')",
+    "payload=float": "<stream>: line 12: bad event: TypeError('payload should be dict, got 1.5')",
+    "payload=bool": "<stream>: line 12: bad event: TypeError('payload should be dict, got True')",
+    "payload=string": "<stream>: line 12: bad event: TypeError(\"payload should be dict, got 'x'\")",
+    "payload=null": "<stream>: line 12: bad event: TypeError('payload should be dict, got None')",
+    "visibility=int": "<stream>: line 12: bad event: TypeError('visibility should be str, got 7')",
+    "visibility=float": "<stream>: line 12: bad event: TypeError('visibility should be str, got 1.5')",
+    "visibility=bool": "<stream>: line 12: bad event: TypeError('visibility should be str, got True')",
+    "visibility=string": {"visibility": "x"},
+    "visibility=null": "<stream>: line 12: bad event: TypeError('visibility should be str, got None')",
+    "reversed-keys": {},
+    "swapped-keys": {},
+    "renamed-key": "<stream>: line 12: bad event: ValueError(\"unknown event key 'colour'\")",
+    "no-payload": {"payload": {}},
+    "no-visibility": {"visibility": "public"},
+    "extra-key": "<stream>: line 12: bad event: ValueError(\"unknown event key 'colour'\")",
+    "unknown-kind": "<stream>: line 12: bad event: ValueError(\"'mystery' is not a valid EventKind\")",
+    "nan": "<stream>: line 12 is not valid JSON: NaN is not a JSON value",
+    "text-after": "<stream>: line 12 is not valid JSON: Extra data: line 1 column 237 (char 236)",
+    "object-after": "<stream>: line 12 is not valid JSON: Extra data: line 1 column 237 (char 236)",
+    "leading-space": {},
+    "trailing-space": {},
+}
+
+
+class TestLoaderFastPath:
+    """A line as `write_record` writes it skips the key-by-key checks; every
+    other line, each field of another JSON type, another key order, a missing
+    default, an unknown key or kind and text around the object, loads or
+    fails exactly as the key-by-key loop has it."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, record):
+        return _loader_cases(_text(record).splitlines())
+
+    def test_every_case_has_its_outcome(self, cases):
+        assert sorted(cases) == sorted(LOADER_OUTCOMES)
+
+    @pytest.mark.parametrize("case", list(LOADER_OUTCOMES))
+    def test_case_loads_as_the_key_by_key_loop_does(self, record, cases, case):
+        expected = LOADER_OUTCOMES[case]
+        if isinstance(expected, str):
+            with pytest.raises(RecordFormatError) as exc:
+                load_record(io.StringIO(cases[case]))
+            assert str(exc.value) == expected
+            return
+        events = list(record.events)
+        events[EDITED_LINE - 2] = dataclasses.replace(events[EDITED_LINE - 2], **expected)
+        want = dataclasses.replace(record, events=events)
+        loaded = load_record(io.StringIO(cases[case]))
+        # The written text tells true from 1, which `==` does not.
+        assert loaded == want and _text(loaded) == _text(want)
