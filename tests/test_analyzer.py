@@ -463,8 +463,9 @@ class TestMalformedTraces:
         assert where in captured.err
 
 
-# Claims that some of the five patterns match only as `re.IGNORECASE` folds
-# case: the long s 'ſ' matches 's', and the Kelvin sign 'K' matches 'k'.
+# Claims spelt with case variants that `re.IGNORECASE` folds: the long s
+# 'ſ' matches 's', so some of these match a claim pattern only by folding;
+# the Kelvin sign 'K' matches 'k', which no claim pattern holds.
 UNICODE_CLAIMS = (
     "Player 3 waſ on the round-1 queſt.",
     "PLAYER 2 WAS NOT ON THE ROUND-1 QUEST, oK?",
@@ -545,5 +546,5 @@ class TestAuditPin:
         assert len(folded) >= 3
 
 
-# The same at every change that keeps the analyzer's output.
+# The audit output of `_audit_corpus`, as load, replay and the analyzer give it.
 PINNED_AUDIT_DIGEST = "1e1eb5e411a710518b35c57adacde0c84f27d4d981737bbb26abfef89c29ed02"
