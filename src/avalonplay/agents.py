@@ -145,8 +145,9 @@ class Agent:
         self.seat = seat
         self.view = view
         self.rng = rng
-        # (the last public-facts tuple seen, the mask of its history constraints)
-        self._history_memo: tuple[tuple[PublicFact, ...] | None, int] = (None, 0)
+        # (the last public-facts tuple seen, this seat's constraints with
+        # that history, the mask of their live worlds)
+        self._history_memo: tuple[tuple[PublicFact, ...] | None, ConstraintSet | None, int] = (None, None, 0)
 
     def act(self, obs: Observation) -> AgentReply:
         raise NotImplementedError
@@ -181,25 +182,23 @@ class Agent:
     def _private_constraints(self) -> list[Constraint]:
         return facts_from_private(self.view)
 
-    @cached_property
-    def _private_worlds(self) -> int:
-        return live_worlds(ConstraintSet(tuple(self._private_constraints)))
+    def _observed(self, obs: Observation) -> tuple[tuple[PublicFact, ...] | None, ConstraintSet, int]:
+        """`_history_memo`, rebuilt when `obs` holds another facts tuple
+        than the last one seen (the runner hands out one per quest result)."""
+        memo = self._history_memo
+        if memo[0] is not obs.public_facts:
+            cs = ConstraintSet(tuple(self._private_constraints + facts_from_history(obs.public_facts)))
+            memo = self._history_memo = (obs.public_facts, cs, live_worlds(cs))
+        return memo
 
     # The deduction policy's constraints: this seat's private facts, then
     # the observed quest history.
     def _constraints(self, obs: Observation) -> ConstraintSet:
-        history = facts_from_history(obs.public_facts)
-        return ConstraintSet(tuple(self._private_constraints + history))
+        return self._observed(obs)[1]
 
     def _live_worlds(self, obs: Observation) -> int:
-        """`live_worlds(self._constraints(obs))`: the private mask AND the
-        mask of the quest history, which is kept for the last facts tuple
-        seen (the runner hands out one tuple per quest result)."""
-        facts, history = self._history_memo
-        if facts is not obs.public_facts:
-            history = live_worlds(ConstraintSet(tuple(facts_from_history(obs.public_facts))))
-            self._history_memo = (obs.public_facts, history)
-        return self._private_worlds & history
+        """`live_worlds(self._constraints(obs))`."""
+        return self._observed(obs)[2]
 
     def _deduction_team(self, obs: Observation) -> tuple[frozenset[int], bool]:
         """The deduction policy's team: (`select_team` over the beliefs, True),
@@ -225,15 +224,21 @@ class RandomAgent(Agent):
 class ScriptedEvilAgent(Agent):
     """Deterministic evil heuristic; assumes an evil-side view."""
 
+    @cached_property
     def _evil_seats(self) -> list[int]:
         for fact in self.view.private_facts:
             if fact.players:
                 return sorted(fact.players)
         return [self.seat]
 
+    @cached_property
+    def _suspects(self) -> list[int]:
+        """The seats it names in discussion: those it does not know are evil."""
+        return [p for p in ALL_SEATS if p not in self._evil_seats]
+
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase
-        evil = self._evil_seats()
+        evil = self._evil_seats
         if phase is Phase.TEAM_SELECTION:
             # Stack the team with as many evil seats as fit: itself first,
             # then evil teammates, then just seats, all ascending.
@@ -242,12 +247,12 @@ class ScriptedEvilAgent(Agent):
             team = frozenset(ordered[: obs.team_size])
             return AgentReply(SelectTeam(team))
         if phase is Phase.DISCUSSION:
-            target = self.rng.choice([p for p in ALL_SEATS if p not in evil])
+            target = self.rng.choice(self._suspects)
             return AgentReply(
                 Discuss(f"I'm not sure about player {target}. Something about their choices feels off.")
             )
         if phase is Phase.TEAM_VOTE:
-            approve = bool(obs.proposed_team and set(obs.proposed_team) & set(evil))
+            approve = bool(obs.proposed_team) and not obs.proposed_team.isdisjoint(evil)
             return AgentReply(self._ballot(approve))
         return self._act_shared(obs)
 
@@ -263,10 +268,20 @@ def _backs_team(succeeds: int, live: int, side: Side) -> bool | None:
 
 
 class DeductionAgent(Agent):
+    # The last (live mask, team, threshold) judged and its `success_counts`:
+    # a seat judges each proposal for its discussion line and again for its vote.
+    _judged: tuple[tuple[int, frozenset[int], int] | None, tuple[int, int]] = (None, (0, 0))
+
     def _backs_proposal(self, obs: Observation, side: Side) -> bool | None:
-        if obs.proposed_team is None or obs.threshold is None:
+        team, threshold = obs.proposed_team, obs.threshold
+        if team is None or threshold is None:
             return None
-        return _backs_team(*success_counts(self._live_worlds(obs), obs.proposed_team, obs.threshold), side)
+        key = (self._live_worlds(obs), team, threshold)
+        judged, counts = self._judged
+        if key != judged:
+            counts = success_counts(*key)
+            self._judged = (key, counts)
+        return _backs_team(*counts, side)
 
     def act(self, obs: Observation) -> AgentReply:
         phase = obs.phase

@@ -14,10 +14,14 @@ set are the AND of its constraint masks, so `belief`,
 `success_probability` and the contradiction test are popcounts. The
 tables are built lazily, never at import time.
 
-`belief` and `success_probability` keep an exact `Fraction` API. The
-deduction policy's hot path works on masks and counts instead: a seat ANDs
-its private mask (computed once per game) with the history mask of the
-quest results so far (recomputed once per quest), and
+`belief` and `success_probability` keep an exact `Fraction` API, but
+both count first. A `BeliefState` holds, for each seat, the integer number
+of live worlds in which it is good; its `p_good` fractions are made from
+those counts when first read. `select_team` ranks seats by the counts,
+which order them as the fractions do, since the fractions share one
+denominator. The deduction policy's hot path stays on masks and counts: a
+seat keeps its constraint set and live mask for the last quest history it
+saw (rebuilt once per quest result), and
 `success_counts(live, team, threshold)` returns (succeeding worlds, live
 worlds) as integers, which the policy compares with one half as `2k >= n`
 or `2k <= n`.
@@ -110,7 +114,7 @@ class Constraint:
             m |= 1 << p
         return m
 
-    @property
+    @cached_property
     def worlds(self) -> int:
         """Mask of the side-level worlds (bit i: `_EVIL_SETS[i]`) satisfying this."""
         return _worlds_satisfying(self.kind, self.mask, self.count)
@@ -144,8 +148,17 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class BeliefState:
-    p_good: dict[int, Fraction]
+    """Beliefs over the `n_worlds` consistent worlds: seat p is good in
+    `good_worlds[p]` of them."""
+
+    good_worlds: dict[int, int]
     n_worlds: int
+
+    @cached_property
+    def p_good(self) -> dict[int, Fraction]:
+        """Each seat's exact probability of being good, made on first read."""
+        n = self.n_worlds
+        return {p: Fraction(k, n) for p, k in self.good_worlds.items()}
 
     @property
     def contradictory(self) -> bool:
@@ -193,6 +206,12 @@ def _role_worlds() -> list[frozenset[int]]:
     ]
 
 
+@cache
+def _good_worlds() -> tuple[tuple[int, int], ...]:
+    """(seat, mask of the worlds in which it is good), for every seat."""
+    return tuple((p, _ALL_WORLDS & ~_worlds_satisfying(ConstraintKind.IS_EVIL, 1 << p, 0)) for p in ALL_SEATS)
+
+
 def belief(cs: ConstraintSet) -> BeliefState:
     """Exact per-seat probability of being good over consistent worlds.
 
@@ -202,12 +221,8 @@ def belief(cs: ConstraintSet) -> BeliefState:
     live = live_worlds(cs)
     n = live.bit_count()
     if n == 0:
-        return BeliefState(p_good={}, n_worlds=0)
-    p_good = {}
-    for p in ALL_SEATS:
-        evil_worlds = _worlds_satisfying(ConstraintKind.IS_EVIL, 1 << p, 0)
-        p_good[p] = Fraction(n - (live & evil_worlds).bit_count(), n)
-    return BeliefState(p_good=p_good, n_worlds=n)
+        return BeliefState(good_worlds={}, n_worlds=0)
+    return BeliefState(good_worlds={p: (live & good).bit_count() for p, good in _good_worlds()}, n_worlds=n)
 
 
 def success_counts(live: int, team: Iterable[int], threshold: int) -> tuple[int, int]:
@@ -232,7 +247,8 @@ def select_team(beliefs: BeliefState, n: int, leader: int) -> frozenset[int]:
 
     Ordering is by descending p_good; within a tie class the leader comes
     first (a leader certain of its own goodness always joins its own team)
-    and the rest break ties by ascending seat index.
+    and the rest break ties by ascending seat index. The fractions share the
+    denominator `n_worlds`, so ranking by `good_worlds` orders seats alike.
     """
     if beliefs.contradictory:
         raise ContradictionError("cannot select a team from contradictory beliefs")
@@ -240,9 +256,9 @@ def select_team(beliefs: BeliefState, n: int, leader: int) -> frozenset[int]:
         raise DeductionError(f"team size out of range: {n}")
     if leader not in ALL_PLAYERS:
         raise DeductionError(f"no such seat: {leader}")
-    # A stable sort by descending p_good keeps the tie order: leader, then ascending seats.
+    # A stable sort by descending count keeps the tie order: leader, then ascending seats.
     ties = [leader, *(p for p in ALL_SEATS if p != leader)]
-    order = sorted(ties, key=beliefs.p_good.__getitem__, reverse=True)
+    order = sorted(ties, key=beliefs.good_worlds.__getitem__, reverse=True)
     return frozenset(order[:n])
 
 
@@ -250,19 +266,17 @@ def brute_force_oracle(cs: ConstraintSet) -> BeliefState:
     """Reference beliefs from first principles.
 
     Filters every one of the 2520 role assignments with plain set logic
-    and counts, independently of the mask-based enumeration above. The
-    72-fold role multiplicity per evil set cancels in the fraction, so the
-    result must equal `belief(cs)` exactly.
+    and counts, independently of the mask-based enumeration above. Its
+    counts are 72 times `belief(cs)`'s, one per role ordering of an evil
+    set; the multiplicity cancels in the fraction, so its `p_good` must
+    equal `belief(cs).p_good` exactly.
     """
     consistent = _role_worlds()
     for c in cs.constraints:
         consistent = [evil for evil in consistent if _oracle_satisfied(c, evil)]
-    if not consistent:
-        return BeliefState(p_good={}, n_worlds=0)
-    n = len(consistent)
     return BeliefState(
-        p_good={p: Fraction(sum(1 for evil in consistent if p not in evil), n) for p in ALL_SEATS},
-        n_worlds=n,
+        good_worlds={p: sum(1 for evil in consistent if p not in evil) for p in ALL_SEATS} if consistent else {},
+        n_worlds=len(consistent),
     )
 
 

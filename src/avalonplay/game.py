@@ -287,18 +287,12 @@ class GameEngine:
     ) -> EventLogEntry:
         """Append an event stamped with the next seq and the current round,
         attempt and phase. Replay re-emits recorded audit events here.
-        The phase is read as `_value_`, which skips the `Enum.value`
-        descriptor: this runs for every event of every game."""
+        This runs for every event of every game, so the entry is built
+        positionally and the phase read as `_value_`, which skips the
+        `Enum.value` descriptor."""
+        st = self.state
         entry = EventLogEntry(
-            seq=len(self.events) + 1,
-            round=self.state.round,
-            attempt=self.state.attempt,
-            phase=self.state.phase._value_,
-            actor=actor,
-            kind=kind,
-            text=text,
-            payload=payload or {},
-            visibility=visibility,
+            len(self.events) + 1, st.round, st.attempt, st.phase._value_, actor, kind, text, payload or {}, visibility
         )
         self.events.append(entry)
         return entry

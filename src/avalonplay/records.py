@@ -18,10 +18,15 @@ decision read from the record instead of asked of an agent. It stops
 where the recorded actions run out, so an aborted game's record replays
 up to the point where the game stopped.
 
-Header and outcome lines go through one `json.JSONEncoder`; each event
+Header and outcome lines go through one `json.JSONEncoder`. Each event
 line is one template in the key order of `EventLogEntry.to_dict`, with its
-strings quoted by the encoder's own `encode_basestring` and only a
-non-empty payload sent through the encoder, so its bytes are the encoder's.
+strings quoted by the encoder's own `encode_basestring`; the phases, kinds
+and visibilities a live game writes are quoted once, in a table. A flat
+payload (keys exactly `str`; values exactly a str, bool, int, None or list
+of ints), as is every payload of a deduction game, is written by the same
+kind of template. Any other payload, such as one carrying an LLM trace,
+goes through the encoder, which rejects NaN and the infinities. Every
+line's bytes are the encoder's.
 
 Three errors cover every bad record: `RecordFormatError` for a file that
 is not a well-formed record (naming the line), `RecordSchemaError` for a
@@ -42,7 +47,7 @@ from pathlib import Path
 from typing import Any, Callable, NoReturn, TextIO
 
 from .agents import AgentSpec
-from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
+from .events import AUDIT, PUBLIC, EventKind, EventLogEntry, private_to
 from .game import ALL_SEATS, MAJORITY, MAX_PROPOSAL_ATTEMPTS, NUM_PLAYERS, SABOTAGE_THRESHOLDS, TEAM_SIZES
 from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, Side, drive
 from .knowledge import RoleAssignment
@@ -127,14 +132,54 @@ def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
         destination.write(text)
 
 
+# Every phase, kind and visibility a live game writes, quoted once; a value
+# not in the table, which a loaded record may hold, is quoted when written.
+_QUOTED = {
+    text: _quote(text)
+    for text in (
+        *(phase._value_ for phase in Phase),
+        *(kind._value_ for kind in EventKind),
+        PUBLIC,
+        AUDIT,
+        *(private_to(p) for p in ALL_SEATS),
+    )
+}
+
+
 def _event_line(e: EventLogEntry) -> str:
     """`_encode_line(e.to_dict())`, for fields of the types in `_EVENT_FIELD_TYPES`."""
+    quoted = _QUOTED
     return (
-        f'{{"seq": {e.seq}, "round": {e.round}, "attempt": {e.attempt}, "phase": {_quote(e.phase)}, '
-        f'"actor": {"null" if e.actor is None else e.actor}, "kind": {_quote(e.kind._value_)}, '
-        f'"text": {_quote(e.text)}, "payload": {_encode_line(e.payload) if e.payload else "{}"}, '
-        f'"visibility": {_quote(e.visibility)}}}'
+        f'{{"seq": {e.seq}, "round": {e.round}, "attempt": {e.attempt}, '
+        f'"phase": {quoted.get(e.phase) or _quote(e.phase)}, '
+        f'"actor": {"null" if e.actor is None else e.actor}, "kind": {quoted[e.kind._value_]}, '
+        f'"text": {_quote(e.text)}, "payload": {_payload_text(e.payload) if e.payload else "{}"}, '
+        f'"visibility": {quoted.get(e.visibility) or _quote(e.visibility)}}}'
     )
+
+
+def _payload_text(payload: dict[str, Any]) -> str:
+    """`_encode_line(payload)`. A flat payload, whose keys are all exactly
+    `str` and whose values are all exactly a str, bool, int, None or list of
+    ints, is written by template; any other goes through the encoder, which
+    also rejects NaN and the infinities."""
+    parts = []
+    for key, value in payload.items():
+        kind = type(value)
+        if kind is str:
+            text = _quote(value)
+        elif kind is bool:
+            text = "true" if value else "false"
+        elif kind is int or (kind is list and all(type(item) is int for item in value)):
+            text = repr(value)  # a list of ints reprs as its JSON: [1, 2, 6]
+        elif value is None:
+            text = "null"
+        else:
+            return _encode_line(payload)
+        if type(key) is not str:
+            return _encode_line(payload)
+        parts.append(f"{_quote(key)}: {text}")
+    return f"{{{', '.join(parts)}}}"
 
 
 def _config_hash(config: dict[str, Any]) -> str:

@@ -132,7 +132,14 @@ def run_game(
     def traces(reply: AgentReply) -> dict[str, Any]:
         return _trace_payload(reply.trace, log_exchanges) if reply.trace else {}
 
+    # The observation that a step's memory-less seats share, and the
+    # (phase, round, attempt) it was built for: a discussion calls `decide`
+    # once per speaker, and all of its speakers see the same fields.
+    shared_step: tuple = ()
+    shared: Observation | None = None
+
     def decide(engine: GameEngine) -> tuple:
+        nonlocal shared_step, shared
         st = engine.state
         if st.phase is Phase.TEAM_SELECTION:
             leader = st.leader
@@ -143,11 +150,13 @@ def run_game(
             reply = act(seat, observe(seat))
             return seat, reply.action.target, traces(reply)
         team, threshold = engine.current_team, st.threshold()
-        # One observation for this step's memory-less seats; each seat with
-        # a memory gets its own, with the bundle built when it is asked.
-        shared = observe(None, proposed_team=team, threshold=threshold)
+        step = (st.phase, st.round, st.attempt)
+        if step != shared_step:
+            shared_step, shared = step, observe(None, proposed_team=team, threshold=threshold)
 
         def ask(seat: int) -> AgentReply:
+            # Each seat with a memory gets its own observation, with the
+            # bundle built when it is asked.
             obs = observe(seat, proposed_team=team, threshold=threshold) if seat in memories else shared
             return act(seat, obs)
 

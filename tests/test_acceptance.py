@@ -161,6 +161,7 @@ def test_criterion_4_tournament_determinism_and_signal():
     assert first.report.to_json() == second.report.to_json()
     assert first.report.to_json() == parallel.report.to_json()
     assert first.digest() == second.digest() == parallel.digest()
+    assert first.digest() == "e23ad1363cec3d5fcb1d152d14b7e394c0dbd6f37d2179e148760367f8f570cc"
 
     baseline = run_tournament(
         TournamentConfig(**base, parallelism=8, just_spec=AgentSpec(policy="random"))

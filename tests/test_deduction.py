@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avalonplay import deduction
+from avalonplay.agents import DeductionAgent, Observation
 from avalonplay.deduction import (
     GLOBAL_CONSTRAINT,
     BeliefState,
@@ -24,6 +25,7 @@ from avalonplay.deduction import (
     select_team,
     success_probability,
 )
+from avalonplay.game import Phase
 from avalonplay.knowledge import RoleAssignment, knowledge_for
 from avalonplay.memory import PublicFact
 from helpers import all_evil_sets, canonical_roles, random_constraint_set
@@ -190,6 +192,48 @@ class TestSuccessProbability:
         assert success_probability(ConstraintSet(), frozenset(ALL), 4) == 1
 
 
+def _fraction_ranking(p_good: dict[int, Fraction], n: int, leader: int) -> frozenset[int]:
+    """The n seats of highest p_good, ranked by the fractions themselves:
+    the leader first in its tie class, then ascending seats."""
+    ties = [leader, *sorted(ALL - {leader})]
+    return frozenset(sorted(ties, key=lambda p: p_good[p], reverse=True)[:n])
+
+
+class TestRankingByCounts:
+    """`select_team` ranks by integer world counts; it must pick the teams a
+    ranking by the exact fractions picks, and so must a deduction leader."""
+
+    def test_counts_rank_as_the_fractions_and_the_oracle_do(self):
+        rng = random.Random(4242)
+        view = knowledge_for(RoleAssignment(canonical_roles({5, 6, 7})), 1)
+        n_contradictory = n_consistent = 0
+        for index in range(40):
+            cs = random_constraint_set(rng)
+            fast, slow = belief(cs), brute_force_oracle(cs)
+            for leader in sorted(ALL):
+                for n in range(1, 8):
+                    agent = DeductionAgent(leader, view, random.Random(index))
+                    agent._constraints = lambda obs: cs
+                    reply = agent.act(Observation(Phase.TEAM_SELECTION, team_size=n))
+                    reference = random.Random(index)
+                    if fast.contradictory:
+                        assert slow.contradictory
+                        # The random-team path, with the same single draw.
+                        assert reply.action.members == frozenset(reference.sample(sorted(ALL), n))
+                        assert reply.trace == {"fallback": True}
+                        assert agent.rng.getstate() == reference.getstate()
+                        continue
+                    team = select_team(fast, n, leader)
+                    assert team == _fraction_ranking(fast.p_good, n, leader)
+                    assert team == _fraction_ranking(slow.p_good, n, leader), (cs.constraints, leader, n)
+                    assert reply.action.members == team and reply.audit is None
+                    assert agent.rng.getstate() == reference.getstate()
+            n_contradictory += fast.contradictory
+            n_consistent += not fast.contradictory
+        assert n_contradictory > 3
+        assert n_consistent > 3
+
+
 class TestSelectTeam:
     def uniform(self):
         return belief(ConstraintSet())
@@ -210,7 +254,7 @@ class TestSelectTeam:
 
     def test_errors(self):
         with pytest.raises(ContradictionError):
-            select_team(BeliefState(p_good={}, n_worlds=0), 2, 1)
+            select_team(BeliefState(good_worlds={}, n_worlds=0), 2, 1)
         with pytest.raises(DeductionError):
             select_team(self.uniform(), 0, 1)
         with pytest.raises(DeductionError):

@@ -5,6 +5,7 @@ import io
 import json
 import re
 from collections import Counter
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -583,6 +584,74 @@ class TestEventLineTemplate:
     @example(event=EventLogEntry(2**70, -(2**64), 10**30, 'a"\\b\n', None, EventKind.DISCUSSION, "\u2028\U0001F600\x00", {}, "p"))
     def test_template_line_is_the_encoder_line(self, event):
         assert _event_line(event) == _encode_line(event.to_dict())
+
+
+class _Seat(IntEnum):
+    ONE = 1
+    SEVEN = 7
+
+
+# Payload text adds lone surrogates, which the encoder passes through.
+PAYLOAD_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001F600é\ud800\udfffa ') | st.characters(), max_size=6)
+PAYLOAD_INTS = st.integers() | st.sampled_from(_Seat)
+PAYLOAD_VALUES = st.recursive(
+    st.none() | st.booleans() | PAYLOAD_INTS | st.sampled_from(EventKind) | PAYLOAD_TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(PAYLOAD_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+PAYLOAD_KEYS = (
+    PAYLOAD_TEXT | PAYLOAD_INTS | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EventKind)
+)
+PAYLOADS = (
+    # Flat payloads, which take the template, and payloads that may leave it
+    # at any key: non-str keys, int subclasses, floats, nested values.
+    st.dictionaries(PAYLOAD_TEXT, st.none() | st.booleans() | st.integers() | PAYLOAD_TEXT | st.lists(st.integers()))
+    | st.dictionaries(PAYLOAD_KEYS, PAYLOAD_VALUES | st.lists(PAYLOAD_INTS), max_size=5)
+)
+
+
+def _event(payload=None, phase="team_vote", visibility="public", kind=EventKind.BALLOT_RESULT):
+    return EventLogEntry(7, 2, 3, phase, 4, kind, "text", {} if payload is None else payload, visibility)
+
+
+class TestPayloadTemplate:
+    @settings(max_examples=400)
+    @given(payload=PAYLOADS)
+    @example(payload={"approve": True, "reasoning": 'say "\ud800"\n', "members": [1, 2, _Seat.SEVEN]})
+    @example(payload={"members": [], "leader": _Seat.ONE, 3: None})
+    def test_payload_line_is_the_encoder_line(self, payload):
+        event = _event(payload)
+        assert _event_line(event) == _encode_line(event.to_dict())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"x": float("nan")}, {"a": 1, "x": [1, float("inf")]}, {1: float("-inf")}, {"a": "b", "x": {"y": float("nan")}}],
+        ids=repr,
+    )
+    def test_non_finite_payload_values_are_rejected_on_both_paths(self, payload):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _event_line(_event(payload))
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _encode_line(_event(payload).to_dict())
+
+    @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "phase, visibility",
+        [("team_vote", "private:9"), ('team "vote"', "audit"), ("", "public"), ("quest_execution", "private:\u00e9")],
+    )
+    def test_fields_outside_the_quoted_table(self, kind, phase, visibility):
+        event = _event({"approve": False}, phase, visibility, kind)
+        assert _event_line(event) == _encode_line(event.to_dict())
+
+    def test_a_default_game_writes_every_payload_by_template(self, record, monkeypatch):
+        encoded = []
+        monkeypatch.setattr("avalonplay.records._encode_line", lambda obj: encoded.append(obj) or _encode_line(obj))
+        out = io.StringIO()
+        write_record(record, out)
+        assert [obj["type"] for obj in encoded] == ["header", "outcome"]
+        assert out.getvalue().count("\n") == len(record.events) + 2
 
 
 class TestCodeactRecords:

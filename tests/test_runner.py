@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from avalonplay import runner
-from avalonplay.agents import POLICIES, AgentSpec, DeductionAgent, Observation
+from avalonplay.agents import POLICIES, AgentSpec, DeductionAgent, LLMAgent, Observation, ScriptedEvilAgent
 from avalonplay.deduction import live_worlds
 from avalonplay.events import AUDIT, EventKind
 from avalonplay.game import GameConfig, GameEngine, Phase, Side
@@ -526,3 +526,69 @@ class TestMemoryIngestion:
         assert ingested == llm_seats
         run_game(GameConfig(), DEDUCTION, SCRIPTED, game_seed=5)
         assert ingested == llm_seats
+
+
+class TestSharedObservation:
+    """A decision step's seats without a memory share one observation; a
+    seat with a memory gets its own, with a bundle, on every turn."""
+
+    @staticmethod
+    def _asked(monkeypatch, just_spec, client=None, game_seed=seed_for_game(42, 0)):
+        """(step, seat, observation) for every agent call of one game; a
+        step is the engine's (phase, round, attempt) when `decide` ran."""
+        asked = []
+        step = None
+        drive = runner.drive
+
+        def spying_drive(engine, decide):
+            def spying_decide(engine):
+                nonlocal step
+                step = (engine.state.phase, engine.state.round, engine.state.attempt)
+                return decide(engine)
+
+            return drive(engine, spying_decide)
+
+        def spying_act(policy_act):
+            def act(agent, obs):
+                asked.append((step, agent.seat, obs))
+                return policy_act(agent, obs)
+
+            return act
+
+        monkeypatch.setattr(runner, "drive", spying_drive)
+        for cls in (DeductionAgent, ScriptedEvilAgent, LLMAgent):
+            monkeypatch.setattr(cls, "act", spying_act(cls.act))
+        record = run_game(GameConfig(), just_spec, SCRIPTED, game_seed=game_seed, client=client)
+        assert not record.aborted
+        return record, asked
+
+    def test_memoryless_seats_share_one_observation_per_step(self, monkeypatch):
+        record, asked = self._asked(monkeypatch, DEDUCTION)
+        shared: dict[tuple, Observation] = {}
+        for step, _, obs in asked:
+            if step[0] is not Phase.TEAM_SELECTION:
+                assert shared.setdefault(step, obs) is obs
+        # A new observation for each phase, round and attempt.
+        assert len({id(obs) for obs in shared.values()}) == len(shared)
+        steps = set(shared)
+        assert {Phase.DISCUSSION, Phase.TEAM_VOTE, Phase.QUEST_EXECUTION} <= {phase for phase, _, _ in steps}
+        assert any(attempt > 1 for _, _, attempt in steps), "the game should hold a rejected proposal"
+        assert any(rnd > 1 for _, rnd, _ in steps)
+        first = min(step for step in steps if step[0] is Phase.DISCUSSION)
+        assert sorted(seat for step, seat, _ in asked if step == first) == list(range(1, 8))
+        assert sum(1 for e in record.events if e.kind is EventKind.DISCUSSION) == sum(
+            1 for step, _, _ in asked if step[0] is Phase.DISCUSSION
+        )
+
+    def test_llm_seats_get_their_own_observation_each_turn(self, monkeypatch):
+        record, asked = self._asked(monkeypatch, AgentSpec("llm"), client=MockLLM(approving_rules()))
+        llm_seats = {p for p in range(1, 8) if record.roles.side(p) is Side.JUST}
+        llm_obs = [obs for _, seat, obs in asked if seat in llm_seats]
+        assert all(obs.bundle is not None for obs in llm_obs)
+        assert len({id(obs) for obs in llm_obs}) == len(llm_obs)
+        shared: dict[tuple, Observation] = {}
+        for step, seat, obs in asked:
+            if seat not in llm_seats and step[0] is not Phase.TEAM_SELECTION:
+                assert obs.bundle is None
+                assert shared.setdefault(step, obs) is obs
+        assert any(step[0] is Phase.DISCUSSION for step in shared)
