@@ -33,8 +33,6 @@ from pathlib import Path
 from types import NoneType
 from typing import Any, Sequence
 
-import requests
-
 API_KEY_ENV = "AVALON_LLM_API_KEY"
 
 
@@ -116,6 +114,10 @@ class HttpLLMClient(LLMClient):
         self.backoff = backoff
 
     def complete(self, messages: Sequence[ChatMessage], temperature: float, tag: str) -> str:
+        # Imported here, so that offline games (mock and pure-policy seats)
+        # neither need `requests` nor pay for importing it.
+        import requests
+
         body = {
             "model": self.model,
             "messages": [m.to_dict() for m in messages],

@@ -1,38 +1,54 @@
 """Durable game records: JSONL serialization and replay verification.
 
-A record file holds one game: a header line, one line per event in
-sequence order, and a closing outcome line. Only the header and outcome
-lines carry a `type`; only the header holds the game id and the config
-(the `GameConfig` toggles, hashed as stored). Files are written as the
-current schema; schema 1 files load through `_upgrade_v1`. Loading is the
-exact inverse of writing, and `replay` re-drives the rules engine from the
-recorded actions and requires the rebuilt event log to equal the recorded
-one field for field, seq included and payload values of the same JSON
-type, and the outcome to match. Audit-channel events (agent diagnostics)
-follow from no rule, since no agents run during a replay, so replay
-re-emits them from the record where they stand: one that was moved or
-renumbered still differs.
+A schema 3 record file holds one game as the inputs that the rules engine
+cannot derive: a header line, one line per decision or audit note in game
+order, and a closing outcome line. Only the header and outcome lines carry
+a `type`; only the header holds the game id and the config (the
+`GameConfig` toggles, hashed as stored). A decision line's first key names
+its kind:
 
-Replay runs `game.drive`, the same phase loop as live play, with each
-decision read from the record instead of asked of an agent. It stops
-where the recorded actions run out, so an aborted game's record replays
-up to the point where the game stopped.
+- `{"team": members, "text": ..., "payload": {...}}`: a proposal;
+- `{"speeches": [...], "payloads": [...]}`: a discussion's speeches in seat
+  order, with their payloads when any is non-empty;
+- `{"approve": [...], "reasoning": [...], "payloads": [...]}`: a team
+  vote, the seven ballots, their reasonings and their payloads in seat
+  order;
+- `{"quest": {}}`: a quest, whose votes the roles decide;
+- `{"target": seat, "payload": {...}}`: the assassination;
+- `{"audit": "agent_error", "actor": ..., "text": ..., "payload": {...}}`:
+  an audit note (an agent diagnostic), which follows from no rule.
 
-Header and outcome lines go through one `json.JSONEncoder`. Each event
-line is one template in the key order of `EventLogEntry.to_dict`, with its
-strings quoted by the encoder's own `encode_basestring`; the phases, kinds
-and visibilities a live game writes are quoted once, in a table. A flat
-payload (keys exactly `str`; values exactly a str, bool, int, None or list
-of ints), as is every payload of a deduction game, is written by the same
-kind of template. Any other payload, such as one carrying an LLM trace,
-goes through the encoder, which rejects NaN and the infinities. Every
-line's bytes are the encoder's.
+A payload holds the keys the engine does not write itself (an agent's
+trace) and is left out when empty. Moderator notes, ballot sentences,
+public ballot results and quest results are engine output, and are not
+written. The writer and the loader share one table, `_LINES`: the writer
+builds each line from the recorded events of one step of the game, and the
+loader turns each line into the transition arguments that `game.drive`
+takes. Loading a schema 3 file parses its lines and drives the engine over
+them, so the loaded record's events are the engine's own. A decision the
+rules reject, a line the game has no use for where it stands, lines left
+over after the game ended, and an outcome line that disagrees with where
+the game stopped each raise `ReplayMismatch`, naming the file and line.
+
+Schema 1 and 2 files hold every event. They still load, schema 1 through
+`_upgrade_v1`, with their events read as written, and re-write as schema
+3. `replay` re-drives the rules engine from a record's events, with each
+decision read from the record instead of asked of an agent, and requires
+the rebuilt event log to equal the recorded one field for field, seq
+included and payload values of the same JSON type, and the outcome to
+match. It stops where the recorded actions run out, so an aborted game's
+record replays up to the point where the game stopped.
+
+Every line is written as `json.JSONEncoder` would write it: strings, bools,
+ints, None, lists and `str`-keyed dicts by template (`_json`), and any
+other value, such as a float, through the encoder, which rejects NaN and
+the infinities.
 
 Three errors cover every bad record: `RecordFormatError` for a file that
 is not a well-formed record (naming the line), `RecordSchemaError` for a
 record from another schema or configuration, and `ReplayMismatch` for a
-record whose actions are malformed (naming the seq), rejected by the
-rules, or do not reproduce the recorded events.
+record whose decisions are malformed, rejected by the rules, or do not
+reproduce the recorded events or outcome.
 """
 
 from __future__ import annotations
@@ -41,18 +57,19 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from itertools import product, zip_longest
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Any, Callable, NoReturn, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, TextIO
 
 from .agents import AgentSpec
-from .events import AUDIT, PUBLIC, EventKind, EventLogEntry, private_to
+from .events import AUDIT, PUBLIC, EventKind, EventLogEntry
 from .game import ALL_SEATS, MAJORITY, MAX_PROPOSAL_ATTEMPTS, NUM_PLAYERS, SABOTAGE_THRESHOLDS, TEAM_SIZES
 from .game import GameConfig, GameEngine, GameOutcome, Phase, RuleError, Side, drive
 from .knowledge import RoleAssignment
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _reject_constant(name: str) -> NoReturn:
@@ -98,26 +115,17 @@ class GameRecord:
 
 
 def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
-    """Write one game as JSON lines: header, events by seq, outcome.
+    """Write one game as JSON lines: header, decisions, outcome.
 
     A path is written through a temporary file in the same directory (not
     matching ``*.jsonl``) that then replaces it, so a failed write leaves
     no partial record for `iter_record_paths` to find.
     """
-    config = asdict(record.config)
-    header = {
-        "type": "header",
-        "schema_version": SCHEMA_VERSION,
-        "game_id": record.game_id,
-        "config": config,
-        "config_hash": _config_hash(config),
-        "seed": record.seed_info,
-        "roles": record.roles.to_json(),
-        "agents": {str(s): spec.to_dict() for s, spec in sorted(record.agents.items())},
-    }
     outcome = record.outcome.to_dict() if record.outcome else None
     tail = {"type": "outcome", "aborted": record.aborted, "error": record.error, "outcome": outcome}
-    lines = [_encode_line(header), *map(_event_line, record.events), _encode_line(tail)]
+    lines = [_header_line(record)]
+    lines += [line.text(step) if line.text else _json(line.line(step)) for line, step in _steps(record.events)]
+    lines.append(_json(tail))
     text = "\n".join(lines) + "\n"
     if isinstance(destination, (str, Path)):
         path = Path(destination)
@@ -132,54 +140,60 @@ def write_record(record: GameRecord, destination: str | Path | TextIO) -> None:
         destination.write(text)
 
 
-# Every phase, kind and visibility a live game writes, quoted once; a value
-# not in the table, which a loaded record may hold, is quoted when written.
-_QUOTED = {
-    text: _quote(text)
-    for text in (
-        *(phase._value_ for phase in Phase),
-        *(kind._value_ for kind in EventKind),
-        PUBLIC,
-        AUDIT,
-        *(private_to(p) for p in ALL_SEATS),
-    )
-}
-
-
-def _event_line(e: EventLogEntry) -> str:
-    """`_encode_line(e.to_dict())`, for fields of the types in `_EVENT_FIELD_TYPES`."""
-    quoted = _QUOTED
+def _header_line(record: GameRecord) -> str:
+    """`_encode_line` of the header."""
+    config = record.config
+    agents = {str(s): spec.to_dict() for s, spec in sorted(record.agents.items())}
     return (
-        f'{{"seq": {e.seq}, "round": {e.round}, "attempt": {e.attempt}, '
-        f'"phase": {quoted.get(e.phase) or _quote(e.phase)}, '
-        f'"actor": {"null" if e.actor is None else e.actor}, "kind": {quoted[e.kind._value_]}, '
-        f'"text": {_quote(e.text)}, "payload": {_payload_text(e.payload) if e.payload else "{}"}, '
-        f'"visibility": {quoted.get(e.visibility) or _quote(e.visibility)}}}'
+        f'{{"type": "header", "schema_version": {SCHEMA_VERSION}, "game_id": {_json(record.game_id)}, '
+        f'{_config_fields(config, tuple(map(type, vars(config).values())))}, "seed": {_json(record.seed_info)}, '
+        f'"roles": {_json(record.roles.to_json())}, "agents": {_encode_line(agents)}}}'
     )
 
 
-def _payload_text(payload: dict[str, Any]) -> str:
-    """`_encode_line(payload)`. A flat payload, whose keys are all exactly
-    `str` and whose values are all exactly a str, bool, int, None or list of
-    ints, is written by template; any other goes through the encoder, which
-    also rejects NaN and the infinities."""
-    parts = []
-    for key, value in payload.items():
-        kind = type(value)
-        if kind is str:
-            text = _quote(value)
-        elif kind is bool:
-            text = "true" if value else "false"
-        elif kind is int or (kind is list and all(type(item) is int for item in value)):
-            text = repr(value)  # a list of ints reprs as its JSON: [1, 2, 6]
-        elif value is None:
-            text = "null"
-        else:
-            return _encode_line(payload)
-        if type(key) is not str:
-            return _encode_line(payload)
-        parts.append(f"{_quote(key)}: {text}")
-    return f"{{{', '.join(parts)}}}"
+@lru_cache(maxsize=16)
+def _config_fields(config: GameConfig, types: tuple[type, ...]) -> str:
+    """The header's config and config hash for `config`, whose values are of
+    `types`. Every game of a tournament writes the same config, so these are
+    encoded once; the types are part of the key because configs that hold
+    values of other types (`1` for `True`) compare equal but are written as
+    they are."""
+    stored = asdict(config)
+    return f'"config": {_encode_line(stored)}, "config_hash": {_quote(_config_hash(stored))}'
+
+
+def _json(value: Any) -> str:
+    """`_encode_line(value)`. Strings, bools, ints, None, lists and dicts
+    whose keys are all strings, each of exactly that type, are written by
+    template; any other value, such as a float, an int or str subclass or a
+    dict with another key, goes through the encoder, which also rejects NaN
+    and the infinities."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is list:
+        kinds = set(map(type, value))
+        if kinds <= _STR:
+            return f"[{', '.join(map(_quote, value))}]"
+        if kinds <= _INT:
+            return repr(value)  # a list of ints reprs as its JSON: [1, 2, 6]
+        if kinds <= _BOOL:
+            return f"[{', '.join(map(_BOOL_TEXT.__getitem__, value))}]"
+        return f"[{', '.join(map(_json, value))}]"
+    if kind is dict:
+        if set(map(type, value)) <= _STR:
+            return f"{{{', '.join([f'{_quote(key)}: {_json(item)}' for key, item in value.items()])}}}"
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is int:
+        return repr(value)
+    elif value is None:
+        return "null"
+    return _encode_line(value)
+
+
+_STR, _INT, _BOOL = {str}, {int}, {bool}
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _config_hash(config: dict[str, Any]) -> str:
@@ -212,8 +226,9 @@ def _parse_lines(raw: str, source: str) -> list[tuple[int, dict[str, Any]]]:
     return rows
 
 
-# The keys an event line may hold, with the JSON types of each; a missing
-# payload or visibility takes its default, and any other key is an error.
+# The keys a schema 1 or 2 event line may hold, with the JSON types of each;
+# a missing payload or visibility takes its default, and any other key is an
+# error.
 _EVENT_FIELD_TYPES = {
     "seq": (int,),
     "round": (int,),
@@ -225,7 +240,7 @@ _EVENT_FIELD_TYPES = {
     "payload": (dict,),
     "visibility": (str,),
 }
-# An event line as `write_record` writes it: every key, in the order of
+# An event line as schema 2 wrote it: every key, in the order of
 # `_EVENT_FIELD_TYPES` and of `EventLogEntry`'s fields, with values of one
 # of the type rows the key types allow (two: the actor is a seat or null)
 # and a known kind. `load_record` builds such a line's event positionally,
@@ -302,7 +317,10 @@ def _upgrade_v1(rows: list[tuple[int, dict[str, Any]]], name: str) -> None:
 
 
 def load_record(source: str | Path | TextIO) -> GameRecord:
-    """Exact inverse of `write_record`, with schema and order validation."""
+    """Exact inverse of `write_record`, with schema and order validation.
+
+    A schema 3 record's events are the engine's, driven over its decision
+    lines; a schema 1 or 2 record's are read as written."""
     if isinstance(source, (str, Path)):
         name = str(source)
         try:
@@ -321,8 +339,8 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     version, stored_config = header.get("schema_version"), header.get("config")
     if version == 1:
         _upgrade_v1(rows, name)
-    elif version != SCHEMA_VERSION:
-        raise RecordSchemaError(f"{name}: schema version {version!r}, expected {SCHEMA_VERSION}")
+    elif version not in (2, SCHEMA_VERSION):
+        raise RecordSchemaError(f"{name}: line {lineno}: schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
         toggles = _checked(header["config"], (dict,), "config")
         for key, kinds in _CONFIG_FIELD_TYPES.items():
@@ -333,50 +351,16 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
         roles = RoleAssignment.from_json(header["roles"])
         agents = _agent_specs(_checked(header["agents"], (dict,), "agents"))
         game_id = _checked(header["game_id"], (str,), "game_id")
-        seed_info = _checked(header.get("seed", {}), (dict,), "seed")
+        seed_info = dict(_checked(header.get("seed", {}), (dict,), "seed"))
     except (KeyError, TypeError, ValueError, AttributeError, RuleError) as exc:
         raise RecordFormatError(f"{name}: line {lineno}: bad header: {exc!r}") from exc
     if _config_hash(stored_config) != header.get("config_hash"):
-        raise RecordSchemaError(f"{name}: config hash does not match the stored configuration")
+        raise RecordSchemaError(f"{name}: line {lineno}: config hash does not match the stored configuration")
 
-    events: list[EventLogEntry] = []
-    outcome_row: dict[str, Any] | None = None
-    for lineno, row in rows[1:]:
-        values = tuple(row.values())
-        if (
-            outcome_row is None
-            and tuple(row) == _EVENT_KEYS
-            and tuple(map(type, values)) in _EVENT_VALUE_TYPES
-            and (kind := _EVENT_KINDS.get(values[5])) is not None
-        ):
-            seq, round_, attempt, phase, actor, _, text, payload, visibility = values
-            event = EventLogEntry(seq, round_, attempt, phase, actor, kind, text, payload, visibility)
-        elif "type" not in row:
-            if outcome_row is not None:
-                raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
-            try:
-                for key, value in row.items():
-                    kinds = _EVENT_FIELD_TYPES.get(key)
-                    if kinds is None:
-                        raise ValueError(f"unknown event key {key!r}")
-                    if type(value) not in kinds:  # `_checked` inline, as this runs for every key
-                        _checked(value, kinds, key)
-                event = EventLogEntry.from_dict(row)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc
-        elif row["type"] == "outcome":
-            if outcome_row is not None:
-                raise RecordFormatError(f"{name}: line {lineno}: duplicate outcome line")
-            outcome_row, outcome_lineno = row, lineno
-            continue
-        else:
-            raise RecordFormatError(f"{name}: line {lineno}: unknown type {row['type']!r}")
-        if events and event.seq <= events[-1].seq:
-            raise RecordFormatError(f"{name}: line {lineno}: event seq {event.seq} out of order")
-        events.append(event)
-    if outcome_row is None:
-        raise RecordFormatError(f"{name}: missing outcome line")
-
+    if version == SCHEMA_VERSION:
+        moves, (outcome_lineno, outcome_row) = _decision_rows(rows, name)
+    else:
+        events, (outcome_lineno, outcome_row) = _event_rows(rows, name)
     try:
         aborted = _checked(outcome_row.get("aborted"), (bool,), "aborted")
         error = _checked(outcome_row.get("error"), (str, type(None)), "error")
@@ -393,12 +377,30 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordFormatError(f"{name}: line {outcome_lineno}: bad outcome: {exc!r}") from exc
+    if version == SCHEMA_VERSION:
+        seed = seed_info.get("engine_seed")
+        if type(seed) is not int:
+            raise RecordSchemaError(f"{name}: line {lineno}: the header carries no engine seed")
+        engine = GameEngine(config, roles.as_dict(), seed)
+        _drive_lines(engine, moves, name)
+        if aborted == engine.finished:
+            stopped = "the game ends" if engine.finished else f"the game stops in {engine.state.phase.value}"
+            raise ReplayMismatch(
+                f"{name}: line {outcome_lineno}: the record is {'aborted' if aborted else 'complete'}, "
+                f"but {stopped} where its decisions run out"
+            )
+        if outcome != engine.outcome:
+            raise ReplayMismatch(
+                f"{name}: line {outcome_lineno}: outcome diverged: recorded {outcome.to_dict()}, "
+                f"replayed {engine.outcome.to_dict()}"
+            )
+        events = engine.events
     return GameRecord(
         game_id=game_id,
         config=config,
         roles=roles,
         agents=agents,
-        seed_info=dict(seed_info),
+        seed_info=seed_info,
         events=events,
         outcome=outcome,
         aborted=aborted,
@@ -406,89 +408,361 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
     )
 
 
+def _outcome_row(
+    outcome: tuple[int, dict[str, Any]] | None, lineno: int, row: dict[str, Any], name: str
+) -> tuple[int, dict[str, Any]]:
+    """The outcome line `row` at `lineno`, the first one or an error."""
+    if row["type"] != "outcome":
+        raise RecordFormatError(f"{name}: line {lineno}: unknown type {row['type']!r}")
+    if outcome is not None:
+        raise RecordFormatError(f"{name}: line {lineno}: duplicate outcome line")
+    return lineno, row
+
+
+def _event_rows(
+    rows: list[tuple[int, dict[str, Any]]], name: str
+) -> tuple[list[EventLogEntry], tuple[int, dict[str, Any]]]:
+    """A schema 1 or 2 record's events, in seq order, and its outcome line."""
+    events: list[EventLogEntry] = []
+    outcome: tuple[int, dict[str, Any]] | None = None
+    for lineno, row in rows[1:]:
+        values = tuple(row.values())
+        if (
+            outcome is None
+            and tuple(row) == _EVENT_KEYS
+            and tuple(map(type, values)) in _EVENT_VALUE_TYPES
+            and (kind := _EVENT_KINDS.get(values[5])) is not None
+        ):
+            seq, round_, attempt, phase, actor, _, text, payload, visibility = values
+            event = EventLogEntry(seq, round_, attempt, phase, actor, kind, text, payload, visibility)
+        elif "type" not in row:
+            if outcome is not None:
+                raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
+            try:
+                for key, value in row.items():
+                    kinds = _EVENT_FIELD_TYPES.get(key)
+                    if kinds is None:
+                        raise ValueError(f"unknown event key {key!r}")
+                    if type(value) not in kinds:  # `_checked` inline, as this runs for every key
+                        _checked(value, kinds, key)
+                event = EventLogEntry.from_dict(row)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc
+        else:
+            outcome = _outcome_row(outcome, lineno, row, name)
+            continue
+        if events and event.seq <= events[-1].seq:
+            raise RecordFormatError(f"{name}: line {lineno}: event seq {event.seq} out of order")
+        events.append(event)
+    if outcome is None:
+        raise RecordFormatError(f"{name}: line {rows[-1][0]}: the record ends with no outcome line")
+    return events, outcome
+
+
+def _decision_rows(
+    rows: list[tuple[int, dict[str, Any]]], name: str
+) -> tuple[list[tuple[Phase | None, tuple, int]], tuple[int, dict[str, Any]]]:
+    """A schema 3 record's moves, each with its line number, and its outcome line."""
+    moves: list[tuple[Phase | None, tuple, int]] = []
+    outcome: tuple[int, dict[str, Any]] | None = None
+    for lineno, row in rows[1:]:
+        if "type" in row:
+            outcome = _outcome_row(outcome, lineno, row, name)
+            continue
+        if outcome is not None:
+            raise RecordFormatError(f"{name}: line {lineno}: decision after the outcome line")
+        key = next(iter(row), None)
+        line = _LINE_KINDS.get(key)
+        if line is None:
+            raise RecordFormatError(f"{name}: line {lineno}: unknown line kind {key!r}")
+        try:
+            if not line.keys.issuperset(row):
+                raise ValueError(f"unknown key {min(row.keys() - line.keys)!r}")
+            moves += [(line.phase, args, lineno) for args in line.moves(row)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RecordFormatError(f"{name}: line {lineno}: bad {key} line: {exc!r}") from exc
+    if outcome is None:
+        raise RecordFormatError(f"{name}: line {rows[-1][0]}: the record ends with no outcome line")
+    return moves, outcome
+
+
+def _drive_lines(engine: GameEngine, moves: list[tuple[Phase | None, tuple, int]], name: str) -> None:
+    """Drive `engine` over a schema 3 record's moves, all of them."""
+    decisions = _Decisions(iter(moves))
+    try:
+        drive(engine, decisions)
+    except RuleError as exc:
+        raise ReplayMismatch(f"{name}: line {decisions.where}: the rules reject this decision: {exc}") from exc
+    left = decisions.left_over()
+    if left is not None:
+        due = "after the game ended" if engine.finished else f"in {engine.state.phase.value}"
+        raise ReplayMismatch(f"{name}: line {left}: no such decision is due {due}")
+
+
 def iter_record_paths(directory: str | Path) -> list[Path]:
     return sorted(Path(directory).glob("*.jsonl"))
 
 
-# ----- replay verification ----------------------------------------------------
+# ----- the decision stream ----------------------------------------------------
 
-# The decision phase whose transition each recorded action kind replays.
-_ACTION_PHASES = {
-    EventKind.TEAM_PROPOSED: Phase.TEAM_SELECTION,
-    EventKind.DISCUSSION: Phase.DISCUSSION,
-    EventKind.BALLOT_RESULT: Phase.TEAM_VOTE,
-    EventKind.QUEST_RESULT: Phase.QUEST_EXECUTION,
-    EventKind.ASSASSINATION_RESULT: Phase.ASSASSINATION,
+
+def _without(payload: dict[str, Any], engine_keys: tuple[str, ...]) -> dict[str, Any]:
+    """`payload` less the keys the engine writes itself."""
+    return {key: value for key, value in payload.items() if key not in engine_keys}
+
+
+def _with_payload(line: dict[str, Any], payload: dict[str, Any]) -> dict[str, Any]:
+    """`line`, with `payload` under "payload" when it is not empty."""
+    if payload:
+        line["payload"] = payload
+    return line
+
+
+def _payload(line: dict[str, Any]) -> dict[str, Any]:
+    return _checked(line.get("payload", {}), (dict,), "payload")
+
+
+def _team_line(step: list[EventLogEntry]) -> dict[str, Any]:
+    event = step[0]
+    line = {"team": event.payload["members"], "text": event.text}
+    return _with_payload(line, _without(event.payload, ("members", "leader")))
+
+
+def _team_text(step: list[EventLogEntry]) -> str:
+    """`_json(_team_line(step))`, by template when the payload holds only the engine's keys."""
+    event = step[0]
+    payload = event.payload
+    if len(payload) != 2 or "leader" not in payload:
+        return _json(_team_line(step))
+    return f'{{"team": {_json(payload["members"])}, "text": {_json(event.text)}}}'
+
+
+def _team_moves(line: dict[str, Any]) -> list[tuple]:
+    members = [_checked(p, (int,), "a member") for p in _checked(line["team"], (list,), "team")]
+    return [(members, _checked(line["text"], (str,), "text"), _payload(line))]
+
+
+def _speech_line(step: list[EventLogEntry]) -> dict[str, Any]:
+    line: dict[str, Any] = {"speeches": [event.text for event in step]}
+    if any(event.payload for event in step):
+        line["payloads"] = [event.payload for event in step]
+    return line
+
+
+def _speech_text(step: list[EventLogEntry]) -> str:
+    """`_json(_speech_line(step))`, by template when no speech has a payload."""
+    if any(event.payload for event in step):
+        return _json(_speech_line(step))
+    return f'{{"speeches": {_json([event.text for event in step])}}}'
+
+
+def _speech_moves(line: dict[str, Any]) -> list[tuple]:
+    texts = _checked(line["speeches"], (list,), "speeches")
+    payloads = _checked(line.get("payloads", [{}] * len(texts)), (list,), "payloads")
+    if not texts or len(payloads) != len(texts):
+        raise ValueError(f"{len(texts)} speeches with {len(payloads)} payloads")
+    return [(_checked(t, (str,), "a speech"), _checked(p, (dict,), "a payload")) for t, p in zip(texts, payloads)]
+
+
+def _ballot_line(step: list[EventLogEntry]) -> dict[str, Any]:
+    payloads = [event.payload for event in step]
+    line = {"approve": [p["approve"] for p in payloads], "reasoning": [p["reasoning"] for p in payloads]}
+    # A payload of two keys holds only the two read above.
+    rest = [_without(p, ("approve", "reasoning")) if len(p) > 2 else {} for p in payloads]
+    if any(rest):
+        line["payloads"] = rest
+    return line
+
+
+def _ballot_text(step: list[EventLogEntry]) -> str:
+    """`_json(_ballot_line(step))`, by template when each ballot's payload
+    holds two keys, which can only be its `approve` and `reasoning`."""
+    payloads = [event.payload for event in step]
+    if any(len(p) != 2 for p in payloads):
+        return _json(_ballot_line(step))
+    approvals, reasonings = [p["approve"] for p in payloads], [p["reasoning"] for p in payloads]
+    return f'{{"approve": {_json(approvals)}, "reasoning": {_json(reasonings)}}}'
+
+
+def _ballot_moves(line: dict[str, Any]) -> list[tuple]:
+    approvals = _checked(line["approve"], (list,), "approve")
+    reasonings = _checked(line["reasoning"], (list,), "reasoning")
+    rest = _checked(line.get("payloads", [{}] * NUM_PLAYERS), (list,), "payloads")
+    if not len(approvals) == len(reasonings) == len(rest) == NUM_PLAYERS:
+        raise ValueError(
+            f"a team vote has {NUM_PLAYERS} ballots, got {len(approvals)} approvals, "
+            f"{len(reasonings)} reasonings and {len(rest)} payloads"
+        )
+    ballots, payloads = {}, {}
+    for seat, approve, reasoning, more in zip(ALL_SEATS, approvals, reasonings, rest):
+        ballots[seat] = _checked(approve, (bool,), "approve")
+        payloads[seat] = {"reasoning": reasoning, **_checked(more, (dict,), "a payload")}
+    return [(ballots, payloads)]
+
+
+def _quest_line(step: list[EventLogEntry]) -> dict[str, Any]:
+    return {"quest": {}}
+
+
+def _quest_moves(line: dict[str, Any]) -> list[tuple]:
+    if _checked(line["quest"], (dict,), "quest"):
+        raise ValueError(f"a quest holds no decision, got {line['quest']!r}")
+    return [()]
+
+
+def _assassination_line(step: list[EventLogEntry]) -> dict[str, Any]:
+    event = step[0]
+    return _with_payload({"target": event.payload["target"]}, _without(event.payload, ("target", "hit")))
+
+
+def _assassination_moves(line: dict[str, Any]) -> list[tuple]:
+    return [(_checked(line["target"], (int,), "target"), _payload(line))]
+
+
+def _audit_line(step: list[EventLogEntry]) -> dict[str, Any]:
+    event = step[0]
+    return _with_payload({"audit": event.kind._value_, "actor": event.actor, "text": event.text}, event.payload)
+
+
+def _audit_moves(line: dict[str, Any]) -> list[tuple]:
+    # An agent's diagnostic is the one kind of audit event a game emits.
+    if line["audit"] != EventKind.AGENT_ERROR._value_:
+        raise ValueError(f"an audit note is an {EventKind.AGENT_ERROR._value_!r}, got {line['audit']!r}")
+    actor = _checked(line["actor"], (int, type(None)), "actor")
+    return [(EventKind.AGENT_ERROR, _checked(line["text"], (str,), "text"), actor, _payload(line))]
+
+
+class _Line(NamedTuple):
+    """One kind of decision line: the phase whose transition it feeds (None
+    for an audit note), the key that names it (its first), every key it may
+    hold, the line from the recorded events of one step, and the moves a
+    line holds, each the arguments of one transition (an audit note's:
+    `emit`'s), less the actor that the engine names itself. The lines a
+    game writes most often also have a template, `text`, for their JSON."""
+
+    phase: Phase | None
+    key: str
+    keys: frozenset[str]
+    line: Callable[[list[EventLogEntry]], dict[str, Any]]
+    moves: Callable[[dict[str, Any]], list[tuple]]
+    text: Callable[[list[EventLogEntry]], str] | None = None
+
+
+# The one table of what a decision is, that the writer, the loader and
+# `replay` all read.
+_TEAM = _Line(
+    Phase.TEAM_SELECTION, "team", frozenset(("team", "text", "payload")), _team_line, _team_moves, _team_text
+)
+_SPEECHES = _Line(
+    Phase.DISCUSSION, "speeches", frozenset(("speeches", "payloads")), _speech_line, _speech_moves, _speech_text
+)
+_BALLOTS = _Line(
+    Phase.TEAM_VOTE, "approve", frozenset(("approve", "reasoning", "payloads")), _ballot_line, _ballot_moves,
+    _ballot_text,
+)
+_QUEST = _Line(Phase.QUEST_EXECUTION, "quest", frozenset(("quest",)), _quest_line, _quest_moves)
+_TARGET = _Line(
+    Phase.ASSASSINATION, "target", frozenset(("target", "payload")), _assassination_line, _assassination_moves
+)
+_AUDIT = _Line(None, "audit", frozenset(("audit", "actor", "text", "payload")), _audit_line, _audit_moves)
+_LINES = (_TEAM, _SPEECHES, _BALLOTS, _QUEST, _TARGET, _AUDIT)
+# Each line kind by its first key.
+_LINE_KINDS = {line.key: line for line in _LINES}
+# The line of the step each non-audit event kind records, by the kind's
+# value; the other kinds (moderator notes) are engine output. So is a
+# ballot result that is public.
+_STEP_LINES = {
+    EventKind.TEAM_PROPOSED._value_: _TEAM,
+    EventKind.DISCUSSION._value_: _SPEECHES,
+    EventKind.BALLOT_RESULT._value_: _BALLOTS,
+    EventKind.QUEST_RESULT._value_: _QUEST,
+    EventKind.ASSASSINATION_RESULT._value_: _TARGET,
 }
 
 
-def _action_phase(event: EventLogEntry) -> Phase | None:
-    """The phase whose decision `event` records, or None: audit events, a
-    vote's public result and moderator notes record no decision."""
-    if event.visibility == AUDIT or (event.visibility == PUBLIC and event.kind is EventKind.BALLOT_RESULT):
-        return None
-    return _ACTION_PHASES.get(event.kind)
+def _steps(events: Iterable[EventLogEntry]) -> Iterator[tuple[_Line, list[EventLogEntry]]]:
+    """A record's events as the steps of its decision stream, in order, each
+    with its line: a discussion's speeches together, a team vote's private
+    ballots together, and every other decision and each audit event alone.
+    The events the engine emits itself are passed over."""
+    lines, runs = _STEP_LINES, (_SPEECHES, _BALLOTS)
+    line: _Line | None = None
+    step: list[EventLogEntry] = []
+    for event in events:
+        visibility = event.visibility
+        if visibility == AUDIT:
+            this = _AUDIT
+        else:
+            this = lines.get(event.kind._value_)
+            if this is None or (this is _BALLOTS and visibility == PUBLIC):
+                continue
+        if step and (this is not line or this not in runs):
+            yield line, step
+            step = []
+        line = this
+        step.append(event)
+    if step:
+        yield line, step
 
 
-def _action_args(event: EventLogEntry) -> tuple:
-    """The transition arguments of a recorded decision other than a ballot."""
-    payload = event.payload
-    if event.kind is EventKind.TEAM_PROPOSED:
-        members = _checked(payload["members"], (list,), "members")
-        return [_checked(p, (int,), "a member") for p in members], event.text, payload
-    if event.kind is EventKind.DISCUSSION:
-        return _checked(event.actor, (int,), "the speaker"), event.text, payload
-    if event.kind is EventKind.QUEST_RESULT:
-        return ()
-    return _checked(event.actor, (int,), "the assassin"), _checked(payload["target"], (int,), "target"), payload
+class _Decisions:
+    """A `drive` callback over a decision stream of (phase, arguments,
+    where) moves; phase None is an audit note.
 
-
-def _recorded_decisions(record: GameRecord) -> Callable[[GameEngine], tuple | None]:
-    """A `drive` callback that walks `record.events` once, in order.
-
-    Each call re-emits, as recorded, the audit events ahead of the next
-    decision (the engine stamps their seq, round and phase) and passes over
-    the events the engine emits itself. It then returns that decision's
-    transition arguments with its recorded payload; for a team vote, the
-    seven private ballots and their payloads. It returns None when the next
-    decision is not of the engine's phase or the events run out, so a replay
-    stops where the recorded game stopped, aborted or not.
+    Each call emits, as they stand, the audit notes ahead of the next
+    decision (the engine stamps their seq, round and phase). It then returns
+    that decision's transition arguments, with the speaker or the assassin
+    that the engine names. It returns None when the next decision is not of
+    the engine's phase or the moves run out, so a game stops where its
+    decisions stop, aborted or not. `where` is the last move's place.
     """
-    events = record.events
-    phases = [_action_phase(event) for event in events]
-    end = len(events)
-    at = 0
 
-    def decide(engine: GameEngine) -> tuple | None:
-        nonlocal at
-        while at < end and (phase := phases[at]) is None:
-            event = events[at]
-            if event.visibility == AUDIT:
-                engine.emit(event.kind, event.text, event.actor, event.payload, AUDIT)
-            at += 1
-        if at == end or phase is not engine.state.phase:
-            return None
-        event = events[at]
+    def __init__(self, moves: Iterator[tuple[Phase | None, tuple, Any]]) -> None:
+        self._moves = moves
+        self._pending: Any = None
+        self.where: Any = None
+
+    def __call__(self, engine: GameEngine) -> tuple | None:
+        for phase, args, where in self._moves:
+            self.where = where
+            if phase is None:
+                engine.emit(*args, AUDIT)
+            elif phase is not engine.state.phase:
+                self._pending = where
+                return None
+            elif phase is Phase.DISCUSSION:
+                return (engine.next_speaker(), *args)
+            elif phase is Phase.ASSASSINATION:
+                return (engine.assassin_seat, *args)
+            else:
+                return args
+        return None
+
+    def left_over(self) -> Any:
+        """The place of the first move not played, or None."""
+        if self._pending is not None:
+            return self._pending
+        move = next(self._moves, None)
+        return None if move is None else move[2]
+
+
+def _recorded_moves(record: GameRecord) -> Iterator[tuple[Phase | None, tuple, int]]:
+    """The moves of `record.events`, walked once and in order, each with the
+    seq where its step starts: what `replay` drives the engine over."""
+    for line, step in _steps(record.events):
         try:
-            if phase is not Phase.TEAM_VOTE:
-                at += 1
-                return _action_args(event)
-            ballots: dict[int, bool] = {}
-            payloads: dict[int, dict[str, Any]] = {}
-            while at < end and phases[at] is Phase.TEAM_VOTE:
-                event = events[at]
-                voter = _checked(event.actor, (int,), "the voter")
-                ballots[voter] = _checked(event.payload["approve"], (bool,), "approve")
-                payloads[voter] = event.payload
-                at += 1
-            return ballots, payloads
-        except (KeyError, TypeError) as exc:
+            moves = line.moves(line.line(step))
+        except (KeyError, TypeError, ValueError) as exc:
+            event = step[0]
             raise ReplayMismatch(
                 f"{record.game_id}: recorded seq {event.seq} holds a malformed "
                 f"{event.kind.value} action: {exc!r}"
             ) from exc
+        for args in moves:
+            yield line.phase, args, step[0].seq
 
-    return decide
+
+# ----- replay verification ----------------------------------------------------
 
 
 def _same_json(a: Any, b: Any) -> bool:
@@ -542,7 +816,7 @@ def replay(record: GameRecord) -> GameEngine:
         raise RecordSchemaError(f"{record.game_id}: record carries no engine seed")
     engine = GameEngine(record.config, record.roles.as_dict(), seed)
     try:
-        drive(engine, _recorded_decisions(record))
+        drive(engine, _Decisions(_recorded_moves(record)))
     except RuleError as exc:
         # A recorded action the rules engine rejects means the log cannot
         # be an honest transcript of a real game.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 from itertools import combinations
 from pathlib import Path
 
@@ -96,6 +98,23 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 # Schema 1 record files, and the rule keys their header configs held.
 V1_RECORDS_DIR = FIXTURE_DIR / "records_v1"
 V1_RULE_KEYS = ("num_players", "team_sizes", "sabotage_thresholds", "majority", "max_proposal_attempts")
+# Schema 2 record files: two deduction/scripted_evil games and a mock codeact
+# game with its model exchanges, as the schema 2 writer wrote them.
+V2_RECORDS_DIR = FIXTURE_DIR / "records_v2"
+
+
+def v2_text(record) -> str:
+    """`record` as the schema 2 writer wrote it: the header, one line per
+    event, and the outcome line, each as `json.JSONEncoder` writes it."""
+    from dataclasses import replace
+
+    from avalonplay.records import _encode_line, write_record
+
+    out = io.StringIO()
+    write_record(replace(record, events=[]), out)  # the header and the outcome line
+    lines = out.getvalue().splitlines()
+    header = json.loads(lines[0]) | {"schema_version": 2}
+    return "\n".join([_encode_line(header), *(_encode_line(e.to_dict()) for e in record.events), lines[-1]]) + "\n"
 
 CODEACT_E2E_FIXTURE = FIXTURE_DIR / "codeact_e2e.json"
 CODEACT_E2E_SEED = 164

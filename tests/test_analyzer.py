@@ -26,7 +26,7 @@ from avalonplay.cli import main
 from avalonplay.llm import MockLLM
 from avalonplay.records import GameRecord, RecordFormatError, load_record, replay, write_record
 from avalonplay.runner import compute_metrics, run_game, seed_for_game
-from helpers import V1_RECORDS_DIR, budgeted_mock, canonical_roles, run_codeact_e2e
+from helpers import V1_RECORDS_DIR, budgeted_mock, canonical_roles, run_codeact_e2e, v2_text
 
 
 def make_record(events):
@@ -425,9 +425,9 @@ MALFORMED_TRACES = {
 
 
 class TestMalformedTraces:
-    """A trace field of the wrong JSON type in a record that loads, replays
-    and feeds metrics is a RecordFormatError naming the game and the seq,
-    and `avalonplay analyze` reports it as one error line."""
+    """A trace field of the wrong JSON type in a schema 2 record that loads,
+    replays and feeds metrics is a RecordFormatError naming the game and the
+    seq, and `avalonplay analyze` reports it as one error line."""
 
     @pytest.fixture(scope="class")
     def rows(self):
@@ -436,9 +436,7 @@ class TestMalformedTraces:
             GameConfig(), AgentSpec("llm", model="mock"), AgentSpec("scripted_evil"),
             seed_for_game(2, 7), client=MockLLM.from_file(MOCK_FIXTURE), game_id="g2-00007",
         )
-        out = io.StringIO()
-        write_record(record, out)
-        return out.getvalue().splitlines()
+        return v2_text(record).splitlines()
 
     @pytest.mark.parametrize("field", sorted(MALFORMED_TRACES))
     def test_bad_trace_field_names_the_seq(self, rows, field, tmp_path, capsys):

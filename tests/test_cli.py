@@ -11,6 +11,7 @@ from avalonplay import analyzer, cli
 from avalonplay.analyzer import analyze_record
 from avalonplay.cli import _onoff, build_parser, main
 from avalonplay.records import load_record
+from helpers import v2_text
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -247,7 +248,8 @@ class TestReplayCommand:
         assert err == ""
 
     def test_rejects_a_tampered_record(self, capsys, record_path):
-        rows = record_path.read_text().splitlines()
+        # Schema 2 holds the quest results that schema 3 leaves to the engine.
+        rows = v2_text(load_record(record_path)).splitlines()
         for i, row in enumerate(rows):
             data = json.loads(row)
             if data.get("kind") == "quest_result":
@@ -258,6 +260,15 @@ class TestReplayCommand:
         code, out, err = run_cli(capsys, "replay", str(record_path))
         assert code == 1
         assert "replay mismatch" in err
+
+    def test_rejects_a_decision_the_rules_forbid(self, capsys, record_path):
+        rows = record_path.read_text().splitlines()
+        assert rows[1].startswith('{"team": [')
+        rows[1] = json.dumps(json.loads(rows[1]) | {"team": [8, 9]})
+        record_path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "replay", str(record_path))
+        assert (code, out) == (1, "")
+        assert err == f"replay mismatch: {record_path}: line 2: the rules reject this decision: no such seat: 8\n"
 
 
 class TestMetricsCommand:
@@ -332,10 +343,15 @@ class TestAnalyzeCommand:
 
 
 class TestBadRecords:
+    """Engine output edited in a schema 2 record, which holds it: replay
+    finds the edit before a reader takes it as true."""
+
     @pytest.fixture()
     def record_path(self, capsys, tmp_path):
         run_cli(capsys, "run", "--games", "1", "--seed", "5", "--record-dir", str(tmp_path))
-        return next(tmp_path.glob("*.jsonl"))
+        path = next(tmp_path.glob("*.jsonl"))
+        path.write_text(v2_text(load_record(path)))
+        return path
 
     @pytest.mark.parametrize("command", ["replay", "metrics", "analyze"])
     def test_malformed_line_is_one_error_line(self, capsys, record_path, command):

@@ -200,21 +200,29 @@ class TestSandbox:
         assert not os.path.exists(scratch)
 
     def test_removing_what_a_program_left_is_not_charged_to_its_timeout(self):
-        # The program leaves many files and ends shortly before its deadline.
-        # The server reports its wait status before it removes them, and the
-        # harness waits for that removal outside the deadline.
-        limits = DebugLoopConfig(max_attempts=1, per_run_timeout=4.0, output_cap=4096)
-        end = time.monotonic() + limits.per_run_timeout - 0.05
+        # The program leaves many directories, whose removal takes longer than
+        # their making (about 1.5 s for 20 000 of them on a 2-core host), and
+        # ends `margin` before its deadline, a margin wider than scheduling
+        # noise. The server reports its wait status before it removes them,
+        # and the harness waits for that removal outside the deadline; were
+        # the removal charged to the deadline, the run would time out.
+        limits = DebugLoopConfig(max_attempts=1, per_run_timeout=6.0, output_cap=4096)
+        margin = 0.5
+        end = time.monotonic() + limits.per_run_timeout - margin
         program = (
             "import os, time\n"
             "for i in range(20000):\n"
-            "    open(f'f{i}', 'w').close()\n"
+            "    os.mkdir(f'd{i}')\n"
             f"time.sleep(max(0.0, {end!r} - time.monotonic()))\n"
             "print(os.getcwd())\n"
         )
         result = execute_sandboxed(program, limits)
+        returned = time.monotonic()
         assert result.status is ExecStatus.OK, result.stderr
         assert not os.path.exists(result.stdout.strip())
+        # The test could not tell a charged removal from one that is not
+        # unless the removal outlasts the margin.
+        assert returned - end > margin
 
     def test_a_program_larger_than_the_socket_buffer_runs(self):
         a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)

@@ -53,9 +53,10 @@ V1_RECORD = V1_RECORDS_DIR / "deduction.jsonl"
 
 
 def _header_record(config: GameConfig) -> list[str]:
-    # With no events and no outcome, the game is one that aborted.
+    # With no decisions and no outcome, the game is one that aborted.
     agents = {p: AgentSpec() for p in ALL_SEATS}
-    record = GameRecord("g", config, RoleAssignment(canonical_roles({5, 6, 7})), agents, {}, aborted=True)
+    roles = RoleAssignment(canonical_roles({5, 6, 7}))
+    record = GameRecord("g", config, roles, agents, {"engine_seed": 1}, aborted=True)
     out = io.StringIO()
     write_record(record, out)
     return out.getvalue().splitlines()

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -66,7 +70,7 @@ class TestHttpClient:
             calls.append((url, json, headers, timeout))
             return ok_response("reply!")
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         client = HttpLLMClient("http://api.example/v1/", model="m1", timeout=7.0)
         assert client.complete(MESSAGES, 0.3, "team_vote") == "reply!"
@@ -87,7 +91,7 @@ class TestHttpClient:
             captured.update(headers)
             return ok_response()
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         monkeypatch.delenv(API_KEY_ENV, raising=False)
         HttpLLMClient("http://x", model="m").complete(MESSAGES, 0.0, "t")
         assert "Authorization" not in captured
@@ -99,27 +103,27 @@ class TestHttpClient:
             captured.update(headers)
             return ok_response()
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         monkeypatch.setenv(API_KEY_ENV, "sk-env")
         HttpLLMClient("http://x", model="m", api_key="sk-direct").complete(MESSAGES, 0.0, "t")
         assert captured["Authorization"] == "Bearer sk-direct"
 
     def test_retries_with_exponential_backoff(self, monkeypatch, no_sleep):
         responses = iter([server_error(503), server_error(502), ok_response("third time")])
-        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: next(responses))
+        monkeypatch.setattr("requests.post", lambda *a, **k: next(responses))
         client = HttpLLMClient("http://x", model="m", backoff=0.5)
         assert client.complete(MESSAGES, 0.0, "t") == "third time"
         assert no_sleep == [0.5, 1.0]
 
     def test_rate_limit_is_retried(self, monkeypatch, no_sleep):
         responses = iter([server_error(429), ok_response("after the limit")])
-        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: next(responses))
+        monkeypatch.setattr("requests.post", lambda *a, **k: next(responses))
         client = HttpLLMClient("http://x", model="m", backoff=0.5)
         assert client.complete(MESSAGES, 0.0, "t") == "after the limit"
         assert no_sleep == [0.5]
 
     def test_rate_limits_exhaust_the_retries(self, monkeypatch, no_sleep):
-        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: server_error(429))
+        monkeypatch.setattr("requests.post", lambda *a, **k: server_error(429))
         with pytest.raises(TransportError, match="after 3 attempts: HTTP 429"):
             HttpLLMClient("http://x", model="m", max_retries=3).complete(MESSAGES, 0.0, "t")
         assert no_sleep == [1.0, 2.0]
@@ -127,7 +131,7 @@ class TestHttpClient:
     @pytest.mark.parametrize("code", [429, 503])
     def test_retry_after_replaces_the_backoff_step(self, monkeypatch, no_sleep, code):
         responses = iter([server_error(code, {"Retry-After": "2"}), server_error(code, {"Retry-After": "soon"}), ok_response()])
-        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: next(responses))
+        monkeypatch.setattr("requests.post", lambda *a, **k: next(responses))
         assert HttpLLMClient("http://x", model="m", backoff=0.5).complete(MESSAGES, 0.0, "t") == "fine"
         # A value that is not a number of seconds falls back to the backoff.
         assert no_sleep == [2, 1.0]
@@ -136,7 +140,7 @@ class TestHttpClient:
         def fake_post(*a, **k):
             raise requests.ConnectionError("refused")
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         client = HttpLLMClient("http://x", model="m", max_retries=3)
         with pytest.raises(TransportError, match="after 3 attempts"):
             client.complete(MESSAGES, 0.0, "t")
@@ -149,7 +153,7 @@ class TestHttpClient:
             timeouts.append(timeout)
             raise requests.Timeout("read timed out")
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         client = HttpLLMClient("http://x", model="m", timeout=7.0, max_retries=3, backoff=0.5)
         with pytest.raises(TransportError, match="after 3 attempts: read timed out"):
             client.complete(MESSAGES, 0.0, "t")
@@ -160,7 +164,7 @@ class TestHttpClient:
         def fake_post(*a, **k):
             raise requests.exceptions.ChunkedEncodingError("Connection broken: IncompleteRead")
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         client = HttpLLMClient("http://x", model="m", max_retries=3, backoff=0.5)
         with pytest.raises(TransportError, match="after 3 attempts: Connection broken"):
             client.complete(MESSAGES, 0.0, "t")
@@ -171,7 +175,7 @@ class TestHttpClient:
             raise requests.exceptions.ChunkedEncodingError("Connection broken: IncompleteRead")
 
         replies = iter([truncated, lambda *a, **k: ok_response("whole")])
-        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: next(replies)(*a, **k))
+        monkeypatch.setattr("requests.post", lambda *a, **k: next(replies)(*a, **k))
         assert HttpLLMClient("http://x", model="m", backoff=0.5).complete(MESSAGES, 0.0, "t") == "whole"
         assert no_sleep == [0.5]
 
@@ -182,7 +186,7 @@ class TestHttpClient:
             calls.append(1)
             raise requests.exceptions.ContentDecodingError("Received response with content-encoding: gzip")
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         with pytest.raises(TransportError, match="unusable response from http://x: Received response"):
             HttpLLMClient("http://x", model="m").complete(MESSAGES, 0.0, "t")
         assert len(calls) == 1 and no_sleep == []
@@ -194,14 +198,14 @@ class TestHttpClient:
             calls.append(1)
             return client_error(401)
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         with pytest.raises(TransportError, match="unusable response"):
             HttpLLMClient("http://x", model="m").complete(MESSAGES, 0.0, "t")
         assert len(calls) == 1
 
     def test_malformed_body_fails_immediately(self, monkeypatch, no_sleep):
         monkeypatch.setattr(
-            "avalonplay.llm.requests.post",
+            "requests.post",
             lambda *a, **k: SimpleNamespace(
                 status_code=200, raise_for_status=lambda: None, json=lambda: {"unexpected": True}
             ),
@@ -219,19 +223,46 @@ class TestHttpClient:
             calls.append(1)
             return ok_response(content)
 
-        monkeypatch.setattr("avalonplay.llm.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         with pytest.raises(TransportError, match="^unusable response from http://x: "):
             HttpLLMClient("http://x", model="m").complete(MESSAGES, 0.0, "t")
         assert len(calls) == 1 and no_sleep == []
 
     @pytest.mark.parametrize("content", [None, "fine \ud800"], ids=["null", "lone-surrogate"])
     def test_content_that_is_not_text_aborts_the_game(self, monkeypatch, no_sleep, tmp_path, content):
-        monkeypatch.setattr("avalonplay.llm.requests.post", lambda *a, **k: ok_response(content))
+        monkeypatch.setattr("requests.post", lambda *a, **k: ok_response(content))
         tc = TournamentConfig(n_games=1, just_spec=AgentSpec("llm"), record_dir=str(tmp_path))
         (summary,) = run_tournament(tc, HttpLLMClient("http://x", model="m")).summaries
         assert summary.aborted
         record = load_record(summary.record_path)
         assert record.aborted and record.error.startswith("TransportError: unusable response from http://x: ")
+
+
+class TestWithoutRequests:
+    def test_offline_games_need_no_requests(self):
+        # `import requests` raises ImportError once its module entry is None.
+        program = textwrap.dedent(
+            f"""
+            import sys
+            sys.modules["requests"] = None
+            from avalonplay.agents import AgentSpec
+            from avalonplay.game import GameConfig
+            from avalonplay.llm import MockLLM
+            from avalonplay.runner import run_game, seed_for_game
+
+            deduction = run_game(GameConfig(), AgentSpec("deduction"), AgentSpec("scripted_evil"), seed_for_game(42, 0))
+            cot = run_game(
+                GameConfig(), AgentSpec("llm", strategy="cot", model="mock"), AgentSpec("scripted_evil"),
+                seed_for_game(42, 1), client=MockLLM.from_file({str(BENCH_FIXTURE)!r}),
+            )
+            print(deduction.aborted, cot.aborted, len(cot.events) > 0, sys.modules["requests"])
+            """
+        )
+        src = str(ROOT / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, env=os.environ | {"PYTHONPATH": src}
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False False True None\n", "")
 
 
 class TestMockRule:

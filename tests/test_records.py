@@ -28,9 +28,10 @@ from avalonplay.records import (
     write_record,
 )
 from avalonplay.events import EventKind, EventLogEntry
-from avalonplay.records import _config_hash, _encode_line, _event_line
+from avalonplay import records
+from avalonplay.records import _config_hash, _encode_line, _json
 from avalonplay.runner import compute_metrics, run_game, seed_for_game
-from helpers import V1_RECORDS_DIR, V1_RULE_KEYS, budgeted_mock, run_codeact_e2e
+from helpers import V1_RECORDS_DIR, V1_RULE_KEYS, V2_RECORDS_DIR, budgeted_mock, run_codeact_e2e, v2_text
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +75,34 @@ class TestRoundTrip:
         write_record(record, path)
         lines = path.read_text().splitlines()
         parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["type"] == "header" and parsed[0]["schema_version"] == 2
+        assert parsed[0]["type"] == "header" and parsed[0]["schema_version"] == 3
         assert parsed[-1]["type"] == "outcome"
-        # Event lines carry neither a type nor the header's game id.
+        # Decision lines carry neither a type nor the header's game id; the
+        # first key names the kind.
         assert all("type" not in p and "game_id" not in p for p in parsed[1:-1])
-        assert len(parsed) == len(record.events) + 2
+        assert {next(iter(p)) for p in parsed[1:-1]} == {"team", "speeches", "approve", "quest", "target"}
 
     def test_events_stored_in_sequence_order(self, record, tmp_path):
+        # One line per proposal, discussion, team vote, quest and assassination,
+        # in the order of the events they stand for.
         path = tmp_path / "game.jsonl"
         write_record(record, path)
-        seqs = [json.loads(line)["seq"] for line in path.read_text().splitlines()[1:-1]]
-        assert seqs == sorted(seqs)
+        kinds = [next(iter(json.loads(line))) for line in path.read_text().splitlines()[1:-1]]
+        line_of = {"team_proposed": "team", "discussion": "speeches", "quest_result": "quest",
+                   "assassination_result": "target"}
+        steps = []
+        for e in record.events:
+            kind = "approve" if e.visibility.startswith("private:") else line_of.get(e.kind.value)
+            if kind and not (steps and steps[-1] == kind and kind in ("speeches", "approve")):
+                steps.append(kind)
+        assert kinds == steps
+
+    def test_engine_output_is_not_written(self, record):
+        text = _text(record)
+        for e in record.events:
+            if e.kind in (EventKind.MODERATOR_NOTE, EventKind.BALLOT_RESULT, EventKind.QUEST_RESULT):
+                assert e.text not in text
+        assert len(text) <= len(v2_text(record)) / 4
 
     def test_agent_specs_survive(self, record, tmp_path):
         path = tmp_path / "game.jsonl"
@@ -137,9 +155,15 @@ class TestFormatErrors:
             load_record(self.write_lines(tmp_path, rows))
 
     def test_out_of_order_events(self, record, tmp_path):
-        rows = self.rows(record, tmp_path)
+        rows = v2_text(record).splitlines()
         rows[1], rows[2] = rows[2], rows[1]
         with pytest.raises(RecordFormatError, match="out of order"):
+            load_record(self.write_lines(tmp_path, rows))
+
+    def test_decisions_out_of_order(self, record, tmp_path):
+        rows = self.rows(record, tmp_path)
+        rows[1], rows[2] = rows[2], rows[1]
+        with pytest.raises(ReplayMismatch, match="bad.jsonl: line 2: no such decision is due in team_selection"):
             load_record(self.write_lines(tmp_path, rows))
 
     def test_missing_outcome(self, record, tmp_path):
@@ -204,7 +228,9 @@ class TestStrictLoader:
             load_record(io.StringIO(self.header_with(record, **config)))
 
     def test_typed_config_values_still_load(self, record):
-        loaded = load_record(io.StringIO(self.header_with(record, communication_enabled=False, memory_window=3)))
+        # A game aborted before its first decision fits any config.
+        unplayed = dataclasses.replace(record, events=[], outcome=None, aborted=True)
+        loaded = load_record(io.StringIO(self.header_with(unplayed, communication_enabled=False, memory_window=3)))
         assert loaded.config == GameConfig(communication_enabled=False, memory_window=3)
 
     @pytest.mark.parametrize(
@@ -236,11 +262,19 @@ class TestStrictLoader:
 
     @pytest.mark.parametrize("key", ["colour", "game_id", "type_"])
     def test_unknown_event_key_names_the_line_and_the_key(self, record, key):
-        rows = _text(record).splitlines()
+        rows = v2_text(record).splitlines()
         event = json.loads(rows[3])
         event[key] = "red"
         rows[3] = json.dumps(event)
         with pytest.raises(RecordFormatError, match=f"line 4: bad event: .*unknown event key '{key}'"):
+            load_record(io.StringIO("\n".join(rows) + "\n"))
+
+    @pytest.mark.parametrize("key", ["colour", "payload", "type_"])
+    def test_unknown_decision_key_names_the_line_and_the_key(self, record, key):
+        rows = _text(record).splitlines()
+        assert next(iter(json.loads(rows[3]))) == "approve"
+        rows[3] = json.dumps(json.loads(rows[3]) | {key: "red"})
+        with pytest.raises(RecordFormatError, match=f"line 4: bad approve line: .*unknown key '{key}'"):
             load_record(io.StringIO("\n".join(rows) + "\n"))
 
 
@@ -278,7 +312,7 @@ class TestOutcomeLine:
 
     def test_a_complete_game_cut_short_is_rejected(self, record):
         rows = _text(record).splitlines()
-        first_quest = next(i for i, row in enumerate(rows) if '"kind": "quest_result"' in row)
+        first_quest = next(i for i, row in enumerate(rows) if row.startswith('{"quest": '))
         tail = json.loads(rows[-1]) | {"outcome": None}
         rows = [*rows[: first_quest + 1], json.dumps(tail)]
         with pytest.raises(RecordFormatError, match=f"line {len(rows)}: bad outcome"):
@@ -320,8 +354,9 @@ class TestReplay:
         assert replay(load_record(path)).outcome == record.outcome
 
     def test_tampered_ballot_detected(self, record, tmp_path):
+        # Schema 2 records the ballot sentences that a flipped ballot changes.
         path = tmp_path / "game.jsonl"
-        write_record(record, path)
+        path.write_text(v2_text(record))
         rows = path.read_text().splitlines()
         for i, row in enumerate(rows):
             data = json.loads(row)
@@ -335,7 +370,7 @@ class TestReplay:
 
     def test_tampered_team_detected(self, record, tmp_path):
         path = tmp_path / "game.jsonl"
-        write_record(record, path)
+        path.write_text(v2_text(record))
         rows = path.read_text().splitlines()
         for i, row in enumerate(rows):
             data = json.loads(row)
@@ -363,7 +398,7 @@ class TestReplay:
             replay(load_record(path))
 
     def test_renumbered_seqs_detected(self, record):
-        rows = _text(record).splitlines()
+        rows = v2_text(record).splitlines()
         for i in range(5, len(rows) - 1):  # from the fifth event on
             data = json.loads(rows[i])
             data["seq"] += 10
@@ -373,7 +408,7 @@ class TestReplay:
 
     def test_audit_event_moved_past_its_quest_result_detected(self):
         record = run_game(GameConfig(), LLM_COT, LLM_REACT, seed_for_game(37, 0), client=budgeted_mock())
-        rows = _text(record).splitlines()
+        rows = v2_text(record).splitlines()
         i = next(i for i, row in enumerate(rows) if '"quest_vote_override"' in row)
         audit, result = json.loads(rows[i]), json.loads(rows[i + 1])
         assert result["kind"] == "quest_result"
@@ -395,7 +430,7 @@ class TestReplay:
         # `==` takes each retyped value for the engine's, and the file still loads.
         assert retyped == value
         game = run_game(GameConfig(), AgentSpec("deduction"), AgentSpec("scripted_evil"), seed_for_game(11, game_index))
-        rows = _text(game).splitlines()
+        rows = v2_text(game).splitlines()
         i, data = next(
             (i, data) for i, data in enumerate(map(json.loads, rows))
             if data.get("kind") == kind and data["payload"][key] == value
@@ -519,10 +554,9 @@ class TestRecordAndReplayPin:
 # included.
 PINNED_EVENTS_DIGEST = "d44af3c3e56ddac69327cf54ec32090fef8dd1525baf58d86728874909fad97a"
 PINNED_CODEACT_EVENTS_DIGEST = "7426a9ba2e1fb643d8365f775bd202721972207cb3b661680dce15736910f28e"
-# Schema 2 record files: the schema 1 files of the same games with the
-# rule keys, the event `type` and `game_id` dropped and the config re-hashed.
-PINNED_BYTES_DIGEST = "559639d5a3a471cafb0c576b8a513188c3eb489938ebafd7dc41319b9f9dbae9"
-PINNED_CODEACT_BYTES_DIGEST = "6b1683413d8124731714571c7b841b03aab7c3515db5152cba43b1b16ba57887"
+# Schema 3 record files: the header, the decisions and the outcome.
+PINNED_BYTES_DIGEST = "505d94d65f6e73b0b58247071665948fd93ea88aaec5fb645d25aa18bd62d6da"
+PINNED_CODEACT_BYTES_DIGEST = "d4b4d2ddeddf0fe069ede2afc51ab683421a9a35cd751be9062a27eb69be8ded"
 
 
 # Mock-client llm `cot` just seats (each with a memory) against deduction
@@ -552,7 +586,7 @@ class TestMixedPolicyPin:
 
 
 PINNED_MIXED_EVENTS_DIGEST = "4cac9c3efee471d66a8b885c141a219451030faa59975f47ec9f694d5b0ecf73"
-PINNED_MIXED_BYTES_DIGEST = "37a2c3461b08af9872d6de725957ea83e2ff95c1f598aadbca6504c798c8241a"
+PINNED_MIXED_BYTES_DIGEST = "52da9aac24ff2c159a540f8009a182dd543f1890aa7e6acb24660e25010b387e"
 
 
 # JSON strings with the characters an encoder must escape, or may pass
@@ -583,7 +617,7 @@ class TestEventLineTemplate:
     @given(event=EVENTS)
     @example(event=EventLogEntry(2**70, -(2**64), 10**30, 'a"\\b\n', None, EventKind.DISCUSSION, "\u2028\U0001F600\x00", {}, "p"))
     def test_template_line_is_the_encoder_line(self, event):
-        assert _event_line(event) == _encode_line(event.to_dict())
+        assert _json(event.to_dict()) == _encode_line(event.to_dict())
 
 
 class _Seat(IntEnum):
@@ -623,7 +657,8 @@ class TestPayloadTemplate:
     @example(payload={"members": [], "leader": _Seat.ONE, 3: None})
     def test_payload_line_is_the_encoder_line(self, payload):
         event = _event(payload)
-        assert _event_line(event) == _encode_line(event.to_dict())
+        assert _json(event.to_dict()) == _encode_line(event.to_dict())
+        assert _json([payload, [payload], {"ballots": [payload]}]) == _encode_line([payload, [payload], {"ballots": [payload]}])
 
     @pytest.mark.parametrize(
         "payload",
@@ -632,7 +667,7 @@ class TestPayloadTemplate:
     )
     def test_non_finite_payload_values_are_rejected_on_both_paths(self, payload):
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-            _event_line(_event(payload))
+            _json(_event(payload).to_dict())
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             _encode_line(_event(payload).to_dict())
 
@@ -643,15 +678,43 @@ class TestPayloadTemplate:
     )
     def test_fields_outside_the_quoted_table(self, kind, phase, visibility):
         event = _event({"approve": False}, phase, visibility, kind)
-        assert _event_line(event) == _encode_line(event.to_dict())
+        assert _json(event.to_dict()) == _encode_line(event.to_dict())
 
     def test_a_default_game_writes_every_payload_by_template(self, record, monkeypatch):
+        # Only the header's agents map, with its float temperatures, and its
+        # config (once per config) go through the encoder.
         encoded = []
         monkeypatch.setattr("avalonplay.records._encode_line", lambda obj: encoded.append(obj) or _encode_line(obj))
+        records._config_fields.cache_clear()
         out = io.StringIO()
+        write_record(dataclasses.replace(record), out)
         write_record(record, out)
-        assert [obj["type"] for obj in encoded] == ["header", "outcome"]
-        assert out.getvalue().count("\n") == len(record.events) + 2
+        config = {f.name for f in dataclasses.fields(GameConfig)}
+        assert [set(obj) for obj in encoded] == [config, set(map(str, range(1, 8))), set(map(str, range(1, 8)))]
+
+
+class TestLineTemplates:
+    """A line kind's template writes what the encoder writes for its line,
+    in every step of deduction, random, mock-LLM (aborted ones included),
+    codeact and logged-exchange games, and of steps whose payloads hold
+    keys the template does not."""
+
+    @pytest.fixture(scope="class")
+    def steps(self, record):
+        games = [record, *_pin_records(), run_codeact_e2e()[0], _logged_game()]
+        steps = [step for game in games for step in records._steps(game.events)]
+        # A proposal, speeches and ballots with a caller's key each.
+        extra = {"trace": {"x": [1.5]}}
+        for line in (records._TEAM, records._SPEECHES, records._BALLOTS):
+            kind, step = next((kind, step) for kind, step in steps if kind is line)
+            steps.append((kind, [dataclasses.replace(e, payload={**e.payload, **extra}) for e in step]))
+        return steps
+
+    def test_each_template_writes_the_encoder_line(self, steps):
+        templated = [(line, step) for line, step in steps if line.text is not None]
+        assert {line.key for line, _ in templated} == {"team", "speeches", "approve"}
+        for line, step in templated:
+            assert line.text(step) == _encode_line(line.line(step)) == _json(line.line(step))
 
 
 class TestCodeactRecords:
@@ -691,13 +754,13 @@ class TestSchemaV1Records:
 
     @pytest.mark.parametrize("path", V1_PATHS, ids=lambda p: p.stem)
     def test_loads_replays_and_rewrites_as_v2(self, path):
+        # The upgrade reads a schema 1 file as the schema 2 file of the game.
         v1 = _rows(path.read_text())
         assert v1[0]["schema_version"] == 1
         assert all(row["type"] == "event" and "game_id" in row for row in v1[1:-1])
         record = load_record(path)
         replay(record)
-        text = _text(record)
-        v2 = _rows(text)
+        v2 = _rows(v2_text(record))
         assert v2[0]["schema_version"] == 2
         assert v2[0]["config"] == {k: v for k, v in v1[0]["config"].items() if k not in V1_RULE_KEYS}
         assert [(k, v) for k, v in v2[0].items() if k not in ("schema_version", "config", "config_hash")] == [
@@ -705,7 +768,7 @@ class TestSchemaV1Records:
         ]
         assert v2[1:-1] == [{k: v for k, v in row.items() if k not in ("type", "game_id")} for row in v1[1:-1]]
         assert v2[-1] == v1[-1]
-        assert load_record(io.StringIO(text)) == record
+        assert load_record(io.StringIO(_text(record))) == record
 
     def test_fixtures_cover_an_aborted_game_and_the_codeact_game(self):
         loaded = {path.stem: load_record(path) for path in V1_PATHS}
@@ -714,7 +777,7 @@ class TestSchemaV1Records:
         assert _events_digest([loaded["codeact-e2e"]]) == PINNED_CODEACT_EVENTS_DIGEST
 
     @pytest.mark.parametrize("command", ["metrics", "analyze"])
-    def test_metrics_and_analyze_match_the_v2_rewrite(self, command, tmp_path, capsys):
+    def test_metrics_and_analyze_match_the_v3_rewrite(self, command, tmp_path, capsys):
         for path in V1_PATHS:
             write_record(load_record(path), tmp_path / path.name)
         assert main([command, str(V1_RECORDS_DIR)]) == 0
@@ -738,6 +801,41 @@ class TestSchemaV1Records:
     def test_event_lines_need_their_type(self):
         with pytest.raises(RecordFormatError, match="line 3 has no record type"):
             self._load_tampered(lambda rows: rows[2].pop("type"))
+
+
+V2_PATHS = sorted(V2_RECORDS_DIR.glob("*.jsonl"))
+
+
+class TestSchemaV2Records:
+    """Schema 2 files as the schema 2 writer wrote them: two deduction games
+    and a mock codeact game with its model exchanges."""
+
+    def test_fixtures_cover_deduction_and_logged_codeact_games(self):
+        assert [path.stem for path in V2_PATHS] == ["codeact-exchanges", "deduction-assassin-hit", "deduction-evil-quests"]
+        assert all(json.loads(path.read_text().splitlines()[0])["schema_version"] == 2 for path in V2_PATHS)
+        assert '"exchanges": [' in (V2_RECORDS_DIR / "codeact-exchanges.jsonl").read_text()
+
+    @pytest.mark.parametrize("path", V2_PATHS, ids=lambda p: p.stem)
+    def test_loads_and_its_v3_rewrite_loads_to_the_same_record(self, path):
+        record = load_record(path)
+        replay(record)
+        assert v2_text(record) == path.read_text(encoding="utf-8")
+        text = _text(record)
+        assert json.loads(text.splitlines()[0])["schema_version"] == 3
+        rewritten = load_record(io.StringIO(text))
+        assert rewritten == record
+        assert compute_metrics([rewritten]) == compute_metrics([record])
+        assert analyze_record(rewritten) == analyze_record(record)
+        assert _text(rewritten) == text
+
+    @pytest.mark.parametrize("command", ["metrics", "analyze"])
+    def test_metrics_and_analyze_match_the_v3_rewrite(self, command, tmp_path, capsys):
+        for path in V2_PATHS:
+            write_record(load_record(path), tmp_path / path.name)
+        assert main([command, str(V2_RECORDS_DIR)]) == 0
+        v2_out = capsys.readouterr().out
+        assert main([command, str(tmp_path)]) == 0
+        assert capsys.readouterr().out == v2_out
 
 
 def _logged_game() -> GameRecord:
@@ -802,7 +900,8 @@ def fuzz_sources(record):
     aborted = run_game(GameConfig(), LLM_COT, LLM_REACT, seed_for_game(37, 1), client=budgeted_mock({"team_vote": 17}))
     assert aborted.aborted
     v1 = (V1_RECORDS_DIR / "mock-aborted.jsonl").read_text().splitlines()
-    return [_text(record).splitlines(), _text(aborted).splitlines(), v1]
+    v2 = (V2_RECORDS_DIR / "deduction-evil-quests.jsonl").read_text().splitlines()
+    return [_text(record).splitlines(), _text(aborted).splitlines(), v1, v2]
 
 
 def _dicts(obj):
@@ -849,7 +948,7 @@ class TestTamperedRecords:
             pass
 
     def test_retyped_event_field_names_the_line(self, record):
-        rows = _text(record).splitlines()
+        rows = v2_text(record).splitlines()
         event = json.loads(rows[5])
         event["seq"] = "5"
         rows[5] = json.dumps(event)
@@ -857,7 +956,7 @@ class TestTamperedRecords:
             load_record(io.StringIO("\n".join(rows)))
 
     def test_malformed_action_names_the_seq(self, record):
-        rows = _text(record).splitlines()
+        rows = v2_text(record).splitlines()
         for i, row in enumerate(rows):
             data = json.loads(row)
             if data.get("kind") == "team_proposed":
@@ -866,6 +965,87 @@ class TestTamperedRecords:
                 break
         with pytest.raises(ReplayMismatch, match=f"seq {data['seq']} "):
             _replay_text("\n".join(rows))
+
+
+def _leaves(value, path=()):
+    """The path of every leaf of a JSON value (a scalar, or an empty list or object)."""
+    items = list(value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _leaves(item, (*path, key))
+    if not items:
+        yield path
+
+
+def _other(value):
+    """A value of the same JSON type as `value`, but not equal to it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "?"
+    return 0 if value is None else [0] if isinstance(value, list) else {"x": 0}
+
+
+def _retyped(value):
+    """A value of another JSON type than `value`: a bool becomes an int."""
+    if isinstance(value, bool):
+        return int(value)
+    return "3" if isinstance(value, int) else None
+
+
+def _sweep_texts(rows: list[str]):
+    """(edit, text) for each bounded edit of a schema 3 record's lines: each
+    leaf of each decision line changed within its type and to another type,
+    each line deleted, each line doubled, and the file cut after each line."""
+    for i in range(1, len(rows) - 1):
+        for path in _leaves(json.loads(rows[i])):
+            for change in (_other, _retyped):
+                edited = json.loads(rows[i])
+                parent = edited
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = change(parent[path[-1]])
+                yield f"line {i + 1} {path} {change.__name__}", "\n".join([*rows[:i], json.dumps(edited), *rows[i + 1:]]) + "\n"
+    for i in range(len(rows)):
+        yield f"line {i + 1} deleted", "\n".join(rows[:i] + rows[i + 1:]) + "\n"
+        yield f"line {i + 1} doubled", "\n".join(rows[: i + 1] + rows[i:]) + "\n"
+        if i < len(rows) - 1:
+            yield f"cut after line {i + 1}", "\n".join(rows[: i + 1]) + "\n"
+
+
+class TestBoundedTamperSweep:
+    """Every bounded edit of a deduction record and of a mock-LLM record with
+    audit notes either fails with one of the three record errors, naming the
+    file and a line, or loads and replays cleanly and feeds metrics and the
+    analyzer (which may still find a trace field of the wrong type)."""
+
+    def test_each_edit_fails_at_a_named_line_or_loads_cleanly(self, record, tmp_path):
+        mock = run_game(GameConfig(), LLM_COT, LLM_REACT, seed_for_game(37, 0), client=budgeted_mock())
+        assert '{"audit": ' in _text(mock)
+        messages = []
+        for source, game in (("deduction", record), ("mock", mock)):
+            path = tmp_path / f"{source}.jsonl"
+            for edit, text in _sweep_texts(_text(game).splitlines()):
+                path.write_text(text)
+                try:
+                    loaded = load_record(path)
+                    replay(loaded)
+                except RECORD_ERRORS as exc:
+                    assert re.match(rf"{re.escape(str(path))}: line \d+[: ]", str(exc)), (edit, str(exc))
+                    messages.append(str(exc))
+                    continue
+                compute_metrics([loaded])
+                try:
+                    analyze_record(loaded)
+                except RecordFormatError:
+                    pass
+        # The sweep met an illegal decision, a decision the game had no use
+        # for at its place, lines left over after the game ended, an outcome
+        # that is not the game's and a complete game that stopped short.
+        for kind in ("the rules reject this decision", "no such decision is due in", "due after the game ended",
+                     "outcome diverged", "the record is complete, but"):
+            assert any(kind in message for message in messages), kind
 
 
 class HashClient(LLMClient):
@@ -930,8 +1110,9 @@ class TestAuditEventPin:
         assert _bytes_digest(audit_records) == PINNED_AUDIT_BYTES_DIGEST
 
 
-# Computed before agents returned their audit notes in their replies.
-PINNED_AUDIT_BYTES_DIGEST = "28b3df3f11d0ff8f5ef59102b74bcbc3cbfb6218b270884a0b143d6b24f19602"
+# Schema 3 files; the schema 2 files of these games were pinned before
+# agents returned their audit notes in their replies.
+PINNED_AUDIT_BYTES_DIGEST = "29f34cb5325002c845ef990ba64a6fece26d37cb46420b5a53d8106fc653cb5e"
 
 
 # ----- loader fast path -------------------------------------------------------
@@ -1036,14 +1217,14 @@ LOADER_OUTCOMES = {
 
 
 class TestLoaderFastPath:
-    """A line as `write_record` writes it skips the key-by-key checks; every
+    """A schema 2 line as the schema 2 writer wrote it skips the key-by-key checks; every
     other line, each field of another JSON type, another key order, a missing
     default, an unknown key or kind and text around the object, loads or
     fails exactly as the key-by-key loop has it."""
 
     @pytest.fixture(scope="class")
     def cases(self, record):
-        return _loader_cases(_text(record).splitlines())
+        return _loader_cases(v2_text(record).splitlines())
 
     def test_every_case_has_its_outcome(self, cases):
         assert sorted(cases) == sorted(LOADER_OUTCOMES)
@@ -1061,4 +1242,4 @@ class TestLoaderFastPath:
         want = dataclasses.replace(record, events=events)
         loaded = load_record(io.StringIO(cases[case]))
         # The written text tells true from 1, which `==` does not.
-        assert loaded == want and _text(loaded) == _text(want)
+        assert loaded == want and v2_text(loaded) == v2_text(want)
