@@ -241,8 +241,8 @@ def check_claims(record: GameRecord) -> list[ConsistencyFinding]:
 
 
 def analyze_record(record: GameRecord) -> list[ConsistencyFinding]:
-    """Findings of both passes, by seq, for a record from `run_game`, or
-    loaded and then passed through `replay`, which checks what the engine wrote."""
+    """Findings of both passes, by seq, for a record from `run_game` or
+    `load_record`, which checks what the engine wrote, whatever the schema."""
     return sorted(
         check_structural(record) + check_claims(record),
         key=lambda f: (f.seq, f.kind, f.detail),

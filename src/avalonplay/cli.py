@@ -28,7 +28,6 @@ from .records import (
     ReplayMismatch,
     iter_record_paths,
     load_record,
-    replay,
 )
 from .runner import TournamentConfig, compute_metrics, run_tournament
 from .analyzer import analyze_records
@@ -162,13 +161,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _verified(path: Path) -> GameRecord:
-    """The record at `path`, loaded and then replayed: checked for every reader."""
+    """The record at `path`, loaded, which checks it against the engine."""
     try:
-        record = load_record(path)
+        return load_record(path)
     except OSError as exc:
         raise SystemExit(f"cannot read {path}: {exc.strerror or exc}") from None
-    replay(record)
-    return record
 
 
 def _verified_many(path: Path) -> Iterator[GameRecord]:

@@ -575,7 +575,10 @@ def _kill_program(status_fd: int, status: bytearray) -> None:
         try:
             os.killpg(pid, signal.SIGKILL)
         except ProcessLookupError:  # not yet the leader of its own group
-            os.kill(pid, signal.SIGKILL)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:  # already reaped: its status line follows
+                pass
 
 
 def _probe_namespace_support() -> bool:

@@ -31,13 +31,15 @@ over after the game ended, and an outcome line that disagrees with where
 the game stopped each raise `ReplayMismatch`, naming the file and line.
 
 Schema 1 and 2 files hold every event. They still load, schema 1 through
-`_upgrade_v1`, with their events read as written, and re-write as schema
-3. `replay` re-drives the rules engine from a record's events, with each
-decision read from the record instead of asked of an agent, and requires
-the rebuilt event log to equal the recorded one field for field, seq
-included and payload values of the same JSON type, and the outcome to
-match. It stops where the recorded actions run out, so an aborted game's
-record replays up to the point where the game stopped.
+`_upgrade_v1`, and re-write as schema 3. Loading one reads its events as
+written and passes them through `replay`, which re-drives the rules engine
+from them, with each decision read from the record instead of asked of an
+agent, and requires the rebuilt event log to equal the recorded one field
+for field, seq included and payload values of the same JSON type, and the
+outcome to match. So a loaded record of any schema is engine-checked, and
+its events are the engine's. `replay` stops where the recorded actions run
+out, so an aborted game's record replays up to the point where the game
+stopped.
 
 Every line is written as `json.JSONEncoder` would write it: strings, bools,
 ints, None, lists and `str`-keyed dicts by template (`_json`), and any
@@ -58,7 +60,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import zip_longest
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, TextIO
@@ -240,14 +242,6 @@ _EVENT_FIELD_TYPES = {
     "payload": (dict,),
     "visibility": (str,),
 }
-# An event line as schema 2 wrote it: every key, in the order of
-# `_EVENT_FIELD_TYPES` and of `EventLogEntry`'s fields, with values of one
-# of the type rows the key types allow (two: the actor is a seat or null)
-# and a known kind. `load_record` builds such a line's event positionally,
-# without checking key by key.
-_EVENT_KEYS = tuple(_EVENT_FIELD_TYPES)
-_EVENT_VALUE_TYPES = frozenset(product(*_EVENT_FIELD_TYPES.values()))
-_EVENT_KINDS = {kind._value_: kind for kind in EventKind}
 
 
 # The JSON type of each `GameConfig` toggle is the type of its default (a
@@ -319,8 +313,9 @@ def _upgrade_v1(rows: list[tuple[int, dict[str, Any]]], name: str) -> None:
 def load_record(source: str | Path | TextIO) -> GameRecord:
     """Exact inverse of `write_record`, with schema and order validation.
 
-    A schema 3 record's events are the engine's, driven over its decision
-    lines; a schema 1 or 2 record's are read as written."""
+    The loaded record's events are the engine's, whatever the schema: a
+    schema 3 record's driven over its decision lines, a schema 1 or 2
+    record's checked by `replay` against the events as written."""
     if isinstance(source, (str, Path)):
         name = str(source)
         try:
@@ -359,6 +354,7 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
 
     if version == SCHEMA_VERSION:
         moves, (outcome_lineno, outcome_row) = _decision_rows(rows, name)
+        events = []
     else:
         events, (outcome_lineno, outcome_row) = _event_rows(rows, name)
     try:
@@ -377,25 +373,7 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordFormatError(f"{name}: line {outcome_lineno}: bad outcome: {exc!r}") from exc
-    if version == SCHEMA_VERSION:
-        seed = seed_info.get("engine_seed")
-        if type(seed) is not int:
-            raise RecordSchemaError(f"{name}: line {lineno}: the header carries no engine seed")
-        engine = GameEngine(config, roles.as_dict(), seed)
-        _drive_lines(engine, moves, name)
-        if aborted == engine.finished:
-            stopped = "the game ends" if engine.finished else f"the game stops in {engine.state.phase.value}"
-            raise ReplayMismatch(
-                f"{name}: line {outcome_lineno}: the record is {'aborted' if aborted else 'complete'}, "
-                f"but {stopped} where its decisions run out"
-            )
-        if outcome != engine.outcome:
-            raise ReplayMismatch(
-                f"{name}: line {outcome_lineno}: outcome diverged: recorded {outcome.to_dict()}, "
-                f"replayed {engine.outcome.to_dict()}"
-            )
-        events = engine.events
-    return GameRecord(
+    record = GameRecord(
         game_id=game_id,
         config=config,
         roles=roles,
@@ -406,6 +384,12 @@ def load_record(source: str | Path | TextIO) -> GameRecord:
         aborted=aborted,
         error=error,
     )
+    if version == SCHEMA_VERSION:
+        engine = _drive_checked(record, iter(moves), name, "line", lineno, outcome_lineno)
+    else:
+        engine = replay(record)
+    record.events = engine.events
+    return record
 
 
 def _outcome_row(
@@ -426,31 +410,21 @@ def _event_rows(
     events: list[EventLogEntry] = []
     outcome: tuple[int, dict[str, Any]] | None = None
     for lineno, row in rows[1:]:
-        values = tuple(row.values())
-        if (
-            outcome is None
-            and tuple(row) == _EVENT_KEYS
-            and tuple(map(type, values)) in _EVENT_VALUE_TYPES
-            and (kind := _EVENT_KINDS.get(values[5])) is not None
-        ):
-            seq, round_, attempt, phase, actor, _, text, payload, visibility = values
-            event = EventLogEntry(seq, round_, attempt, phase, actor, kind, text, payload, visibility)
-        elif "type" not in row:
-            if outcome is not None:
-                raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
-            try:
-                for key, value in row.items():
-                    kinds = _EVENT_FIELD_TYPES.get(key)
-                    if kinds is None:
-                        raise ValueError(f"unknown event key {key!r}")
-                    if type(value) not in kinds:  # `_checked` inline, as this runs for every key
-                        _checked(value, kinds, key)
-                event = EventLogEntry.from_dict(row)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc
-        else:
+        if "type" in row:
             outcome = _outcome_row(outcome, lineno, row, name)
             continue
+        if outcome is not None:
+            raise RecordFormatError(f"{name}: line {lineno}: event after the outcome line")
+        try:
+            for key, value in row.items():
+                kinds = _EVENT_FIELD_TYPES.get(key)
+                if kinds is None:
+                    raise ValueError(f"unknown event key {key!r}")
+                if type(value) not in kinds:  # `_checked` inline, as this runs for every key
+                    _checked(value, kinds, key)
+            event = EventLogEntry.from_dict(row)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RecordFormatError(f"{name}: line {lineno}: bad event: {exc!r}") from exc
         if events and event.seq <= events[-1].seq:
             raise RecordFormatError(f"{name}: line {lineno}: event seq {event.seq} out of order")
         events.append(event)
@@ -484,19 +458,6 @@ def _decision_rows(
     if outcome is None:
         raise RecordFormatError(f"{name}: line {rows[-1][0]}: the record ends with no outcome line")
     return moves, outcome
-
-
-def _drive_lines(engine: GameEngine, moves: list[tuple[Phase | None, tuple, int]], name: str) -> None:
-    """Drive `engine` over a schema 3 record's moves, all of them."""
-    decisions = _Decisions(iter(moves))
-    try:
-        drive(engine, decisions)
-    except RuleError as exc:
-        raise ReplayMismatch(f"{name}: line {decisions.where}: the rules reject this decision: {exc}") from exc
-    left = decisions.left_over()
-    if left is not None:
-        due = "after the game ended" if engine.finished else f"in {engine.state.phase.value}"
-        raise ReplayMismatch(f"{name}: line {left}: no such decision is due {due}")
 
 
 def iter_record_paths(directory: str | Path) -> list[Path]:
@@ -811,29 +772,62 @@ def replay(record: GameRecord) -> GameEngine:
     record's, on success; raises ReplayMismatch at the first event that
     differs in any field, naming its recorded seq.
     """
+    return _drive_checked(record, _recorded_moves(record), record.game_id, "seq", recorded=record.events)
+
+
+def _drive_checked(
+    record: GameRecord,
+    moves: Iterator[tuple[Phase | None, tuple, int]],
+    source: str,
+    unit: str,
+    header: int | None = None,
+    end: int | None = None,
+    recorded: list[EventLogEntry] | None = None,
+) -> GameEngine:
+    """A fresh engine for `record`'s config, roles and engine seed, driven
+    over `moves`, each at a place (a line number or a seq).
+
+    The engine must take every move, rebuild `recorded` field for field
+    when it is given, and stop where the record does, with its outcome.
+    Errors name `source` and, as `<unit> <place>`, the move's place, or
+    `header` or `end` (the places of the engine seed and of the outcome,
+    None where the record has none)."""
+
+    def at(place: int | None) -> str:
+        return source if place is None else f"{source}: {unit} {place}"
+
     seed = record.seed_info.get("engine_seed")
     if type(seed) is not int:
-        raise RecordSchemaError(f"{record.game_id}: record carries no engine seed")
+        raise RecordSchemaError(f"{at(header)}: the record carries no engine seed")
     engine = GameEngine(record.config, record.roles.as_dict(), seed)
+    decisions = _Decisions(moves)
     try:
-        drive(engine, _Decisions(_recorded_moves(record)))
+        drive(engine, decisions)
     except RuleError as exc:
-        # A recorded action the rules engine rejects means the log cannot
-        # be an honest transcript of a real game.
-        raise ReplayMismatch(f"{record.game_id}: recorded action rejected on replay: {exc}") from exc
-
-    # Past the end of the shorter log, one side is None.
-    for want, got in zip_longest(record.events, engine.events):
-        if want is None or got is None or not _same_event(want, got):
-            raise ReplayMismatch(
-                f"{record.game_id}: seq {(want or got).seq} differs:\n"
-                f"  recorded: {want and want.to_dict()}\n"
-                f"  replayed: {got and got.to_dict()}"
-            )
-    want_outcome = record.outcome.to_dict() if record.outcome else None
-    got_outcome = engine.outcome.to_dict() if engine.outcome else None
-    if want_outcome != got_outcome:
+        # A decision the rules engine rejects means the record cannot be an
+        # honest transcript of a real game.
+        raise ReplayMismatch(f"{at(decisions.where)}: the rules reject this decision: {exc}") from exc
+    if recorded is not None:
+        # Past the end of the shorter log, one side is None.
+        for want, got in zip_longest(recorded, engine.events):
+            if want is None or got is None or not _same_event(want, got):
+                raise ReplayMismatch(
+                    f"{source}: seq {(want or got).seq} differs:\n"
+                    f"  recorded: {want and want.to_dict()}\n"
+                    f"  replayed: {got and got.to_dict()}"
+                )
+    left = decisions.left_over()
+    if left is not None:
+        due = "after the game ended" if engine.finished else f"in {engine.state.phase.value}"
+        raise ReplayMismatch(f"{at(left)}: no such decision is due {due}")
+    if record.aborted == engine.finished:
+        stopped = "the game ends" if engine.finished else f"the game stops in {engine.state.phase.value}"
         raise ReplayMismatch(
-            f"{record.game_id}: outcome diverged: recorded {want_outcome}, replayed {got_outcome}"
+            f"{at(end)}: the record is {'aborted' if record.aborted else 'complete'}, "
+            f"but {stopped} where its decisions run out"
         )
+    if record.outcome != engine.outcome:
+        want_outcome = record.outcome and record.outcome.to_dict()
+        got_outcome = engine.outcome and engine.outcome.to_dict()
+        raise ReplayMismatch(f"{at(end)}: outcome diverged: recorded {want_outcome}, replayed {got_outcome}")
     return engine

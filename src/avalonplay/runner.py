@@ -237,8 +237,8 @@ class MetricsCounts:
 
 def counts_from_record(record: GameRecord) -> MetricsCounts:
     """One game's tallies; an aborted game counts only as aborted. `record`
-    comes from `run_game`, or was loaded and then passed through `replay`,
-    which checks every field read here."""
+    comes from `run_game` or `load_record`, which checks every field read
+    here against the engine, whatever the record's schema."""
     if record.aborted:
         return MetricsCounts(n_games=1, n_aborted=1)
     return _tally(record)
@@ -350,7 +350,7 @@ def report_from_counts(c: MetricsCounts) -> MetricsReport:
 
 
 def compute_metrics(records: Iterable[GameRecord]) -> MetricsReport:
-    """Exact metrics over records from `run_game`, or loaded and then replayed."""
+    """Exact metrics over records from `run_game` or `load_record` (engine-checked, any schema)."""
     total = MetricsCounts()
     for record in records:
         total.add(counts_from_record(record))

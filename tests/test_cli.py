@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from avalonplay import analyzer, cli
+from avalonplay import analyzer, cli, records
 from avalonplay.analyzer import analyze_record
 from avalonplay.cli import _onoff, build_parser, main
-from avalonplay.records import load_record
-from helpers import v2_text
+from avalonplay.game import drive
+from avalonplay.records import load_record, write_record
+from helpers import V2_RECORDS_DIR, v2_text
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -340,6 +341,30 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(out)["summary"]["n_games"] == 3
         assert in_memory == [1, 1, 1]
+
+
+class TestOneDrivePerRecord:
+    """Loading checks a record of any schema against the engine, so each
+    read command drives one engine per record."""
+
+    @pytest.fixture(params=["v2", "v3"])
+    def record_dir(self, request, tmp_path):
+        if request.param == "v2":
+            return V2_RECORDS_DIR
+        for path in sorted(V2_RECORDS_DIR.glob("*.jsonl")):
+            write_record(load_record(path), tmp_path / path.name)
+        return tmp_path
+
+    @pytest.mark.parametrize("command", ["replay", "metrics", "analyze"])
+    def test_each_command_drives_one_engine_per_record(self, capsys, monkeypatch, record_dir, command):
+        paths = sorted(record_dir.glob("*.jsonl"))
+        assert len(paths) == 3
+        drives = []
+        monkeypatch.setattr(records, "drive", lambda engine, decide: drives.append(engine) or drive(engine, decide))
+        for argv in ([[command, str(path)] for path in paths] if command == "replay" else [[command, str(record_dir)]]):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+        assert len(drives) == len(paths)
 
 
 class TestBadRecords:

@@ -641,6 +641,17 @@ def killed_harness_pids(start_server: str, tmpdir: Path) -> list[int]:
 
 
 class TestForkServer:
+    def test_killing_a_program_already_reaped_is_no_error(self):
+        # The server may reap the program between the deadline and the kill.
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped by waitpid: its pid names no process now
+        read_end, write_end = os.pipe()
+        try:
+            codeact._kill_program(read_end, bytearray(b"%d\n" % child.pid))
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
     def test_concurrent_runs_each_get_their_own_output(self):
         barrier = threading.Barrier(8)
 

@@ -1048,6 +1048,75 @@ class TestBoundedTamperSweep:
             assert any(kind in message for message in messages), kind
 
 
+# The payload keys of a decision's event that the engine writes itself.
+ENGINE_PAYLOAD_KEYS = {"members", "leader", "approve", "target", "hit"}
+
+
+def _agent_written(event: dict, path: tuple) -> bool:
+    """Whether the leaf at `path` of a schema 2 event line is an agent's
+    input that the engine takes as recorded: a proposal's or a speech's
+    text, or a payload value of a decision under a key the engine does not
+    write. Every other field, and every field of a moderator note, a public
+    ballot result or a quest result, is engine output."""
+    kind = event["kind"]
+    if path[0] == "text":
+        return kind in ("team_proposed", "discussion")
+    decision = kind in ("team_proposed", "discussion", "assassination_result") or (
+        kind == "ballot_result" and event["visibility"] != "public"
+    )
+    return decision and path[0] == "payload" and (len(path) == 1 or path[1] not in ENGINE_PAYLOAD_KEYS)
+
+
+def _engine_output(event: dict, path: tuple) -> str | None:
+    """Which kind of engine output the leaf at `path` is, if it is one."""
+    kind, public = event["kind"], event["visibility"] == "public"
+    if kind == "moderator_note" and path == ("text",):
+        return "moderator text"
+    if kind == "ballot_result":
+        return "public ballot result" if public else "ballot sentence" if path == ("text",) else None
+    return "quest result" if kind == "quest_result" else None
+
+
+class TestSchema2TamperSweep:
+    """Loading alone checks a schema 2 record against the engine: each edit
+    of one leaf of one event line, within its JSON type, either fails to
+    load with a record error or loads to a record whose schema 3 re-write
+    loads to the same events; an edit of anything the engine writes fails.
+    Bounded: the event lines of each shape (kind, phase, visibility, payload
+    keys) in each round, first of each, in the three schema 2 fixtures."""
+
+    @pytest.mark.parametrize("path", V2_PATHS, ids=lambda p: p.stem)
+    def test_each_edit_fails_or_loads_to_a_record_that_rewrites_the_same(self, path):
+        rows = path.read_text(encoding="utf-8").splitlines()
+        shapes, engine_edits, loaded_edits = set(), Counter(), 0
+        for i in range(1, len(rows) - 1):
+            event = json.loads(rows[i])
+            shape = (event["kind"], event["phase"], event["visibility"] == "public", tuple(event["payload"]), event["round"])
+            if shape in shapes:
+                continue
+            shapes.add(shape)
+            for leaf in _leaves(event):
+                edited = json.loads(rows[i])
+                parent = edited
+                for key in leaf[:-1]:
+                    parent = parent[key]
+                parent[leaf[-1]] = _other(parent[leaf[-1]])
+                text = "\n".join([*rows[:i], json.dumps(edited, ensure_ascii=False), *rows[i + 1:]]) + "\n"
+                edit = f"line {i + 1} {leaf}"
+                try:
+                    loaded = load_record(io.StringIO(text))
+                except RECORD_ERRORS:
+                    engine_edits[_engine_output(event, leaf)] += 1
+                    continue
+                assert _agent_written(event, leaf), edit
+                loaded_edits += 1
+                # The written text tells true from 1, which `==` does not.
+                assert v2_text(load_record(io.StringIO(_text(loaded)))) == v2_text(loaded), edit
+        assert loaded_edits
+        for output in ("moderator text", "ballot sentence", "public ballot result", "quest result"):
+            assert engine_edits[output], output
+
+
 class HashClient(LLMClient):
     """Answers each request by the sha256 of its tag and messages: a third
     of the answers parse as nothing (and run as a program that prints no
@@ -1115,7 +1184,7 @@ class TestAuditEventPin:
 PINNED_AUDIT_BYTES_DIGEST = "29f34cb5325002c845ef990ba64a6fece26d37cb46420b5a53d8106fc653cb5e"
 
 
-# ----- loader fast path -------------------------------------------------------
+# ----- schema 2 event lines ---------------------------------------------------
 
 # The line each loader case edits: a private ballot (seq 11), whose actor and
 # payload are both set.
@@ -1152,21 +1221,22 @@ def _loader_cases(rows: list[str]) -> dict[str, str]:
     }
 
 
-# What each case loads to, as the loader that checked every line key by key
-# gave it: an error's text, or the fields of the edited event that differ
-# from the written game's ({} for the same record).
+# What each case loads to: a `RecordFormatError`'s text from the key-by-key
+# loop; the first line of the `ReplayMismatch` that loading raises, less the
+# game id, for a line that parses but is not the engine's event; or {} for
+# the same record.
 LOADER_OUTCOMES = {
     "seq=int": "<stream>: line 12: event seq 7 out of order",
     "seq=float": "<stream>: line 12: bad event: TypeError('seq should be int, got 1.5')",
     "seq=bool": "<stream>: line 12: bad event: TypeError('seq should be int, got True')",
     "seq=string": "<stream>: line 12: bad event: TypeError(\"seq should be int, got 'x'\")",
     "seq=null": "<stream>: line 12: bad event: TypeError('seq should be int, got None')",
-    "round=int": {"round": 7},
+    "round=int": ReplayMismatch("seq 11 differs:"),
     "round=float": "<stream>: line 12: bad event: TypeError('round should be int, got 1.5')",
     "round=bool": "<stream>: line 12: bad event: TypeError('round should be int, got True')",
     "round=string": "<stream>: line 12: bad event: TypeError(\"round should be int, got 'x'\")",
     "round=null": "<stream>: line 12: bad event: TypeError('round should be int, got None')",
-    "attempt=int": {"attempt": 7},
+    "attempt=int": ReplayMismatch("seq 11 differs:"),
     "attempt=float": "<stream>: line 12: bad event: TypeError('attempt should be int, got 1.5')",
     "attempt=bool": "<stream>: line 12: bad event: TypeError('attempt should be int, got True')",
     "attempt=string": "<stream>: line 12: bad event: TypeError(\"attempt should be int, got 'x'\")",
@@ -1174,13 +1244,13 @@ LOADER_OUTCOMES = {
     "phase=int": "<stream>: line 12: bad event: TypeError('phase should be str, got 7')",
     "phase=float": "<stream>: line 12: bad event: TypeError('phase should be str, got 1.5')",
     "phase=bool": "<stream>: line 12: bad event: TypeError('phase should be str, got True')",
-    "phase=string": {"phase": "x"},
+    "phase=string": ReplayMismatch("seq 11 differs:"),
     "phase=null": "<stream>: line 12: bad event: TypeError('phase should be str, got None')",
-    "actor=int": {"actor": 7},
+    "actor=int": ReplayMismatch("seq 11 differs:"),
     "actor=float": "<stream>: line 12: bad event: TypeError('actor should be int or NoneType, got 1.5')",
     "actor=bool": "<stream>: line 12: bad event: TypeError('actor should be int or NoneType, got True')",
     "actor=string": "<stream>: line 12: bad event: TypeError(\"actor should be int or NoneType, got 'x'\")",
-    "actor=null": {"actor": None},
+    "actor=null": ReplayMismatch("seq 11 differs:"),
     "kind=int": "<stream>: line 12: bad event: TypeError('kind should be str, got 7')",
     "kind=float": "<stream>: line 12: bad event: TypeError('kind should be str, got 1.5')",
     "kind=bool": "<stream>: line 12: bad event: TypeError('kind should be str, got True')",
@@ -1189,7 +1259,7 @@ LOADER_OUTCOMES = {
     "text=int": "<stream>: line 12: bad event: TypeError('text should be str, got 7')",
     "text=float": "<stream>: line 12: bad event: TypeError('text should be str, got 1.5')",
     "text=bool": "<stream>: line 12: bad event: TypeError('text should be str, got True')",
-    "text=string": {"text": "x"},
+    "text=string": ReplayMismatch("seq 11 differs:"),
     "text=null": "<stream>: line 12: bad event: TypeError('text should be str, got None')",
     "payload=int": "<stream>: line 12: bad event: TypeError('payload should be dict, got 7')",
     "payload=float": "<stream>: line 12: bad event: TypeError('payload should be dict, got 1.5')",
@@ -1199,13 +1269,17 @@ LOADER_OUTCOMES = {
     "visibility=int": "<stream>: line 12: bad event: TypeError('visibility should be str, got 7')",
     "visibility=float": "<stream>: line 12: bad event: TypeError('visibility should be str, got 1.5')",
     "visibility=bool": "<stream>: line 12: bad event: TypeError('visibility should be str, got True')",
-    "visibility=string": {"visibility": "x"},
+    "visibility=string": ReplayMismatch("seq 11 differs:"),
     "visibility=null": "<stream>: line 12: bad event: TypeError('visibility should be str, got None')",
     "reversed-keys": {},
     "swapped-keys": {},
     "renamed-key": "<stream>: line 12: bad event: ValueError(\"unknown event key 'colour'\")",
-    "no-payload": {"payload": {}},
-    "no-visibility": {"visibility": "public"},
+    "no-payload": ReplayMismatch("recorded seq 11 holds a malformed ballot_result action: KeyError('approve')"),
+    # A public ballot result is engine output, so seq 12 starts the team vote.
+    "no-visibility": ReplayMismatch(
+        "recorded seq 12 holds a malformed ballot_result action: "
+        "ValueError('a team vote has 7 ballots, got 6 approvals, 6 reasonings and 7 payloads')"
+    ),
     "extra-key": "<stream>: line 12: bad event: ValueError(\"unknown event key 'colour'\")",
     "unknown-kind": "<stream>: line 12: bad event: ValueError(\"'mystery' is not a valid EventKind\")",
     "nan": "<stream>: line 12 is not valid JSON: NaN is not a JSON value",
@@ -1216,11 +1290,11 @@ LOADER_OUTCOMES = {
 }
 
 
-class TestLoaderFastPath:
-    """A schema 2 line as the schema 2 writer wrote it skips the key-by-key checks; every
-    other line, each field of another JSON type, another key order, a missing
-    default, an unknown key or kind and text around the object, loads or
-    fails exactly as the key-by-key loop has it."""
+class TestEventLineLoader:
+    """A schema 2 event line, each field of another JSON type or another
+    value, another key order, a missing default, an unknown key or kind and
+    text around the object, fails in the key-by-key loop, fails loading's
+    replay against the engine's events, or loads to the written record."""
 
     @pytest.fixture(scope="class")
     def cases(self, record):
@@ -1237,9 +1311,12 @@ class TestLoaderFastPath:
                 load_record(io.StringIO(cases[case]))
             assert str(exc.value) == expected
             return
-        events = list(record.events)
-        events[EDITED_LINE - 2] = dataclasses.replace(events[EDITED_LINE - 2], **expected)
-        want = dataclasses.replace(record, events=events)
+        if isinstance(expected, ReplayMismatch):
+            with pytest.raises(ReplayMismatch) as exc:
+                load_record(io.StringIO(cases[case]))
+            assert str(exc.value).splitlines()[0] == f"{record.game_id}: {expected}"
+            return
+        assert expected == {}
         loaded = load_record(io.StringIO(cases[case]))
         # The written text tells true from 1, which `==` does not.
-        assert loaded == want and v2_text(loaded) == v2_text(want)
+        assert loaded == record and v2_text(loaded) == v2_text(record)
